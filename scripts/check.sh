@@ -7,7 +7,9 @@
 # work-stealing sweep engine (src/harness/run_pool) against data races.
 # The plain and TSan passes additionally run a set of quick bench binaries
 # with --trace/--report and validate the JSON artifacts with obs_lint, so a
-# schema regression in the observability layer fails CI, not Perfetto.
+# schema regression in the observability layer fails CI, not Perfetto.  The
+# plain pass also builds the nwsbench benchmark (benchmark/, into
+# build-bench/) and runs its --smoke self-check.
 #
 # A coverage stage (--coverage-only, or part of the full run) rebuilds with
 # -DNWS_COVERAGE=ON, reruns the test suite and enforces the per-directory
@@ -109,6 +111,13 @@ if [[ $run_plain -eq 1 ]]; then
   cmake --build build -j "$jobs"
   NWS_JOBS="$jobs" ctest --test-dir build --output-on-failure -j "$jobs"
   check_artifacts build
+  # nwsbench is its own CMake project (benchmark/README.md); its smoke run
+  # checks every workload at tiny scale: no failed op, verified payloads,
+  # simulated metrics identical across invocations, tracing and workers.
+  echo "==> nwsbench --smoke (build-bench/, Release)"
+  cmake -S benchmark -B build-bench -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-bench -j "$jobs" --target nwsbench
+  ./build-bench/nwsbench --smoke
 fi
 
 if [[ $run_sanitize -eq 1 ]]; then

@@ -16,10 +16,7 @@ constexpr double kRateEpsilon = 1e-6;
 LinkId FlowScheduler::add_link(Link link) {
   if (link.raw_capacity <= 0.0) throw std::invalid_argument("link capacity must be positive: " + link.name);
   links_.push_back(std::move(link));
-  link_flow_count_.push_back(0);
-  residual_.push_back(0.0);
-  unfrozen_on_link_.push_back(0);
-  link_mark_.push_back(0);
+  link_state_.emplace_back();
   return static_cast<LinkId>(links_.size() - 1);
 }
 
@@ -28,24 +25,98 @@ void FlowScheduler::start_flow(std::vector<LinkId> path, double bytes, double ra
   for (const LinkId id : path) {
     if (id >= links_.size()) throw std::out_of_range("flow path references unknown link");
   }
+  // Written so NaN fails too: cap order needs a strict weak order.
+  if (!(rate_cap > 0.0)) throw std::invalid_argument("flow rate cap must be positive");
   advance_progress();
   Flow flow;
-  flow.path = std::move(path);
   flow.remaining = bytes;
   flow.total = bytes;
-  flow.cap = rate_cap;
   flow.waiter = h;
-  flows_.push_back(std::move(flow));
-  for (const LinkId id : flows_.back().path) ++link_flow_count_[id];
+  flow.cls = join_class(std::move(path), rate_cap);
   if (obs::TraceRecorder* tr = obs::current_trace()) {
     // Flow lifetimes render on a synthetic "network" process; a rotating
     // lane keeps concurrent flows on separate rows in the viewer.
-    flows_.back().span =
-        tr->begin("flow", "net", obs::Actor{obs::kNetworkNode, trace_lane_++ % 32}, 0, bytes);
+    flow.span = tr->begin("flow", "net", obs::Actor{obs::kNetworkNode, trace_lane_++ % 32}, 0, bytes);
   }
+  flows_.push_back(flow);
   ++stats_.flows_started;
   stats_.peak_concurrent = std::max(stats_.peak_concurrent, flows_.size());
   settle(flows_.size() - 1);
+}
+
+FlowScheduler::ClassId FlowScheduler::join_class(std::vector<LinkId>&& path, double cap) {
+  // Every link on a class's path lists the class: search the shortest list.
+  const std::vector<ClassId>* candidates = &link_state_[path.front()].classes;
+  for (const LinkId id : path) {
+    if (link_state_[id].classes.size() < candidates->size()) candidates = &link_state_[id].classes;
+  }
+  ClassId cls = 0;
+  const auto found = std::find_if(candidates->begin(), candidates->end(), [&](ClassId c) {
+    return classes_[c].cap == cap && classes_[c].path == path;
+  });
+  if (found != candidates->end()) {
+    cls = *found;
+  } else {
+    if (free_classes_.empty()) {
+      cls = static_cast<ClassId>(classes_.size());
+      classes_.emplace_back();
+    } else {
+      cls = free_classes_.back();
+      free_classes_.pop_back();
+    }
+    FlowClass& c = classes_[cls];
+    c.path = std::move(path);
+    c.cap = cap;
+    c.active_pos = active_classes_.size();
+    active_classes_.push_back(cls);
+    for (const LinkId id : c.path) link_state_[id].classes.push_back(cls);
+    if (std::isfinite(cap)) {
+      const std::pair<double, ClassId> key{cap, cls};
+      cap_order_.insert(std::lower_bound(cap_order_.begin(), cap_order_.end(), key), key);
+    }
+  }
+  FlowClass& c = classes_[cls];
+  ++c.members;
+  for (const LinkId id : c.path) {
+    LinkState& s = link_state_[id];
+    if (s.flows++ == 0) {
+      s.active_pos = active_links_.size();
+      active_links_.push_back(id);
+    }
+  }
+  return cls;
+}
+
+bool FlowScheduler::leave_class(ClassId cls) {
+  FlowClass& c = classes_[cls];
+  bool shared = false;
+  for (const LinkId id : c.path) {
+    LinkState& s = link_state_[id];
+    if (--s.flows > 0) {
+      shared = true;
+      continue;
+    }
+    const LinkId moved = active_links_.back();
+    active_links_[s.active_pos] = moved;
+    link_state_[moved].active_pos = s.active_pos;
+    active_links_.pop_back();
+  }
+  if (--c.members > 0) return shared;
+
+  for (const LinkId id : c.path) {
+    std::vector<ClassId>& on_link = link_state_[id].classes;
+    *std::find(on_link.begin(), on_link.end(), cls) = on_link.back();
+    on_link.pop_back();
+  }
+  if (std::isfinite(c.cap)) {
+    cap_order_.erase(std::lower_bound(cap_order_.begin(), cap_order_.end(), std::pair{c.cap, cls}));
+  }
+  const ClassId moved = active_classes_.back();
+  active_classes_[c.active_pos] = moved;
+  classes_[moved].active_pos = c.active_pos;
+  active_classes_.pop_back();
+  free_classes_.push_back(cls);
+  return shared;
 }
 
 void FlowScheduler::set_capacity_factor(LinkId id, double factor) {
@@ -73,15 +144,16 @@ void FlowScheduler::advance_progress() {
 }
 
 bool FlowScheduler::links_private_to(const Flow& f) const {
-  for (const LinkId id : f.path) {
-    if (link_flow_count_[id] != 1) return false;
+  for (const LinkId id : classes_[f.cls].path) {
+    if (link_state_[id].flows != 1) return false;
   }
   return true;
 }
 
 double FlowScheduler::solo_rate(const Flow& f) const {
-  double rate = f.cap;
-  for (const LinkId id : f.path) {
+  const FlowClass& c = classes_[f.cls];
+  double rate = c.cap;
+  for (const LinkId id : c.path) {
     rate = std::min(rate, links_[id].effective_capacity(1));
   }
   return rate;
@@ -113,7 +185,8 @@ void FlowScheduler::maybe_recompute(Flow* added, bool shared_departure) {
     return;
   }
   if (added != nullptr) {
-    added->rate = fair_share_floor_ > 0.0 ? std::min(added->cap, fair_share_floor_) : added->cap;
+    const double cap = classes_[added->cls].cap;
+    added->rate = fair_share_floor_ > 0.0 ? std::min(cap, fair_share_floor_) : cap;
     if (!std::isfinite(added->rate)) added->rate = fair_share_floor_;
     if (added->rate <= 0.0) {
       changes_since_full_ = 0;
@@ -124,92 +197,87 @@ void FlowScheduler::maybe_recompute(Flow* added, bool shared_departure) {
 
 void FlowScheduler::recompute_rates() {
   ++stats_.rate_recomputations;
-  const std::size_t n_flows = flows_.size();
-  if (n_flows == 0) return;
+  if (flows_.empty()) return;
 
-  // Effective capacities given current flow counts per link (maintained by
-  // start_flow/settle).  Only links actually carrying flows participate (the
-  // cluster registers hundreds of links; an op touches a handful).  The mark
-  // stamp dedupes active links without per-solve clearing, and the scratch
-  // vectors are members so a steady-state solve performs no allocation.
-  active_links_.clear();
-  const std::uint64_t stamp = ++solve_stamp_;
-  for (const Flow& f : flows_) {
-    for (const LinkId id : f.path) {
-      if (link_mark_[id] != stamp) {
-        link_mark_[id] = stamp;
-        active_links_.push_back(id);
-      }
-    }
+  // Progressive filling over classes: raise every unfrozen class's rate
+  // uniformly until a link saturates or a class hits its own cap; freeze and
+  // repeat.  Effective capacities follow the maintained per-link flow counts.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double link_delta = kInf;  // smallest residual / unfrozen over live links
+  live_links_ = active_links_;
+  for (const LinkId l : live_links_) {
+    LinkState& s = link_state_[l];
+    s.residual = links_[l].effective_capacity(s.flows);
+    s.saturated_below = kRateEpsilon * links_[l].raw_capacity;
+    s.unfrozen = s.flows;
+    link_delta = std::min(link_delta, s.residual / static_cast<double>(s.unfrozen));
   }
-  for (const LinkId l : active_links_) {
-    residual_[l] = links_[l].effective_capacity(link_flow_count_[l]);
-    unfrozen_on_link_[l] = link_flow_count_[l];
-  }
-
-  // Progressive filling: raise every unfrozen flow's rate uniformly until a
-  // link saturates or a flow hits its own cap; freeze and repeat.
-  frozen_.assign(n_flows, 0);
-  std::size_t n_frozen = 0;
+  for (const ClassId c : active_classes_) classes_[c].frozen = false;
+  std::size_t unfrozen_classes = active_classes_.size();
+  std::size_t cap_head = 0;  // cap_order_ before this index is frozen
   double level = 0.0;
-  while (n_frozen < n_flows) {
+  const auto freeze = [&](FlowClass& c) {
+    c.frozen = true;
+    c.rate = level;
+    --unfrozen_classes;
+    for (const LinkId id : c.path) link_state_[id].unfrozen -= c.members;
+  };
+
+  while (true) {
     // Smallest increment that saturates some constraint.
-    double delta = std::numeric_limits<double>::infinity();
-    for (const LinkId l : active_links_) {
-      if (unfrozen_on_link_[l] > 0) {
-        delta = std::min(delta, residual_[l] / static_cast<double>(unfrozen_on_link_[l]));
-      }
-    }
-    for (std::size_t i = 0; i < n_flows; ++i) {
-      if (!frozen_[i]) delta = std::min(delta, flows_[i].cap - level);
-    }
+    double delta = link_delta;
+    while (cap_head < cap_order_.size() && classes_[cap_order_[cap_head].second].frozen) ++cap_head;
+    if (cap_head < cap_order_.size()) delta = std::min(delta, cap_order_[cap_head].first - level);
     if (!std::isfinite(delta)) throw std::logic_error("max-min fill diverged (uncapped flow on no links?)");
     if (delta < 0.0) delta = 0.0;
 
     level += delta;
-    for (const LinkId l : active_links_) {
-      residual_[l] -= delta * static_cast<double>(unfrozen_on_link_[l]);
+    saturated_.clear();
+    for (const LinkId l : live_links_) {
+      LinkState& s = link_state_[l];
+      s.residual -= delta * static_cast<double>(s.unfrozen);
+      if (s.residual <= s.saturated_below) saturated_.push_back(l);
     }
 
-    // Freeze flows that hit their cap or sit on a saturated link.
-    bool any_frozen_this_round = false;
-    for (std::size_t i = 0; i < n_flows; ++i) {
-      if (frozen_[i]) continue;
-      bool saturated = flows_[i].cap - level <= kRateEpsilon;
-      if (!saturated) {
-        for (const LinkId id : flows_[i].path) {
-          if (residual_[id] <= kRateEpsilon * links_[id].raw_capacity) {
-            saturated = true;
-            break;
-          }
-        }
-      }
-      if (saturated) {
-        frozen_[i] = 1;
-        ++n_frozen;
-        any_frozen_this_round = true;
-        flows_[i].rate = level;
-        for (const LinkId id : flows_[i].path) --unfrozen_on_link_[id];
+    // Freeze classes that sit on a saturated link or hit their cap.
+    const std::size_t unfrozen_before = unfrozen_classes;
+    for (const LinkId l : saturated_) {
+      for (const ClassId c : link_state_[l].classes) {
+        if (!classes_[c].frozen) freeze(classes_[c]);
       }
     }
-    if (!any_frozen_this_round) {
+    for (; cap_head < cap_order_.size() && cap_order_[cap_head].first - level <= kRateEpsilon; ++cap_head) {
+      FlowClass& c = classes_[cap_order_[cap_head].second];
+      if (!c.frozen) freeze(c);
+    }
+    if (unfrozen_classes == 0) break;
+    if (unfrozen_classes == unfrozen_before) {
       // Numerical corner: nothing saturated exactly; freeze everything at
       // the current level to guarantee termination.
-      for (std::size_t i = 0; i < n_flows; ++i) {
-        if (!frozen_[i]) {
-          frozen_[i] = 1;
-          ++n_frozen;
-          flows_[i].rate = level;
-        }
+      for (const ClassId c : active_classes_) {
+        if (!classes_[c].frozen) classes_[c].rate = level;
       }
+      break;
     }
+
+    // Drop links left without unfrozen flows; the rest bound the next delta.
+    link_delta = kInf;
+    std::size_t kept = 0;
+    for (const LinkId l : live_links_) {
+      const LinkState& s = link_state_[l];
+      if (s.unfrozen == 0) continue;
+      live_links_[kept++] = l;
+      link_delta = std::min(link_delta, s.residual / static_cast<double>(s.unfrozen));
+    }
+    live_links_.resize(kept);
   }
 
-  double floor = std::numeric_limits<double>::infinity();
-  for (const Flow& f : flows_) {
-    if (f.rate > 0.0) floor = std::min(floor, f.rate);
+  double floor = kInf;
+  for (const ClassId c : active_classes_) {
+    if (classes_[c].rate > 0.0) floor = std::min(floor, classes_[c].rate);
   }
   fair_share_floor_ = std::isfinite(floor) ? floor : 0.0;
+  for (Flow& f : flows_) f.rate = classes_[f.cls].rate;
 }
 
 void FlowScheduler::settle(std::size_t added_idx) {
@@ -222,9 +290,7 @@ void FlowScheduler::settle(std::size_t added_idx) {
   bool shared_departure = false;
   for (std::size_t i = 0; i < flows_.size();) {
     if (flows_[i].remaining <= kCompletionEpsilon) {
-      for (const LinkId id : flows_[i].path) {
-        if (--link_flow_count_[id] > 0) shared_departure = true;
-      }
+      if (leave_class(flows_[i].cls)) shared_departure = true;
       const auto waiter = flows_[i].waiter;
       if (flows_[i].span != 0) {
         if (obs::TraceRecorder* tr = obs::current_trace()) tr->end(flows_[i].span);
@@ -280,10 +346,18 @@ std::vector<double> FlowScheduler::current_rates() const {
   return rates;
 }
 
+std::vector<FlowScheduler::ActiveFlow> FlowScheduler::active_flow_specs() const {
+  std::vector<ActiveFlow> specs;
+  specs.reserve(flows_.size());
+  for (const Flow& f : flows_) specs.push_back({classes_[f.cls].path, classes_[f.cls].cap});
+  return specs;
+}
+
 std::size_t FlowScheduler::flows_on_link(LinkId id) const {
   std::size_t n = 0;
   for (const Flow& f : flows_) {
-    n += static_cast<std::size_t>(std::count(f.path.begin(), f.path.end(), id));
+    const std::vector<LinkId>& path = classes_[f.cls].path;
+    n += static_cast<std::size_t>(std::count(path.begin(), path.end(), id));
   }
   return n;
 }

@@ -15,11 +15,39 @@
 // simulated process is then resumed.  This is the classic flow-level network
 // simulation approach: accurate steady-state sharing without per-packet
 // cost.
+//
+// The solver.  Progressive filling raises one water level for every
+// unfrozen flow; each round adds the smallest increment `delta` that
+// saturates a link (residual / unfrozen flows on it) or reaches a flow's
+// cap, subtracts `delta * unfrozen` from every link's residual, and freezes
+// the flows that hit their cap or cross a saturated link at the level.
+// Three structures, maintained by start_flow/settle rather than rebuilt per
+// solve, keep each round to the links and flows it can change:
+//
+//   * Flow classes.  Flows with equal (path, cap) always freeze in the same
+//     round at the same level, so the fill runs over classes weighted by
+//     their member count; a link's unfrozen count drops by that count.
+//   * Link incidence.  The set of links carrying active flows, and per link
+//     the classes crossing it.  A round visits only links that still carry
+//     unfrozen flows, and freezes classes only through links that saturated
+//     in that round.
+//   * Cap order.  Finite-cap classes sorted by cap: the smallest unfrozen
+//     cap is a head pointer, and freezing by cap is a prefix walk (rounding
+//     is monotone, so `cap - level <= eps` holds on a prefix).
+//
+// Every value is computed exactly as a per-flow fill computes it: the same
+// `delta` minimum, the same `level += delta` accumulation, the same
+// residual updates and freeze predicate.  So every rate is bit-identical to
+// the per-flow reference kept in tests/max_min_oracle.h, which the seeded
+// sweep `FlowOracleSweep` in tests/net_test.cc checks after every forced
+// solve (replay: NWS_FLOW_SEED / NWS_FLOW_COUNT).  docs/PERFORMANCE.md has
+// the measurements.
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/units.h"
@@ -59,7 +87,9 @@ class FlowScheduler {
 
   /// Awaitable transfer of `bytes` along `path`, rate-capped at `rate_cap`
   /// bytes/s (use infinity for no cap).  Completes when all bytes have been
-  /// delivered.  An empty path transfers instantaneously.
+  /// delivered.  An empty path transfers instantaneously.  Otherwise an
+  /// unknown link throws std::out_of_range, and a cap that is not positive
+  /// (NaN, zero, negative) throws std::invalid_argument.
   auto transfer(std::vector<LinkId> path, nws::Bytes bytes,
                 double rate_cap = std::numeric_limits<double>::infinity()) {
     struct Awaiter {
@@ -105,18 +135,50 @@ class FlowScheduler {
   /// Current max-min rate of every active flow (test hook; bytes/s).
   [[nodiscard]] std::vector<double> current_rates() const;
 
+  /// Path and rate cap of every active flow, in current_rates() order (test
+  /// hook: the input of a reference solve).
+  struct ActiveFlow {
+    std::vector<LinkId> path;
+    double cap = 0.0;
+  };
+  [[nodiscard]] std::vector<ActiveFlow> active_flow_specs() const;
+
   /// Number of active flows currently crossing `id` (test hook).
   [[nodiscard]] std::size_t flows_on_link(LinkId id) const;
 
  private:
+  using ClassId = std::uint32_t;
+
   struct Flow {
-    std::vector<LinkId> path;
     double remaining = 0.0;  // bytes
     double total = 0.0;      // bytes
     double rate = 0.0;       // bytes/s
-    double cap = 0.0;        // bytes/s
     std::coroutine_handle<> waiter;
+    ClassId cls = 0;                     // the flow's (path, cap) class
     obs::TraceRecorder::Token span = 0;  // lifetime span (0 = tracing off)
+  };
+
+  /// Active flows sharing one (path, cap).  A slot with no members is free.
+  struct FlowClass {
+    std::vector<LinkId> path;
+    double cap = 0.0;  // bytes/s
+    std::size_t members = 0;
+    std::size_t active_pos = 0;  // index in active_classes_
+    // Solve scratch.
+    double rate = 0.0;
+    bool frozen = false;
+  };
+
+  /// Per-link incidence (maintained) and solve scratch.
+  struct LinkState {
+    // Solve scratch, first: the per-round loops read only these.
+    double residual = 0.0;
+    double saturated_below = 0.0;  // residual at or under this freezes the link's flows
+    std::size_t unfrozen = 0;      // unfrozen flows crossing the link
+    // Maintained by start_flow/settle.
+    std::size_t flows = 0;          // active flows crossing, one per path occurrence
+    std::size_t active_pos = 0;     // index in active_links_ while flows > 0
+    std::vector<ClassId> classes;   // classes crossing, one entry per path occurrence
   };
 
   static constexpr std::size_t kNoFlow = static_cast<std::size_t>(-1);
@@ -130,9 +192,15 @@ class FlowScheduler {
   }
 
   void start_flow(std::vector<LinkId> path, double bytes, double rate_cap, std::coroutine_handle<> h);
+  /// Adds one flow to the (path, cap) class, creating it if needed, and
+  /// counts it on the class's links.
+  ClassId join_class(std::vector<LinkId>&& path, double cap);
+  /// Removes one flow from `cls` and its links, retiring the class when it
+  /// empties.  True if one of its links still carries a flow afterwards.
+  bool leave_class(ClassId cls);
   /// Applies progress for the elapsed interval since the last update.
   void advance_progress();
-  /// Recomputes all flow rates (progressive-filling max-min).
+  /// Recomputes all flow rates (progressive-filling max-min over classes).
   void recompute_rates();
   /// Rate update after the active set changed: exact solve (with disjoint
   /// fast paths) below the lazy threshold, bounded-staleness above it.
@@ -151,20 +219,20 @@ class FlowScheduler {
 
   sim::Scheduler& sched_;
   std::vector<Link> links_;
+  std::vector<LinkState> link_state_;  // parallel to links_
   std::vector<Flow> flows_;
-  std::vector<std::size_t> link_flow_count_;  // active flows per link, maintained
+  std::vector<FlowClass> classes_;     // slots; ClassId indexes this
+  std::vector<ClassId> free_classes_;
+  std::vector<ClassId> active_classes_;
+  std::vector<LinkId> active_links_;   // links with flows > 0
+  // Finite-cap classes sorted by (cap, id); infinite caps never bind.
+  std::vector<std::pair<double, ClassId>> cap_order_;
   sim::TimePoint last_update_ = 0;
   sim::Timer completion_timer_;
   FlowStats stats_;
   // Solver scratch, persistent so steady-state recomputes do not allocate.
-  // link_mark_ carries the stamp of the last solve that saw the link active,
-  // so active-link dedup needs no per-solve clearing.
-  std::vector<LinkId> active_links_;
-  std::vector<double> residual_;
-  std::vector<std::size_t> unfrozen_on_link_;
-  std::vector<char> frozen_;
-  std::vector<std::uint64_t> link_mark_;
-  std::uint64_t solve_stamp_ = 0;
+  std::vector<LinkId> live_links_;  // links still carrying unfrozen flows
+  std::vector<LinkId> saturated_;   // live links that saturated this round
   std::size_t lazy_threshold_ = 224;
   std::size_t lazy_interval_ = 12;
   std::size_t changes_since_full_ = 0;

@@ -125,6 +125,10 @@ TEST(NwslintFixtures, StatusDiscard) {
   check_fixture("bad_status.snippet", "src/fdb/bad_status.cc");
 }
 
+TEST(NwslintFixtures, CoroutineTernary) {
+  check_fixture("bad_coroutine_ternary.snippet", "src/sim/bad_coroutine_ternary.cc");
+}
+
 TEST(NwslintFixtures, WellFormedSuppressionsSilenceEverything) {
   check_fixture("suppressed_clean.snippet", "src/sim/suppressed_clean.cc");
 }

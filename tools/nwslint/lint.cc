@@ -155,8 +155,8 @@ Lexed lex(const std::string& src) {
 // Suppressions.
 
 const std::set<std::string>& known_rules() {
-  static const std::set<std::string> rules = {"determinism", "layering", "obs-schema",
-                                             "status-discard"};
+  static const std::set<std::string> rules = {"coroutine-ternary", "determinism", "layering",
+                                             "obs-schema", "status-discard"};
   return rules;
 }
 
@@ -615,6 +615,61 @@ void check_status_discard(const std::string& rel_path, const std::vector<Tok>& t
   }
 }
 
+// ---------------------------------------------------------------------------
+// Rule: coroutine-ternary.
+
+bool opens(const Tok& tok) { return tok.is("(") || tok.is("[") || tok.is("{"); }
+bool closes(const Tok& tok) { return tok.is(")") || tok.is("]") || tok.is("}"); }
+
+/// Index of the token ending a `?:` operand that starts at `begin`: the
+/// first ':' at this depth that no nested `?` claims, a ';', the bracket
+/// closing the enclosing expression, or, for the third operand
+/// (`comma_ends`), a ','.  toks.size() if none.
+std::size_t operand_end(const std::vector<Tok>& toks, std::size_t begin, bool comma_ends) {
+  int depth = 0;
+  int nested = 0;
+  for (std::size_t j = begin; j < toks.size(); ++j) {
+    const Tok& t = toks[j];
+    if (opens(t)) {
+      ++depth;
+    } else if (closes(t)) {
+      if (--depth < 0) return j;
+    } else if (depth == 0) {
+      if (t.is(";") || (comma_ends && t.is(","))) return j;
+      if (t.is("?")) ++nested;
+      if (t.is(":")) {
+        if (nested == 0) return j;
+        --nested;
+      }
+    }
+  }
+  return toks.size();
+}
+
+/// GCC 12 can tear a branch temporary of `?:` across a suspension point, so
+/// `co_await` may not appear in the second or third operand, at any depth.
+/// The first operand is evaluated unconditionally, and a `?:` inside an
+/// awaited call's arguments (`co_await f(c ? a : b)`) has no await in it.
+void check_coroutine_ternary(const std::string& rel_path, const std::vector<Tok>& toks,
+                             std::vector<Finding>& findings) {
+  std::set<std::size_t> flagged;  // nested conditionals see the same co_await
+  const auto flag_awaits = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t j = begin; j < end; ++j) {
+      if (!toks[j].is("co_await") || !flagged.insert(j).second) continue;
+      findings.push_back({rel_path, toks[j].line, "coroutine-ternary",
+                          "co_await in a branch of ?: (GCC 12 can corrupt the coroutine frame); "
+                          "await into a named local, or branch with if/else"});
+    }
+  };
+  for (std::size_t q = 0; q < toks.size(); ++q) {
+    if (!toks[q].is("?")) continue;
+    const std::size_t colon = operand_end(toks, q + 1, /*comma_ends=*/false);
+    if (colon == toks.size() || !toks[colon].is(":")) continue;  // not a complete conditional
+    flag_awaits(q + 1, colon);
+    flag_awaits(colon + 1, operand_end(toks, colon + 1, /*comma_ends=*/true));
+  }
+}
+
 std::string layer_of(const std::string& rel_path) {
   if (!starts_with(rel_path, "src/")) return {};
   const std::size_t next = rel_path.find('/', 4);
@@ -763,6 +818,7 @@ std::vector<Finding> lint_file(const std::string& rel_path, const std::string& c
   check_layering(rel_path, layer, lexed.toks, config, raw);
   if (!in_tests) check_obs_schema(rel_path, lexed.toks, config, raw);
   check_status_discard(rel_path, lexed.toks, fns, raw);
+  check_coroutine_ternary(rel_path, lexed.toks, raw);
 
   std::vector<Finding> findings = sup.errors;  // malformed suppressions are unsuppressible
   for (Finding& finding : raw) {

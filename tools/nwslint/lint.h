@@ -21,6 +21,9 @@
 //   status-discard  a statement that calls a Status- or Result-returning
 //                   function and drops the value, including (void)-casts,
 //                   which must instead carry an inline suppression.
+//   coroutine-ternary
+//                   co_await in the second or third operand of ?:, which
+//                   GCC 12 can miscompile into a corrupted coroutine frame.
 //
 // Suppression syntax, with a mandatory reason (see docs/LINTING.md).  A
 // trailing comment covers its own line; a comment alone on a line also
@@ -47,7 +50,8 @@ namespace nws::lint {
 struct Finding {
   std::string file;  // repo-relative path
   int line = 0;
-  std::string rule;  // "determinism" | "layering" | "obs-schema" | "status-discard" | "suppression"
+  std::string rule;  // "coroutine-ternary" | "determinism" | "layering" | "obs-schema" |
+                     // "status-discard" | "suppression"
   std::string message;
 
   [[nodiscard]] std::string to_string() const;
