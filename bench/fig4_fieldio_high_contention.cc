@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
   const bool quick = cli.get_bool("quick");
   const auto reps = static_cast<std::size_t>(cli.get_int("reps"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto ops = static_cast<std::uint32_t>(cli.get_int(quick ? "reps" : "ops"));
   std::vector<std::size_t> servers;
   for (const auto v : cli.get_int_list("servers")) servers.push_back(static_cast<std::size_t>(v));
   if (quick) servers = {1, 2};
@@ -45,7 +44,7 @@ int main(int argc, char** argv) {
         bench::FieldBenchParams params;
         params.mode = mode;
         params.shared_forecast_index = true;  // high contention
-        params.ops_per_process = quick ? 10 : ops;
+        params.ops_per_process = quick ? 10 : static_cast<std::uint32_t>(cli.get_int("ops"));
         params.processes_per_node = static_cast<std::size_t>(cli.get_int("ppn"));
         const bench::RepetitionSummary summary =
             bench::repeat(reps, seed + s * 17 + static_cast<std::uint64_t>(mode), [&](std::uint64_t rs) {

@@ -15,9 +15,9 @@
 // Two scenarios per backend: `stream` (large fields, bandwidth-bound) and
 // `meta` (small fields plus a partial unaligned overwrite, periodic
 // directory listings and unlink cleanup — metadata-op-rate-bound).  Every
-// payload read back is MD5-verified against the regenerated expected bytes,
-// patch included.  The bench asserts the paper's interface ordering on the
-// metadata-heavy scenario: native >= dfs >= posix fields/s.
+// payload read back is compared byte for byte with the regenerated
+// expected bytes, patch included.  The bench asserts the paper's interface
+// ordering on the metadata-heavy scenario: native >= dfs >= posix fields/s.
 #include <cstring>
 
 #include "bench_util.h"
@@ -64,12 +64,9 @@ std::vector<std::uint8_t> expected_bytes(const std::string& canonical, Bytes siz
   return payload;
 }
 
-bool md5_matches(const std::uint8_t* got, Bytes n, const std::string& canonical, bool meta) {
+bool payload_matches(const std::uint8_t* got, Bytes n, const std::string& canonical, bool meta) {
   const auto expected = expected_bytes(canonical, n, meta);
-  const auto view = [](const std::uint8_t* p, Bytes len) {
-    return std::string_view(reinterpret_cast<const char*>(p), static_cast<std::size_t>(len));
-  };
-  return md5(view(got, n)).hex() == md5(view(expected.data(), n)).hex();
+  return std::memcmp(got, expected.data(), static_cast<std::size_t>(n)) == 0;
 }
 
 struct FsShared {
@@ -178,8 +175,8 @@ sim::Task<void> fs_process(daos::Cluster& cluster, Campaign camp, bool posix_mod
                   (n.is_ok() ? std::string("short read") : n.status().to_string()));
       break;
     }
-    if (!md5_matches(buf.data(), n.value(), canonical, camp.meta)) {
-      shared.fail("payload MD5 mismatch: " + canonical);
+    if (!payload_matches(buf.data(), n.value(), canonical, camp.meta)) {
+      shared.fail("payload mismatch: " + canonical);
       break;
     }
     if (camp.meta) {
@@ -298,8 +295,8 @@ sim::Task<void> lustre_process(lustre::LustreSystem& system, Campaign camp, Lust
                   (n.is_ok() ? std::string("short read") : n.status().to_string()));
       break;
     }
-    if (!md5_matches(buf.data(), n.value(), canonical, camp.meta)) {
-      shared.fail("lustre payload MD5 mismatch: " + canonical);
+    if (!payload_matches(buf.data(), n.value(), canonical, camp.meta)) {
+      shared.fail("lustre payload mismatch: " + canonical);
       break;
     }
     if (camp.meta) {

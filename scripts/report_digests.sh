@@ -1,0 +1,31 @@
+#!/usr/bin/env bash
+# Prints the MD5 of every table/figure bench's `--quick --report` artifact,
+# one `<md5> <binary>` line each: the byte-identity referee for a change
+# that must leave every artifact as it was.  Run it on a build of the parent
+# commit and on a build of the change, then diff the two outputs.
+#
+# A report's config object records the --report path, so every binary writes
+# the same relative path inside a scratch directory.  Not run:
+# micro_components (its report carries google-benchmark wall times) and
+# obs_lint (the artifact validator, not a bench).  Takes a few seconds.
+#
+# Usage: scripts/report_digests.sh [BUILD_DIR]   (default: the repo's build/)
+set -euo pipefail
+repo="$(cd "$(dirname "$0")/.." && pwd)"
+build_dir="$(cd "${1:-$repo/build}" && pwd)"
+
+benches=(
+  table1_ior_single_server table2_mpi_p2p
+  fig3_ior_scaling fig4_fieldio_high_contention fig5_fieldio_low_contention
+  fig6_objclass_size fig7_tcp_vs_psm2
+  fig_contention_serving fig_snapshot_rw fig_rebuild_interference fig_interfaces
+  baseline_lustre ablation_transfer_scheme projection_future_volumes
+)
+
+scratch="$(mktemp -d)"
+trap 'rm -rf "$scratch"' EXIT
+cd "$scratch"
+for name in "${benches[@]}"; do
+  "$build_dir/bench/$name" --quick --report=report.json >/dev/null
+  echo "$(md5sum <report.json | cut -d' ' -f1) $name"
+done

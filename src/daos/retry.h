@@ -6,7 +6,7 @@
 // here at the daos layer: Retrier re-issues an operation factory under a
 // RetryPolicy, sleeping a jittered exponential backoff between attempts and
 // accounting every retry against the client (ClientStats::op_retries) and an
-// optional caller counter.  src/fdb/retry.h forwards the old nws::fdb names.
+// optional caller counter.
 #pragma once
 
 #include <cstdint>

@@ -78,8 +78,8 @@ class Catalogue {
 
   daos::Client& client_;
   FieldIoConfig config_;
-  /// Drives config_.retry over client_ (retry.h); counts into retries_.
-  Retrier retrier_;
+  /// Drives config_.retry over client_ (daos/retry.h); counts into retries_.
+  daos::Retrier retrier_;
   std::uint64_t retries_ = 0;
   bool initialised_ = false;
   daos::ContHandle main_cont_;

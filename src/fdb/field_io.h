@@ -30,8 +30,8 @@
 
 #include "common/status.h"
 #include "daos/client.h"
+#include "daos/retry.h"
 #include "fdb/field_key.h"
-#include "fdb/retry.h"
 #include "sim/task.h"
 #include "sim/time.h"
 
@@ -52,7 +52,7 @@ struct FieldIoConfig {
   daos::ObjectClass kv_class = daos::ObjectClass::SX;
   /// ...and Arrays unstriped (Fig. 6 explores alternatives).
   daos::ObjectClass array_class = daos::ObjectClass::S1;
-  RetryPolicy retry;
+  daos::RetryPolicy retry;
 };
 
 struct FieldIoStats {
@@ -172,9 +172,9 @@ class FieldIo {
   daos::Client& client_;
   FieldIoConfig config_;
   std::uint32_t rank_;
-  /// Drives config_.retry over client_ (see retry.h for the LIFETIME rule
+  /// Drives config_.retry over client_ (see daos/retry.h for the LIFETIME rule
   /// its lambda factories must respect); counts into stats_.retries.
-  Retrier retrier_;
+  daos::Retrier retrier_;
   std::uint64_t array_counter_ = 0;
 
   bool initialised_ = false;

@@ -141,28 +141,30 @@ RunOutcome run_field_once(daos::ClusterConfig cfg, const FieldBenchParams& param
   sim::Scheduler sched;
   const obs::ScopedClock trace_clock(sched);
   daos::Cluster cluster(sched, cfg);
-  const FieldBenchResult result = pattern == 'B' ? run_field_pattern_b(cluster, params)
-                                                 : run_field_pattern_a(cluster, params);
+  return field_outcome(cluster, pattern == 'B' ? run_field_pattern_b(cluster, params)
+                                               : run_field_pattern_a(cluster, params));
+}
+
+RunOutcome field_outcome(daos::Cluster& cluster, const FieldBenchResult& result) {
   RunOutcome outcome;
   outcome.failed = result.failed;
   outcome.failure = result.failure;
-  if (!result.failed) {
-    outcome.write_bw =
-        result.write_log.empty() ? 0.0 : to_gib_per_sec(result.write_log.global_timing_bandwidth());
-    outcome.read_bw =
-        result.read_log.empty() ? 0.0 : to_gib_per_sec(result.read_log.global_timing_bandwidth());
-    outcome.metrics =
-        snapshot_run_metrics(sched, cluster.flows().stats(), result.write_log, result.read_log,
-                             result.client_stats, &result.field_stats, &cluster);
-    if (result.snapshot_reads > 0 || result.snapshot_pin_retries > 0 ||
-        result.snapshot_fallbacks > 0) {
-      outcome.metrics.counter("fdb.snapshot_verified_reads",
-                              static_cast<double>(result.snapshot_reads));
-      outcome.metrics.counter("fdb.snapshot_pin_retries",
-                              static_cast<double>(result.snapshot_pin_retries));
-      outcome.metrics.counter("fdb.snapshot_fallbacks",
-                              static_cast<double>(result.snapshot_fallbacks));
-    }
+  if (result.failed) return outcome;
+  outcome.write_bw =
+      result.write_log.empty() ? 0.0 : to_gib_per_sec(result.write_log.global_timing_bandwidth());
+  outcome.read_bw =
+      result.read_log.empty() ? 0.0 : to_gib_per_sec(result.read_log.global_timing_bandwidth());
+  outcome.metrics = snapshot_run_metrics(cluster.scheduler(), cluster.flows().stats(),
+                                         result.write_log, result.read_log, result.client_stats,
+                                         &result.field_stats, &cluster);
+  if (result.snapshot_reads > 0 || result.snapshot_pin_retries > 0 ||
+      result.snapshot_fallbacks > 0) {
+    outcome.metrics.counter("fdb.snapshot_verified_reads",
+                            static_cast<double>(result.snapshot_reads));
+    outcome.metrics.counter("fdb.snapshot_pin_retries",
+                            static_cast<double>(result.snapshot_pin_retries));
+    outcome.metrics.counter("fdb.snapshot_fallbacks",
+                            static_cast<double>(result.snapshot_fallbacks));
   }
   return outcome;
 }

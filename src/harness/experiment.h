@@ -81,6 +81,12 @@ RunOutcome run_ior_once(daos::ClusterConfig cfg, const ior::IorParams& params, s
 RunOutcome run_field_once(daos::ClusterConfig cfg, const FieldBenchParams& params, char pattern,
                           std::uint64_t seed);
 
+/// Folds one finished field-benchmark execution on `cluster` into its
+/// outcome: the Eq. 2 global-timing bandwidth of each non-empty log, the
+/// run's metrics snapshot and, when the run read snapshots, the
+/// fdb.snapshot_* read accounting.  A failed result yields only the failure.
+RunOutcome field_outcome(daos::Cluster& cluster, const FieldBenchResult& result);
+
 /// Runs `reps` repetitions for every candidate processes-per-node value and
 /// returns the summary of the best-performing one (by mean write+read), with
 /// the chosen ppn — the paper's "best performing number of client processes

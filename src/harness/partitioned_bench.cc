@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/units.h"
 #include "net/topology.h"
 #include "obs/trace.h"
 
@@ -141,41 +140,25 @@ PartitionedOutcome run_field_partitioned(const daos::ClusterConfig& shard_cfg,
   // with the same counter-add/gauge-max rules repeat() uses.
   std::uint64_t gossip_tokens = 0;
   for (std::size_t p = 0; p < params.shards; ++p) {
-    const FieldBenchResult result = runs[p]->collect();
+    const RunOutcome shard = field_outcome(*clusters[p], runs[p]->collect());
     out.sim_seconds = std::max(out.sim_seconds, sim::to_seconds(psched.partition(p).now()));
     gossip_tokens += gossip[p].tokens_received;
-    if (result.failed) {
+    if (shard.failed) {
       if (!out.outcome.failed) {
         out.outcome.failed = true;
-        out.outcome.failure = result.failure;
+        out.outcome.failure = shard.failure;
       }
       continue;
     }
-    if (!result.write_log.empty()) {
-      out.outcome.write_bw += to_gib_per_sec(result.write_log.global_timing_bandwidth());
-    }
-    if (!result.read_log.empty()) {
-      out.outcome.read_bw += to_gib_per_sec(result.read_log.global_timing_bandwidth());
-    }
-    out.outcome.metrics.fold(snapshot_run_metrics(psched.partition(p), clusters[p]->flows().stats(),
-                                                  result.write_log, result.read_log,
-                                                  result.client_stats, &result.field_stats,
-                                                  clusters[p].get()));
-    if (result.snapshot_reads > 0 || result.snapshot_pin_retries > 0 ||
-        result.snapshot_fallbacks > 0) {
-      out.outcome.metrics.counter("fdb.snapshot_verified_reads",
-                                  static_cast<double>(result.snapshot_reads));
-      out.outcome.metrics.counter("fdb.snapshot_pin_retries",
-                                  static_cast<double>(result.snapshot_pin_retries));
-      out.outcome.metrics.counter("fdb.snapshot_fallbacks",
-                                  static_cast<double>(result.snapshot_fallbacks));
-    }
+    out.outcome.write_bw += shard.write_bw;
+    out.outcome.read_bw += shard.read_bw;
+    out.outcome.metrics.fold(shard.metrics);
   }
 
   // Protocol counters (deterministic: window structure depends only on
   // event timestamps, never on worker interleaving).  The wall-clock
   // barrier-wait figure stays OUT of the metrics — it would break the
-  // bit-identical-reports-across-jobs gate; selfprof records it separately.
+  // bit-identical-reports-across-jobs gate; callers read it from `stats`.
   out.outcome.metrics.gauge("sim.partition.groups", static_cast<double>(out.stats.partitions));
   out.outcome.metrics.gauge("sim.partition.lookahead_seconds", sim::to_seconds(out.lookahead));
   out.outcome.metrics.counter("sim.partition.windows", static_cast<double>(out.stats.windows));

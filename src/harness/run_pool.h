@@ -52,7 +52,8 @@ class RunPool {
  private:
   /// Jobs popped per queue lock: short repetitions (milliseconds) amortise
   /// dispatch overhead over a batch instead of paying mutex + condvar
-  /// bookkeeping per job — the BENCH_PR3 sweep.speedup < 1 regression.
+  /// bookkeeping per job, which once made a parallel sweep slower than a
+  /// serial one (RunPoolSpeedTest.ParallelSweepNotSlowerThanSerial).
   static constexpr std::size_t kBatch = 8;
 
   struct WorkerQueue {
@@ -92,8 +93,7 @@ void set_default_jobs(std::size_t jobs);
 /// `jobs` == 0 -> hardware_concurrency() (minimum 1).
 std::size_t normalize_jobs(std::size_t jobs);
 
-/// std::thread::hardware_concurrency(), minimum 1 — the real core count
-/// BENCH_*.json reports as host_cores.
+/// std::thread::hardware_concurrency(), minimum 1 — the real core count.
 std::size_t hardware_jobs();
 
 /// Applies `fn` to every index in [0, n) on a transient RunPool and returns

@@ -11,8 +11,8 @@
 // state (slots are recycled through a free list, callables live in a
 // small-buffer store, and Timer handles validate their slot through a
 // generation counter).  This is the simulator's hottest allocation site —
-// every flow settle/completion arms a timer — so the pool is what the
-// selfprof events/sec figure mostly measures.
+// every flow settle/completion arms a timer — so the pool is much of what
+// nwsbench's sim.events_per_host_s measures.
 #pragma once
 
 #include <coroutine>

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -404,6 +406,45 @@ TEST(RunPoolTest, ParallelSweepBitIdenticalToSerial) {
               std::bit_cast<std::uint64_t>(parallel[i].read_bw))
         << "seed index " << i;
   }
+}
+
+/// The run pool must pay for itself on millisecond-scale repetitions, the
+/// case its batched dispatch exists for: 16 short field runs through
+/// repeat() on min(4, hardware_jobs()) workers are not slower than serially.
+/// Serial and parallel takes interleave, so a busy stretch of the host hits
+/// both sides, and each side keeps its best of three.  The name stays
+/// outside RunPoolTest.* so the TSan stage does not time it.
+TEST(RunPoolSpeedTest, ParallelSweepNotSlowerThanSerial) {
+#ifndef NDEBUG
+  GTEST_SKIP() << "unoptimised build: wall time says nothing about the pool";
+#endif
+  const std::size_t jobs = std::min<std::size_t>(4, hardware_jobs());
+  if (jobs < 2) GTEST_SKIP() << "needs at least 2 hardware threads";
+  FieldBenchParams params;
+  params.ops_per_process = 10;
+  params.processes_per_node = 8;
+  const auto sweep_seconds = [&params](std::size_t sweep_jobs) {
+    // NWSLINT(allow:determinism): times the host running the sweep, not simulated time
+    using Clock = std::chrono::steady_clock;
+    const auto t0 = Clock::now();
+    const RepetitionSummary summary = repeat(
+        16, 1,
+        [&params](std::uint64_t seed) {
+          return run_field_once(testbed_config(1, 2), params, 'A', seed);
+        },
+        sweep_jobs);
+    const double seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    EXPECT_FALSE(summary.any_failed) << summary.failure;
+    return seconds;
+  };
+  double serial = std::numeric_limits<double>::infinity();
+  double parallel = serial;
+  for (int take = 0; take < 3; ++take) {
+    serial = std::min(serial, sweep_seconds(1));
+    parallel = std::min(parallel, sweep_seconds(jobs));
+  }
+  EXPECT_LE(parallel, serial) << "best serial sweep " << serial << " s, best on " << jobs
+                              << " workers " << parallel << " s";
 }
 
 TEST(ExperimentTest, RepeatAndBestOverPpnIdenticalAtAnyJobCount) {

@@ -1,16 +1,22 @@
 // Tests for the conservative time-window partitioning stack: the SPSC
 // mailbox, the partitioned scheduler's window protocol, lookahead
-// derivation from the topology, and the --jobs determinism gate over the
-// selfprof scenario registry.
+// derivation from the topology, and the --jobs determinism gate over a
+// registry of scenarios run through the harness's own runners.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "harness/selfprof_scenarios.h"
+#include "common/rng.h"
+#include "common/table.h"
+#include "fault/fault_plan.h"
+#include "harness/partitioned_bench.h"
 #include "net/partition.h"
 #include "net/provider.h"
 #include "net/topology.h"
+#include "obs/report.h"
 #include "sim/mailbox.h"
 #include "sim/partition.h"
 #include "sim/sync.h"
@@ -230,21 +236,146 @@ TEST(PartitionMapTest, GroupCountClamps) {
 namespace nws::bench {
 namespace {
 
-/// The PR 8 acceptance gate: every selfprof scenario's canonical
-/// nws-report-v1 serialization is byte-identical at --jobs 1/2/4/8.
-/// Serial scenarios have no jobs knob, so for them the gate degenerates to
-/// repeat-invocation stability (two runs, same bytes), which still catches
-/// address- or allocation-order-dependent nondeterminism.
+/// Canonical nws-report-v1 serialization of one scenario run: the exact
+/// byte string the gate diffs across --jobs values.  Deterministic fields
+/// only — bandwidths, counts, the window protocol's counters (`campaign`,
+/// partitioned runs only) and the folded metrics.  The wall-clock barrier
+/// wait in campaign->stats stays out.
+std::string report_json(const std::string& scenario, std::uint64_t seed, const RunOutcome& outcome,
+                        const PartitionedOutcome* campaign = nullptr) {
+  obs::RunReport report("determinism." + scenario);
+  report.set_config({{"scenario", scenario},
+                     {"seed", std::to_string(seed)},
+                     {"partitioned", campaign != nullptr ? "1" : "0"}});
+  const auto count = [&outcome](const char* metric) {
+    const double v = outcome.metrics.has(metric) ? outcome.metrics.value(metric) : 0.0;
+    return std::to_string(static_cast<std::uint64_t>(v));
+  };
+  Table table({"field", "value"});
+  table.add_row({"failed", outcome.failed ? "1" : "0"});
+  table.add_row({"failure", outcome.failure});
+  table.add_row({"write_bw_gib_s", strf("%.9f", outcome.write_bw)});
+  table.add_row({"read_bw_gib_s", strf("%.9f", outcome.read_bw)});
+  table.add_row({"events", count("sim.events_executed")});
+  table.add_row({"flows", count("net.flows_completed")});
+  if (campaign != nullptr) {
+    const sim::PartitionRunStats& stats = campaign->stats;
+    table.add_row({"sim_seconds", strf("%.9f", campaign->sim_seconds)});
+    table.add_row({"partition.groups", std::to_string(stats.partitions)});
+    table.add_row({"partition.windows", std::to_string(stats.windows)});
+    table.add_row({"partition.null_windows", std::to_string(stats.null_windows)});
+    table.add_row({"partition.cross_events", std::to_string(stats.cross_events)});
+    table.add_row({"partition.mailbox_spills", std::to_string(stats.mailbox_spills)});
+    table.add_row({"partition.serial_fallback", stats.serial_fallback ? "1" : "0"});
+  }
+  report.add_table("deterministic outcome", table);
+  report.merge_metrics(outcome.metrics);
+  std::ostringstream os;
+  report.write_json(os);
+  return os.str();
+}
+
+/// One scenario of the gate: a pure function of (seed, jobs) returning its
+/// report.  Only partitioned scenarios consume `jobs`, which maps their
+/// shards onto worker threads.
+struct Scenario {
+  std::string name;
+  bool partitioned = false;
+  std::function<std::string(std::uint64_t seed, std::size_t jobs)> report;
+};
+
+FieldBenchParams standard_field_params(fdb::Mode mode, bool shared) {
+  FieldBenchParams params;
+  params.mode = mode;
+  params.shared_forecast_index = shared;
+  params.ops_per_process = 20;
+  params.processes_per_node = 16;
+  return params;
+}
+
+/// Full payloads under the seed's default fault plan; every read verified.
+daos::ClusterConfig chaos_config(std::uint64_t seed) {
+  daos::ClusterConfig cfg = testbed_config(1, 2);
+  cfg.payload_mode = daos::PayloadMode::full;
+  cfg.fault_spec = fault::FaultSpec::default_chaos(mix64(seed ^ 0xfa017ull));
+  return cfg;
+}
+
+FieldBenchParams chaos_field_params() {
+  FieldBenchParams params;
+  params.ops_per_process = 10;
+  params.processes_per_node = 8;
+  params.verify_payload = true;
+  return params;
+}
+
+/// IOR, the field patterns at low and high contention, a fault-injected
+/// field run, and the two sharded-pool campaigns of "Reducing the Impact of
+/// I/O Contention in NWP Workflows at Scale Using DAOS": 4 field shards
+/// under the window protocol.
+std::vector<Scenario> determinism_scenarios() {
+  std::vector<Scenario> out;
+  const auto serial = [&out](const std::string& name,
+                             std::function<RunOutcome(std::uint64_t seed)> run) {
+    out.push_back({name, false, [name, run](std::uint64_t seed, std::size_t) {
+                     return report_json(name, seed, run(seed));
+                   }});
+  };
+  const auto partitioned = [&out](const std::string& name,
+                                  std::function<daos::ClusterConfig(std::uint64_t seed)> cfg,
+                                  const FieldBenchParams& field) {
+    out.push_back({name, true, [name, cfg, field](std::uint64_t seed, std::size_t jobs) {
+                     PartitionedRunParams params;
+                     params.field = field;
+                     params.shards = 4;
+                     params.jobs = jobs;
+                     const PartitionedOutcome campaign =
+                         run_field_partitioned(cfg(seed), params, seed);
+                     return report_json(name, seed, campaign.outcome, &campaign);
+                   }});
+  };
+  const auto field = [&serial](const std::string& name, fdb::Mode mode, bool shared,
+                               char pattern) {
+    serial(name, [mode, shared, pattern](std::uint64_t seed) {
+      return run_field_once(testbed_config(1, 2), standard_field_params(mode, shared), pattern,
+                            seed);
+    });
+  };
+
+  serial("ior_2s4c_pattern_a", [](std::uint64_t seed) {
+    ior::IorParams params;
+    params.segments = 50;
+    params.processes_per_node = 24;
+    return run_ior_once(testbed_config(2, 4), params, seed);
+  });
+  field("field_full_low_contention_a", fdb::Mode::full, false, 'A');
+  field("field_full_high_contention_a", fdb::Mode::full, true, 'A');
+  field("field_noindex_high_contention_b", fdb::Mode::no_index, true, 'B');
+  serial("field_chaos_profile_a", [](std::uint64_t seed) {
+    return run_field_once(chaos_config(seed), chaos_field_params(), 'A', seed);
+  });
+  partitioned(
+      "field_full_partitioned_a", [](std::uint64_t) { return testbed_config(1, 2); },
+      standard_field_params(fdb::Mode::full, true));
+  partitioned("field_chaos_partitioned_a", chaos_config, chaos_field_params());
+  return out;
+}
+
+/// The determinism gate: every scenario's canonical nws-report-v1
+/// serialization is byte-identical at --jobs 1/2/4/8.  Serial scenarios
+/// have no jobs knob, so for them the gate degenerates to repeat-invocation
+/// stability (two runs, same bytes), which still catches address- or
+/// allocation-order-dependent nondeterminism.
 TEST(PartitionDeterminismTest, ReportsBitIdenticalAcrossJobs) {
-  for (const SelfprofScenario& scenario : selfprof_scenarios()) {
+  for (const Scenario& scenario : determinism_scenarios()) {
     const std::uint64_t seed = 1;
-    const std::string reference = scenario_report_json(scenario, seed, scenario.run(seed, 1));
+    const std::string reference = scenario.report(seed, 1);
     EXPECT_NE(reference.find("nws-report-v1"), std::string::npos);
     const std::vector<std::size_t> jobs_grid =
         scenario.partitioned ? std::vector<std::size_t>{2, 4, 8} : std::vector<std::size_t>{1};
     for (const std::size_t jobs : jobs_grid) {
-      const std::string got = scenario_report_json(scenario, seed, scenario.run(seed, jobs));
-      EXPECT_EQ(got, reference) << scenario.name << " diverged at jobs=" << jobs;
+      EXPECT_EQ(scenario.report(seed, jobs), reference)
+          << scenario.name << " diverged at jobs=" << jobs;
     }
   }
 }
@@ -262,6 +393,9 @@ TEST(PartitionedBenchTest, StatsAndProtocolCountersSane) {
   EXPECT_GT(out.stats.windows, 0u);
   EXPECT_GT(out.stats.cross_events, 0u);  // gossip tokens crossed shards
   EXPECT_GT(out.stats.events_executed, 0u);
+  // The folded per-shard event counters sum to the protocol's own count.
+  EXPECT_EQ(out.outcome.metrics.value("sim.events_executed"),
+            static_cast<double>(out.stats.events_executed));
   EXPECT_GT(out.lookahead, 0);
   EXPECT_GT(out.sim_seconds, 0.0);
   EXPECT_GT(out.outcome.write_bw, 0.0);
