@@ -31,7 +31,8 @@ inline void add_common_flags(Cli& cli) {
 
 /// Resolves --jobs/-j (0 -> hardware_concurrency) and installs it as the
 /// process default, so every repeat()/best_over_ppn() sweep in the binary
-/// runs on the pool.  Results are bit-identical at any job count.
+/// fans out over that many threads.  Results are bit-identical at any job
+/// count.
 ///
 /// --trace forces 1: spans reach the recorder through a thread-local
 /// pointer, so traced repetitions must run inline on the main thread (where

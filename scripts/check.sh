@@ -4,11 +4,13 @@
 # The sanitized pass is what gives the chaos harness teeth — a dangling
 # coroutine frame or a buffer overrun under injected faults fails here even
 # when the plain build happens to pass — and the TSan pass guards the
-# work-stealing sweep engine (src/harness/run_pool) against data races.
+# parallel sweep fan-out (src/harness/run_pool) against data races.
 # The plain and TSan passes additionally run a set of quick bench binaries
 # with --trace/--report and validate the JSON artifacts with obs_lint, so a
 # schema regression in the observability layer fails CI, not Perfetto.  The
-# plain pass also builds the nwsbench benchmark (benchmark/, into
+# plain pass also runs scripts/report_digests.sh, which fails when any
+# table/figure bench's results differ between the default --jobs and
+# --jobs 1, and builds the nwsbench benchmark (benchmark/, into
 # build-bench/) and runs its --smoke self-check.
 #
 # A coverage stage (--coverage-only, or part of the full run) rebuilds with
@@ -111,6 +113,8 @@ if [[ $run_plain -eq 1 ]]; then
   cmake --build build -j "$jobs"
   NWS_JOBS="$jobs" ctest --test-dir build --output-on-failure -j "$jobs"
   check_artifacts build
+  echo "==> report digests (build/): every bench's results identical at --jobs 1"
+  scripts/report_digests.sh build
   # nwsbench is its own CMake project (benchmark/README.md); its smoke run
   # checks every workload at tiny scale: no failed op, verified payloads,
   # simulated metrics identical across invocations, tracing and workers.
@@ -130,15 +134,16 @@ if [[ $run_sanitize -eq 1 ]]; then
 fi
 
 if [[ $run_tsan -eq 1 ]]; then
-  echo "==> TSan build (build-tsan/, -fsanitize=thread): run pool + chaos sweep"
+  echo "==> TSan build (build-tsan/, -fsanitize=thread): sweep fan-out + chaos sweep"
   cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DNWS_SANITIZE=thread
   cmake --build build-tsan -j "$jobs" --target harness_test chaos_test partition_test dfs_test fig6_objclass_size micro_components fig_snapshot_rw fig_rebuild_interference fig_interfaces obs_lint
-  # The pool tests pin their own thread counts; the chaos sweep runs a
+  # The fan-out tests pin their own thread counts; the chaos sweep runs a
   # reduced scenario count (TSan is ~10x slower) across all hardware threads
-  # to actually exercise cross-thread stealing.  StatsRaceTest hammers the
-  # Summary order-statistic cache from 8 const readers — the regression test
-  # for the lazily-built sorted_ cache being written under const.
+  # so several threads claim jobs from the shared counter.  StatsRaceTest
+  # hammers the Summary order-statistic cache from 8 const readers — the
+  # regression test for the lazily-built sorted_ cache being written under
+  # const.
   TSAN_OPTIONS=halt_on_error=1 \
     ./build-tsan/tests/harness_test --gtest_filter='RunPoolTest.*:StatsRaceTest.*:ExperimentTest.RepeatAndBestOverPpnIdenticalAtAnyJobCount:ExperimentTest.MetricsSnapshotIdenticalAtAnyJobCount'
   # The partitioned window protocol: worker threads + SPSC mailboxes +

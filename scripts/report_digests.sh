@@ -7,7 +7,12 @@
 # A report's config object records the --report path, so every binary writes
 # the same relative path inside a scratch directory.  Not run:
 # micro_components (its report carries google-benchmark wall times) and
-# obs_lint (the artifact validator, not a bench).  Takes a few seconds.
+# obs_lint (the artifact validator, not a bench).
+#
+# Each bench also runs again at --jobs 1, and the script exits non-zero when
+# that report's tables or metrics differ from the default-jobs run's: a
+# sweep's results must not depend on how many threads ran it.  Only config,
+# which records the flag, may differ.  Takes several seconds.
 #
 # Usage: scripts/report_digests.sh [BUILD_DIR]   (default: the repo's build/)
 set -euo pipefail
@@ -25,7 +30,14 @@ benches=(
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
 cd "$scratch"
+status=0
 for name in "${benches[@]}"; do
   "$build_dir/bench/$name" --quick --report=report.json >/dev/null
   echo "$(md5sum <report.json | cut -d' ' -f1) $name"
+  "$build_dir/bench/$name" --quick --jobs=1 --report=serial.json >/dev/null
+  if ! python3 -c 'import json, sys; a, b = (json.load(open(f)) for f in sys.argv[1:]); sys.exit(any(json.dumps(a[k]) != json.dumps(b[k]) for k in ("tables", "metrics")))' report.json serial.json; then
+    echo "$name: tables or metrics at --jobs 1 differ from the default-jobs run" >&2
+    status=1
+  fi
 done
+exit "$status"

@@ -605,25 +605,18 @@ sim::Task<Status> Client::array_write(ArrayHandle& handle, Bytes offset, const s
   const bool retain = handle.container->retains_superseded();
 
   handle.container->array_io_enter(/*is_write=*/true);
-  if (m.array_conflict_serialization) {
-    co_await handle.array->object_lock().lock();
-    const Bytes cow = handle.array->pending_cow_bytes(write_epoch, retain);
-    if (cow > 0) {
-      co_await cluster_.flows().transfer(
-          cluster_.service_path(plan.lead, /*is_write=*/true), cow);
-    }
-    co_await run_data_flows(extents, /*is_write=*/true);
-    handle.array->write(offset, data, len, write_epoch, retain);
-    handle.array->object_lock().unlock();
-  } else {
-    const Bytes cow = handle.array->pending_cow_bytes(write_epoch, retain);
-    if (cow > 0) {
-      co_await cluster_.flows().transfer(
-          cluster_.service_path(plan.lead, /*is_write=*/true), cow);
-    }
-    co_await run_data_flows(extents, /*is_write=*/true);
-    handle.array->write(offset, data, len, write_epoch, retain);
+  // Array data operations on one object are mutually exclusive: re-writing
+  // an array while another process reads it serialises at the object level
+  // ("in no index mode, the same degree of contention occurs at the Array
+  // level", Section 5.3).
+  co_await handle.array->object_lock().lock();
+  const Bytes cow = handle.array->pending_cow_bytes(write_epoch, retain);
+  if (cow > 0) {
+    co_await cluster_.flows().transfer(cluster_.service_path(plan.lead, /*is_write=*/true), cow);
   }
+  co_await run_data_flows(extents, /*is_write=*/true);
+  handle.array->write(offset, data, len, write_epoch, retain);
+  handle.array->object_lock().unlock();
   handle.container->array_io_exit(/*is_write=*/true, cluster_.scheduler().now());
 
   ++stats_.array_writes;
@@ -664,17 +657,11 @@ sim::Task<Result<Bytes>> Client::array_read(ArrayHandle& handle, Bytes offset, s
         static_cast<Bytes>(static_cast<double>(plan.decode_bytes) * m.ec_decode_service_factor));
   }
 
-  Bytes n = 0;
   handle.container->array_io_enter(/*is_write=*/false);
-  if (m.array_conflict_serialization) {
-    co_await handle.array->object_lock().lock();
-    co_await run_data_flows(extents, /*is_write=*/false);
-    n = handle.array->read(offset, out, to_read, handle.epoch);
-    handle.array->object_lock().unlock();
-  } else {
-    co_await run_data_flows(extents, /*is_write=*/false);
-    n = handle.array->read(offset, out, to_read, handle.epoch);
-  }
+  co_await handle.array->object_lock().lock();
+  co_await run_data_flows(extents, /*is_write=*/false);
+  const Bytes n = handle.array->read(offset, out, to_read, handle.epoch);
+  handle.array->object_lock().unlock();
   handle.container->array_io_exit(/*is_write=*/false, cluster_.scheduler().now());
 
   ++stats_.array_reads;

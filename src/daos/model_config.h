@@ -137,13 +137,6 @@ struct ModelConfig {
   // versus no-containers at ~2.75, Fig. 5).
   Bytes container_mixed_load_bytes = 896_KiB;
 
-  // --- Array conflict serialisation (mechanism) -----------------------------
-  // Re-writing an array while another process reads it serialises at the
-  // object level ("in no index mode, the same degree of contention occurs
-  // at the Array level", Section 5.3).  When enabled, array data operations
-  // on the same object id are mutually exclusive.
-  bool array_conflict_serialization = true;
-
   // --- Epoch / MVCC (mechanism) ---------------------------------------------
   // DAOS tags every I/O with an epoch and never read-modify-writes
   // (SNIPPETS.md snippet 2); epoch aggregation merges superseded versions

@@ -418,7 +418,7 @@ sim::Task<Status> Dfs::rename(const std::string& from, const std::string& to) {
       co_await retrier_.run([&] { return client_.kv_remove(src_kv, src_name); });
   if (!removed.is_ok()) co_return removed;
 
-  if (replaced_file && config_.destroy_on_unlink) {
+  if (replaced_file) {
     const Status punched = co_await retrier_.run(
         [&] { return client_.array_destroy(cont_, replaced_file_oid); });
     if (!punched.is_ok() && punched.code() != Errc::not_found) co_return punched;
@@ -466,7 +466,7 @@ sim::Task<Status> Dfs::unlink(const std::string& path) {
   const std::string name = res.value().name;
   const Status removed = co_await retrier_.run([&] { return client_.kv_remove(parent_kv, name); });
   if (!removed.is_ok()) co_return removed;
-  if (entry.value().type == EntryType::file && config_.destroy_on_unlink) {
+  if (entry.value().type == EntryType::file) {
     const daos::ObjectId oid = entry.value().oid;
     const Status punched =
         co_await retrier_.run([&] { return client_.array_destroy(cont_, oid); });

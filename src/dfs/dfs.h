@@ -49,9 +49,6 @@ struct DfsConfig {
   /// object ids).
   daos::ObjectClass dir_class = daos::ObjectClass::SX;
   daos::RetryPolicy retry;
-  /// Whether unlink punches the file's Array (frees its space) or only
-  /// drops the directory entry (the fdb no-delete convention).
-  bool destroy_on_unlink = true;
 };
 
 /// Per-mount operation counters; fold_into emits them as `dfs.*` metrics.
@@ -117,15 +114,15 @@ class Dfs {
   sim::Task<Result<Bytes>> read(File& file, Bytes offset, std::uint8_t* out, Bytes len);
   sim::Task<Status> truncate(File& file, Bytes size);
   /// Moves the entry `from` to `to` (across directories too).  An existing
-  /// regular file at `to` is replaced (its Array punched per
-  /// destroy_on_unlink); an existing directory at `to` is an error, as is
+  /// regular file at `to` is replaced (its Array punched, freeing its
+  /// space); an existing directory at `to` is an error, as is
   /// moving a directory into its own subtree.
   sim::Task<Status> rename(const std::string& from, const std::string& to);
   /// Entry names of the directory, lexicographically sorted (the kv_list
   /// ordering contract).
   sim::Task<Result<std::vector<std::string>>> readdir(const std::string& path);
-  /// Removes a regular file (punching its Array per destroy_on_unlink) or an
-  /// empty directory.
+  /// Removes a regular file (punching its Array, which frees its space) or
+  /// an empty directory.
   sim::Task<Status> unlink(const std::string& path);
   sim::Task<Result<FileInfo>> stat(const std::string& path);
   sim::Task<void> close(File& file);

@@ -141,8 +141,7 @@ RunOutcome run_field_once(daos::ClusterConfig cfg, const FieldBenchParams& param
   sim::Scheduler sched;
   const obs::ScopedClock trace_clock(sched);
   daos::Cluster cluster(sched, cfg);
-  return field_outcome(cluster, pattern == 'B' ? run_field_pattern_b(cluster, params)
-                                               : run_field_pattern_a(cluster, params));
+  return field_outcome(cluster, run_field_pattern(cluster, params, pattern));
 }
 
 RunOutcome field_outcome(daos::Cluster& cluster, const FieldBenchResult& result) {

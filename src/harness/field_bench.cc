@@ -15,12 +15,9 @@ namespace nws::bench {
 namespace {
 
 struct Shared {
-  Shared(sim::Scheduler& sched, std::size_t writers, std::size_t readers)
-      : writers_done(sched, writers == 0 ? 1 : writers),
-        readers_done(sched, readers == 0 ? 1 : readers),
-        read_gate(sched) {}
+  Shared(sim::Scheduler& sched, std::size_t writers)
+      : writers_done(sched, writers == 0 ? 1 : writers), read_gate(sched) {}
   sim::CountDownLatch writers_done;
-  sim::CountDownLatch readers_done;
   sim::Gate read_gate;
   fdb::FieldIoStats field_stats;    // summed over processes as they finish
   daos::ClientStats client_stats;
@@ -38,17 +35,44 @@ struct Shared {
   }
 };
 
-/// Flushes one process's layer counters into the run totals when its
-/// coroutine frame winds down — every exit path included (early co_return
-/// on a peer's failure, init exceptions after the client exists).
-struct StatsFlush {
-  Shared& shared;
-  fdb::FieldIo& io;
-  daos::Client& client;
-  ~StatsFlush() {
+fdb::FieldIoConfig field_io_config(const FieldBenchParams& params) {
+  fdb::FieldIoConfig cfg;
+  cfg.mode = params.mode;
+  cfg.kv_class = params.kv_class;
+  cfg.array_class = params.array_class;
+  return cfg;
+}
+
+/// One benchmark process: its DAOS client on (node, proc), its FieldIo and
+/// its trace actor.  Lives in the process's coroutine frame and flushes the
+/// process's layer counters into the run totals when that frame winds down
+/// — every exit path included (early co_return on a peer's failure, init
+/// exceptions after the client exists).
+struct Process {
+  Process(daos::Cluster& cluster, const FieldBenchParams& params, Shared& totals, std::uint32_t n,
+          std::uint32_t p, std::uint32_t actor_rank, std::uint32_t client_salt,
+          std::uint32_t io_rank)
+      : shared(totals),
+        node(n),
+        proc(p),
+        client(cluster, cluster.client_endpoint(n, p), client_salt),
+        io(client, field_io_config(params), io_rank),
+        actor{n, actor_rank} {
+    client.set_trace_actor(actor);
+  }
+  Process(const Process&) = delete;
+  Process& operator=(const Process&) = delete;
+  ~Process() {
     shared.field_stats += io.stats();
     shared.client_stats += client.stats();
   }
+
+  Shared& shared;
+  std::uint32_t node;
+  std::uint32_t proc;
+  daos::Client client;
+  fdb::FieldIo io;
+  obs::Actor actor;
 };
 
 sim::Duration startup_skew(daos::Cluster& cluster, std::uint64_t salt) {
@@ -136,17 +160,10 @@ void require_verifiable(const daos::Cluster& cluster, const FieldBenchParams& pa
 sim::Task<void> pattern_a_writer(daos::Cluster& cluster, const FieldBenchParams params, Shared& shared,
                                  IoLog& log, std::uint32_t node, std::uint32_t proc,
                                  std::uint32_t global_rank) {
-  daos::Client client(cluster, cluster.client_endpoint(node, proc), 0x10000u + global_rank);
-  fdb::FieldIoConfig cfg;
-  cfg.mode = params.mode;
-  cfg.kv_class = params.kv_class;
-  cfg.array_class = params.array_class;
-  fdb::FieldIo io(client, cfg, global_rank);
-  const obs::Actor actor{node, global_rank};
-  client.set_trace_actor(actor);
-  StatsFlush flush{shared, io, client};
+  Process self(cluster, params, shared, node, proc, global_rank, 0x10000u + global_rank,
+               global_rank);
   co_await cluster.scheduler().delay(startup_skew(cluster, global_rank));
-  (co_await io.init()).expect_ok("FieldIo::init");
+  (co_await self.io.init()).expect_ok("FieldIo::init");
 
   std::vector<std::uint8_t> payload;
   for (std::uint32_t op = 0; op < params.ops_per_process && !shared.failed; ++op) {
@@ -156,48 +173,37 @@ sim::Task<void> pattern_a_writer(daos::Cluster& cluster, const FieldBenchParams 
       payload = make_field_payload(key.canonical(), params.field_size);
       data = payload.data();
     }
-    client.set_trace_iteration(op);
-    obs::Span io_span("io", "io", actor, op, static_cast<double>(params.field_size));
-    const std::uint64_t retries_before = io.stats().retries;
+    self.client.set_trace_iteration(op);
+    obs::Span io_span("io", "io", self.actor, op, static_cast<double>(params.field_size));
+    const std::uint64_t retries_before = self.io.stats().retries;
     const sim::TimePoint start = cluster.scheduler().now();
-    const Status st = co_await io.write(key, data, params.field_size);
+    const Status st = co_await self.io.write(key, data, params.field_size);
     if (!st.is_ok()) {
       shared.fail("write failed: " + st.to_string());
       break;
     }
     log.record(node, proc, op, start, cluster.scheduler().now(), params.field_size,
-               static_cast<std::uint32_t>(io.stats().retries - retries_before));
+               static_cast<std::uint32_t>(self.io.stats().retries - retries_before));
   }
   shared.writers_done.count_down();
 }
 
-sim::Task<void> pattern_a_reader(daos::Cluster& cluster, const FieldBenchParams params, Shared& shared,
-                                 IoLog& log, std::uint32_t node, std::uint32_t proc,
-                                 std::uint32_t global_rank) {
-  daos::Client client(cluster, cluster.client_endpoint(node, proc), 0x20000u + global_rank);
-  fdb::FieldIoConfig cfg;
-  cfg.mode = params.mode;
-  cfg.kv_class = params.kv_class;
-  cfg.array_class = params.array_class;
-  fdb::FieldIo io(client, cfg, 0x8000u + global_rank);
-  const obs::Actor actor{node, global_rank};
-  client.set_trace_actor(actor);
-  StatsFlush flush{shared, io, client};
-  // Second phase begins only "once all writer processes on all nodes have
-  // terminated".
-  co_await shared.read_gate.wait();
-  co_await cluster.scheduler().delay(startup_skew(cluster, 0x9000u + global_rank));
-  (co_await io.init()).expect_ok("FieldIo::init");
-
+/// The read-and-verify loop of pattern A's readers and pattern B's live
+/// readers: reads bench_field_key(params, key_rank, op, designated) once per
+/// op, checking it against the regenerated payload under verify_payload.
+sim::Task<void> read_fields(daos::Cluster& cluster, const FieldBenchParams& params, Process& self,
+                            IoLog& log, std::uint32_t key_rank, bool designated) {
+  Shared& shared = self.shared;
   std::vector<std::uint8_t> buf;
   if (params.verify_payload) buf.resize(static_cast<std::size_t>(params.field_size));
   for (std::uint32_t op = 0; op < params.ops_per_process && !shared.failed; ++op) {
-    const fdb::FieldKey key = bench_field_key(params, global_rank, op, /*designated=*/false);
-    client.set_trace_iteration(op);
-    obs::Span io_span("io", "io", actor, op, static_cast<double>(params.field_size));
-    const std::uint64_t retries_before = io.stats().retries;
+    const fdb::FieldKey key = bench_field_key(params, key_rank, op, designated);
+    self.client.set_trace_iteration(op);
+    obs::Span io_span("io", "io", self.actor, op, static_cast<double>(params.field_size));
+    const std::uint64_t retries_before = self.io.stats().retries;
     const sim::TimePoint start = cluster.scheduler().now();
-    auto n = co_await io.read(key, params.verify_payload ? buf.data() : nullptr, params.field_size);
+    auto n =
+        co_await self.io.read(key, params.verify_payload ? buf.data() : nullptr, params.field_size);
     if (!n.is_ok() || n.value() != params.field_size) {
       shared.fail("read failed: " + (n.is_ok() ? std::string("short read") : n.status().to_string()));
       break;
@@ -206,35 +212,38 @@ sim::Task<void> pattern_a_reader(daos::Cluster& cluster, const FieldBenchParams 
       shared.fail("payload MD5 mismatch: " + key.canonical());
       break;
     }
-    log.record(node, proc, op, start, cluster.scheduler().now(), params.field_size,
-               static_cast<std::uint32_t>(io.stats().retries - retries_before));
+    log.record(self.node, self.proc, op, start, cluster.scheduler().now(), params.field_size,
+               static_cast<std::uint32_t>(self.io.stats().retries - retries_before));
   }
-  shared.readers_done.count_down();
 }
 
-sim::Task<void> pattern_a_conductor(Shared& shared) {
+sim::Task<void> pattern_a_reader(daos::Cluster& cluster, const FieldBenchParams params, Shared& shared,
+                                 IoLog& log, std::uint32_t node, std::uint32_t proc,
+                                 std::uint32_t global_rank) {
+  Process self(cluster, params, shared, node, proc, global_rank, 0x20000u + global_rank,
+               0x8000u + global_rank);
+  // Second phase begins only "once all writer processes on all nodes have
+  // terminated".
+  co_await shared.read_gate.wait();
+  co_await cluster.scheduler().delay(startup_skew(cluster, 0x9000u + global_rank));
+  (co_await self.io.init()).expect_ok("FieldIo::init");
+  co_await read_fields(cluster, params, self, log, global_rank, /*designated=*/false);
+}
+
+/// Opens the read gate once every writer finished (pattern A) or finished
+/// its setup write (pattern B).
+sim::Task<void> conductor(Shared& shared) {
   co_await shared.writers_done.wait();
   shared.read_gate.open();
 }
 
-}  // namespace
-
-namespace {
-
 sim::Task<void> pattern_b_writer(daos::Cluster& cluster, const FieldBenchParams params, Shared& shared,
                                  IoLog& log, std::uint32_t node, std::uint32_t proc,
                                  std::uint32_t global_rank) {
-  daos::Client client(cluster, cluster.client_endpoint(node, proc), 0x30000u + global_rank);
-  fdb::FieldIoConfig cfg;
-  cfg.mode = params.mode;
-  cfg.kv_class = params.kv_class;
-  cfg.array_class = params.array_class;
-  fdb::FieldIo io(client, cfg, global_rank);
-  const obs::Actor actor{node, global_rank};
-  client.set_trace_actor(actor);
-  StatsFlush flush{shared, io, client};
+  Process self(cluster, params, shared, node, proc, global_rank, 0x30000u + global_rank,
+               global_rank);
   co_await cluster.scheduler().delay(startup_skew(cluster, 0xa000u + global_rank));
-  (co_await io.init()).expect_ok("FieldIo::init");
+  (co_await self.io.init()).expect_ok("FieldIo::init");
 
   const fdb::FieldKey key = bench_field_key(params, global_rank, 0, /*designated=*/true);
   std::vector<std::uint8_t> payload;
@@ -254,11 +263,11 @@ sim::Task<void> pattern_b_writer(daos::Cluster& cluster, const FieldBenchParams 
   // Setup phase: populate the designated field once (and, in snapshot-read
   // runs, publish it — readers then always find a committed epoch to pin).
   {
-    const Status st = co_await io.write(key, data, params.field_size);
+    const Status st = co_await self.io.write(key, data, params.field_size);
     if (!st.is_ok()) {
       shared.fail("setup write failed: " + st.to_string());
     } else if (params.snapshot_reads) {
-      auto committed = co_await io.commit(key);
+      auto committed = co_await self.io.commit(key);
       if (!committed.is_ok()) shared.fail("setup commit failed: " + committed.status().to_string());
     }
     shared.writers_done.count_down();
@@ -268,15 +277,15 @@ sim::Task<void> pattern_b_writer(daos::Cluster& cluster, const FieldBenchParams 
   if (shared.failed) co_return;
 
   for (std::uint32_t op = 0; op < params.ops_per_process && !shared.failed; ++op) {
-    client.set_trace_iteration(op);
-    obs::Span io_span("io", "io", actor, op, static_cast<double>(params.field_size));
-    const std::uint64_t retries_before = io.stats().retries;
+    self.client.set_trace_iteration(op);
+    obs::Span io_span("io", "io", self.actor, op, static_cast<double>(params.field_size));
+    const std::uint64_t retries_before = self.io.stats().retries;
     const sim::TimePoint start = cluster.scheduler().now();
     if (params.snapshot_reads) {
       payload = make_versioned_payload(key.canonical(), params.field_size, op + 1);
       data = payload.data();
     }
-    const Status st = co_await io.write(key, data, params.field_size);
+    const Status st = co_await self.io.write(key, data, params.field_size);
     if (!st.is_ok()) {
       shared.fail("re-write failed: " + st.to_string());
       break;
@@ -284,138 +293,107 @@ sim::Task<void> pattern_b_writer(daos::Cluster& cluster, const FieldBenchParams 
     if (params.snapshot_reads) {
       // Publish the new version; the op's latency includes the commit — the
       // write-amplification/latency trade fig_snapshot_rw measures.
-      auto committed = co_await io.commit(key);
+      auto committed = co_await self.io.commit(key);
       if (!committed.is_ok()) {
         shared.fail("commit failed: " + committed.status().to_string());
         break;
       }
     }
     log.record(node, proc, op, start, cluster.scheduler().now(), params.field_size,
-               static_cast<std::uint32_t>(io.stats().retries - retries_before));
+               static_cast<std::uint32_t>(self.io.stats().retries - retries_before));
   }
 }
 
 sim::Task<void> pattern_b_reader(daos::Cluster& cluster, const FieldBenchParams params, Shared& shared,
                                  IoLog& log, std::uint32_t node, std::uint32_t proc,
                                  std::uint32_t writer_rank, std::uint32_t reader_index) {
-  daos::Client client(cluster, cluster.client_endpoint(node, proc), 0x40000u + reader_index);
-  fdb::FieldIoConfig cfg;
-  cfg.mode = params.mode;
-  cfg.kv_class = params.kv_class;
-  cfg.array_class = params.array_class;
-  fdb::FieldIo io(client, cfg, 0xC000u + reader_index);
-  const obs::Actor actor{node, reader_index};
-  client.set_trace_actor(actor);
-  StatsFlush flush{shared, io, client};
+  Process self(cluster, params, shared, node, proc, reader_index, 0x40000u + reader_index,
+               0xC000u + reader_index);
   co_await shared.read_gate.wait();
   if (shared.failed) co_return;
   co_await cluster.scheduler().delay(startup_skew(cluster, 0xb000u + reader_index));
-  (co_await io.init()).expect_ok("FieldIo::init");
+  (co_await self.io.init()).expect_ok("FieldIo::init");
 
   // Reads the field designated to the paired writer.
-  const fdb::FieldKey key = bench_field_key(params, writer_rank, 0, /*designated=*/true);
-  std::vector<std::uint8_t> buf;
-  if (params.verify_payload) buf.resize(static_cast<std::size_t>(params.field_size));
-
-  if (params.snapshot_reads) {
-    // Snapshot-isolation read path: pin the newest committed epoch, assert
-    // the pinned read is one complete version AND byte-stable across a
-    // re-read under the same pin (while the writer streams the next version
-    // in), then release.  A not_found under the pin means retention (or
-    // cross-container skew under faults) overtook the pinned epoch — re-pin
-    // at the newest committed epoch and retry; the writer's finite schedule
-    // bounds the retries.
-    std::vector<std::uint8_t> first(static_cast<std::size_t>(params.field_size));
-    std::vector<std::uint8_t> second(static_cast<std::size_t>(params.field_size));
-    bool fallback_mode = false;
-    for (std::uint32_t op = 0; op < params.ops_per_process && !shared.failed; ++op) {
-      client.set_trace_iteration(op);
-      obs::Span io_span("io", "io", actor, op, static_cast<double>(params.field_size));
-      const std::uint64_t retries_before = io.stats().retries;
-      const sim::TimePoint start = cluster.scheduler().now();
-      bool done = false;
-      while (!done && !shared.failed) {
-        if (fallback_mode) {
-          // Retention 0 disables snapshots: live read, still asserting the
-          // payload is one complete version (writes are never torn).
-          auto n = co_await io.read(key, first.data(), params.field_size);
-          if (!n.is_ok() || n.value() != params.field_size) {
-            shared.fail("read failed: " +
-                        (n.is_ok() ? std::string("short read") : n.status().to_string()));
-            break;
-          }
-          if (versioned_payload_version(first.data(), params.field_size, key.canonical()) < 0) {
-            shared.fail("torn read: live read is not a complete version: " + key.canonical());
-            break;
-          }
-          ++shared.snapshot_fallbacks;
-          done = true;
-          continue;
-        }
-        auto pinned = co_await io.pin_snapshot(key);
-        if (!pinned.is_ok()) {
-          if (pinned.status().code() == Errc::unsupported) {
-            fallback_mode = true;
-            continue;
-          }
-          shared.fail("pin_snapshot failed: " + pinned.status().to_string());
-          break;
-        }
-        auto n = co_await io.read(key, first.data(), params.field_size);
-        if (!n.is_ok() || n.value() != params.field_size) {
-          (co_await io.unpin_snapshot(key)).expect_ok("unpin_snapshot");
-          if (!n.is_ok() && n.status().code() == Errc::not_found) {
-            ++shared.snapshot_pin_retries;
-            continue;
-          }
-          shared.fail("pinned read failed: " +
-                      (n.is_ok() ? std::string("short read") : n.status().to_string()));
-          break;
-        }
-        auto n2 = co_await io.read(key, second.data(), params.field_size);
-        (co_await io.unpin_snapshot(key)).expect_ok("unpin_snapshot");
-        if (!n2.is_ok() || n2.value() != params.field_size ||
-            std::memcmp(first.data(), second.data(), first.size()) != 0) {
-          shared.fail("snapshot instability: re-read under the pinned epoch differed: " +
-                      key.canonical());
-          break;
-        }
-        if (versioned_payload_version(first.data(), params.field_size, key.canonical()) < 0) {
-          shared.fail("torn read: pinned read is not a complete version: " + key.canonical());
-          break;
-        }
-        ++shared.snapshot_reads;
-        done = true;
-      }
-      if (!done) break;
-      log.record(node, proc, op, start, cluster.scheduler().now(), params.field_size,
-                 static_cast<std::uint32_t>(io.stats().retries - retries_before));
-    }
+  if (!params.snapshot_reads) {
+    co_await read_fields(cluster, params, self, log, writer_rank, /*designated=*/true);
     co_return;
   }
 
+  // Snapshot-isolation read path: pin the newest committed epoch, assert
+  // the pinned read is one complete version AND byte-stable across a
+  // re-read under the same pin (while the writer streams the next version
+  // in), then release.  A not_found under the pin means retention (or
+  // cross-container skew under faults) overtook the pinned epoch — re-pin
+  // at the newest committed epoch and retry; the writer's finite schedule
+  // bounds the retries.
+  const fdb::FieldKey key = bench_field_key(params, writer_rank, 0, /*designated=*/true);
+  std::vector<std::uint8_t> first(static_cast<std::size_t>(params.field_size));
+  std::vector<std::uint8_t> second(static_cast<std::size_t>(params.field_size));
+  bool fallback_mode = false;
   for (std::uint32_t op = 0; op < params.ops_per_process && !shared.failed; ++op) {
-    client.set_trace_iteration(op);
-    obs::Span io_span("io", "io", actor, op, static_cast<double>(params.field_size));
-    const std::uint64_t retries_before = io.stats().retries;
+    self.client.set_trace_iteration(op);
+    obs::Span io_span("io", "io", self.actor, op, static_cast<double>(params.field_size));
+    const std::uint64_t retries_before = self.io.stats().retries;
     const sim::TimePoint start = cluster.scheduler().now();
-    auto n = co_await io.read(key, params.verify_payload ? buf.data() : nullptr, params.field_size);
-    if (!n.is_ok() || n.value() != params.field_size) {
-      shared.fail("read failed: " + (n.is_ok() ? std::string("short read") : n.status().to_string()));
-      break;
+    bool done = false;
+    while (!done && !shared.failed) {
+      if (fallback_mode) {
+        // Retention 0 disables snapshots: live read, still asserting the
+        // payload is one complete version (writes are never torn).
+        auto n = co_await self.io.read(key, first.data(), params.field_size);
+        if (!n.is_ok() || n.value() != params.field_size) {
+          shared.fail("read failed: " +
+                      (n.is_ok() ? std::string("short read") : n.status().to_string()));
+          break;
+        }
+        if (versioned_payload_version(first.data(), params.field_size, key.canonical()) < 0) {
+          shared.fail("torn read: live read is not a complete version: " + key.canonical());
+          break;
+        }
+        ++shared.snapshot_fallbacks;
+        done = true;
+        continue;
+      }
+      auto pinned = co_await self.io.pin_snapshot(key);
+      if (!pinned.is_ok()) {
+        if (pinned.status().code() == Errc::unsupported) {
+          fallback_mode = true;
+          continue;
+        }
+        shared.fail("pin_snapshot failed: " + pinned.status().to_string());
+        break;
+      }
+      auto n = co_await self.io.read(key, first.data(), params.field_size);
+      if (!n.is_ok() || n.value() != params.field_size) {
+        (co_await self.io.unpin_snapshot(key)).expect_ok("unpin_snapshot");
+        if (!n.is_ok() && n.status().code() == Errc::not_found) {
+          ++shared.snapshot_pin_retries;
+          continue;
+        }
+        shared.fail("pinned read failed: " +
+                    (n.is_ok() ? std::string("short read") : n.status().to_string()));
+        break;
+      }
+      auto n2 = co_await self.io.read(key, second.data(), params.field_size);
+      (co_await self.io.unpin_snapshot(key)).expect_ok("unpin_snapshot");
+      if (!n2.is_ok() || n2.value() != params.field_size ||
+          std::memcmp(first.data(), second.data(), first.size()) != 0) {
+        shared.fail("snapshot instability: re-read under the pinned epoch differed: " +
+                    key.canonical());
+        break;
+      }
+      if (versioned_payload_version(first.data(), params.field_size, key.canonical()) < 0) {
+        shared.fail("torn read: pinned read is not a complete version: " + key.canonical());
+        break;
+      }
+      ++shared.snapshot_reads;
+      done = true;
     }
-    if (params.verify_payload && !payload_matches(buf, n.value(), key.canonical())) {
-      shared.fail("payload MD5 mismatch: " + key.canonical());
-      break;
-    }
+    if (!done) break;
     log.record(node, proc, op, start, cluster.scheduler().now(), params.field_size,
-               static_cast<std::uint32_t>(io.stats().retries - retries_before));
+               static_cast<std::uint32_t>(self.io.stats().retries - retries_before));
   }
-}
-
-sim::Task<void> pattern_b_conductor(Shared& shared) {
-  co_await shared.writers_done.wait();
-  shared.read_gate.open();
 }
 
 }  // namespace
@@ -427,8 +405,8 @@ struct FieldPatternRun::Impl {
   FieldBenchResult result;
   Shared shared;
 
-  static std::size_t population(const daos::Cluster& cluster, const FieldBenchParams& params,
-                                char pattern) {
+  static std::size_t writer_count(const daos::Cluster& cluster, const FieldBenchParams& params,
+                                  char pattern) {
     const std::size_t nodes = cluster.config().client_nodes;
     const std::size_t ppn = params.processes_per_node;
     if (pattern == 'A') return nodes * ppn;
@@ -442,7 +420,7 @@ struct FieldPatternRun::Impl {
       : cluster(c),
         params(p),
         pattern(pat),
-        shared(c.scheduler(), population(c, p, pat), population(c, p, pat)) {
+        shared(c.scheduler(), writer_count(c, p, pat)) {
     result.write_log = IoLog(params.log_detail_capacity);
     result.read_log = IoLog(params.log_detail_capacity);
   }
@@ -459,14 +437,14 @@ struct FieldPatternRun::Impl {
             pattern_a_reader(cluster, params, shared, result.read_log, n, p, rank));
       }
     }
-    cluster.scheduler().spawn(pattern_a_conductor(shared));
+    cluster.scheduler().spawn(conductor(shared));
   }
 
   void spawn_b() {
     const std::size_t nodes = cluster.config().client_nodes;
     const std::size_t ppn = params.processes_per_node;
     const std::size_t writer_nodes = nodes >= 2 ? nodes / 2 : 1;
-    const std::size_t writer_procs = population(cluster, params, 'B');
+    const std::size_t writer_procs = writer_count(cluster, params, 'B');
     std::uint32_t writer_rank = 0;
     std::uint32_t reader_index = 0;
     std::vector<std::uint32_t> writer_ranks;
@@ -493,7 +471,7 @@ struct FieldPatternRun::Impl {
         ++reader_index;
       }
     }
-    cluster.scheduler().spawn(pattern_b_conductor(shared));
+    cluster.scheduler().spawn(conductor(shared));
   }
 };
 
@@ -526,15 +504,9 @@ FieldBenchResult FieldPatternRun::collect() {
   return result;
 }
 
-FieldBenchResult run_field_pattern_a(daos::Cluster& cluster, const FieldBenchParams& params) {
-  FieldPatternRun run(cluster, params, 'A');
-  run.spawn();
-  cluster.scheduler().run();
-  return run.collect();
-}
-
-FieldBenchResult run_field_pattern_b(daos::Cluster& cluster, const FieldBenchParams& params) {
-  FieldPatternRun run(cluster, params, 'B');
+FieldBenchResult run_field_pattern(daos::Cluster& cluster, const FieldBenchParams& params,
+                                   char pattern) {
+  FieldPatternRun run(cluster, params, pattern);
   run.spawn();
   cluster.scheduler().run();
   return run.collect();

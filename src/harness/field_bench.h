@@ -86,8 +86,8 @@ struct FieldBenchResult {
 /// Spawn/collect decomposition of the pattern runners, for drivers that own
 /// the run loop themselves — the partitioned scheduler advances several
 /// clusters' schedulers in lock-step windows, so it cannot let each pattern
-/// call scheduler().run() internally.  run_field_pattern_a/b below remain
-/// the single-cluster convenience wrappers (spawn, run, collect).
+/// call scheduler().run() internally.  run_field_pattern below remains the
+/// single-cluster convenience wrapper (spawn, run, collect).
 class FieldPatternRun {
  public:
   /// `pattern` is 'A' or 'B'; params are validated against the cluster.
@@ -97,7 +97,7 @@ class FieldPatternRun {
   ~FieldPatternRun();
 
   /// Spawns every process coroutine on the cluster's scheduler (same spawn
-  /// order as the wrappers, so results are identical).
+  /// order as the wrapper, so results are identical).
   void spawn();
 
   /// Gathers the result; call once after the scheduler ran to completion.
@@ -108,13 +108,13 @@ class FieldPatternRun {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Access pattern A on `cluster` (uses all its client nodes).
-FieldBenchResult run_field_pattern_a(daos::Cluster& cluster, const FieldBenchParams& params);
-
-/// Access pattern B on `cluster`.  Requires at least 2 client processes;
-/// the first half of the client nodes write, the second half read (paper:
-/// "half of the client processes (and thereby half the client nodes)").
-FieldBenchResult run_field_pattern_b(daos::Cluster& cluster, const FieldBenchParams& params);
+/// Access pattern `pattern` ('A' or 'B') on `cluster`, run to completion.
+/// Pattern A uses all its client nodes.  Pattern B requires at least 2
+/// client processes; the first half of the client nodes write, the second
+/// half read (paper: "half of the client processes (and thereby half the
+/// client nodes)").
+FieldBenchResult run_field_pattern(daos::Cluster& cluster, const FieldBenchParams& params,
+                                   char pattern);
 
 /// The field key a given (process, op) uses, exposed for tests: forecast
 /// part per process (or shared), field part per (process, op).

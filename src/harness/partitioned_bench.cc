@@ -21,18 +21,21 @@ struct GossipState {
   std::uint64_t rounds_sent = 0;
 };
 
-/// Broadcasts `rounds` progress tokens to every peer shard, one batch per
-/// interval of simulated time.  Tokens arrive one cross-shard fabric
-/// latency after sending — at or past the window horizon by construction
-/// (latency >= lookahead), so the conservative protocol never sees them
-/// early.
+/// Cross-shard coordination cadence, in simulated time.
+constexpr sim::Duration kGossipInterval = sim::milliseconds(50);
+constexpr std::uint32_t kGossipRounds = 8;
+
+/// Broadcasts kGossipRounds progress tokens to every peer shard, one batch
+/// per kGossipInterval.  Tokens ride the campaign fabric and arrive one
+/// cross-shard latency after sending — at or past the window horizon by
+/// construction (latency >= lookahead), so the conservative protocol never
+/// sees them early.
 sim::Task<void> gossip_proc(sim::PartitionedScheduler& psched, std::size_t self,
                             const std::vector<std::vector<sim::Duration>>& latency,
-                            std::vector<GossipState>& states, sim::Duration interval,
-                            std::uint32_t rounds) {
+                            std::vector<GossipState>& states) {
   sim::Scheduler& sched = psched.partition(self);
-  for (std::uint32_t round = 0; round < rounds; ++round) {
-    co_await sched.delay(interval);
+  for (std::uint32_t round = 0; round < kGossipRounds; ++round) {
+    co_await sched.delay(kGossipInterval);
     for (std::size_t peer = 0; peer < states.size(); ++peer) {
       if (peer == self) continue;
       GossipState* target = &states[peer];
@@ -89,7 +92,6 @@ PartitionedOutcome run_field_partitioned(const daos::ClusterConfig& shard_cfg,
   pcfg.partitions = params.shards;
   pcfg.lookahead = map.lookahead;
   pcfg.workers = params.jobs;
-  pcfg.mailbox_capacity = params.mailbox_capacity;
   if (parent_trace != nullptr) {
     shard_traces.reserve(params.shards);
     for (std::size_t p = 0; p < params.shards; ++p) {
@@ -124,10 +126,7 @@ PartitionedOutcome run_field_partitioned(const daos::ClusterConfig& shard_cfg,
     clusters.push_back(std::make_unique<daos::Cluster>(psched.partition(p), cfg));
     runs.push_back(std::make_unique<FieldPatternRun>(*clusters[p], params.field, params.pattern));
     runs[p]->spawn();
-    if (params.shards > 1 && params.gossip_rounds > 0) {
-      psched.partition(p).spawn(
-          gossip_proc(psched, p, latency, gossip, params.gossip_interval, params.gossip_rounds));
-    }
+    if (params.shards > 1) psched.partition(p).spawn(gossip_proc(psched, p, latency, gossip));
   }
 
   psched.run();

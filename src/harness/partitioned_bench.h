@@ -32,13 +32,6 @@ struct PartitionedRunParams {
   std::size_t shards = 4;
   /// Worker threads for the window protocol (what --jobs resolves to).
   std::size_t jobs = 1;
-  /// Cross-shard coordination cadence: every shard broadcasts a progress
-  /// token to every peer once per interval (simulated time), `gossip_rounds`
-  /// times.  Tokens ride the campaign fabric, so they arrive one cross-shard
-  /// latency later — legal cross-window traffic by construction.
-  sim::Duration gossip_interval = sim::milliseconds(50);
-  std::uint32_t gossip_rounds = 8;
-  std::size_t mailbox_capacity = sim::SpscMailbox::kDefaultCapacity;
 };
 
 struct PartitionedOutcome {

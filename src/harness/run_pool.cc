@@ -2,6 +2,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <exception>
+#include <mutex>
+#include <thread>
 
 namespace nws::bench {
 
@@ -35,142 +38,32 @@ void set_default_jobs(std::size_t jobs) {
   default_jobs_slot().store(normalize_jobs(jobs), std::memory_order_relaxed);
 }
 
-RunPool::RunPool(std::size_t threads) {
-  if (threads < 1) threads = 1;
-  queues_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) queues_.push_back(std::make_unique<WorkerQueue>());
-  workers_.reserve(threads - 1);
-  for (std::size_t i = 1; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
-  }
-}
-
-RunPool::~RunPool() {
-  {
-    const std::lock_guard<std::mutex> lock(sweep_mutex_);
-    shutdown_ = true;
-  }
-  sweep_start_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-void RunPool::run(std::size_t n_jobs, const std::function<void(std::size_t)>& body) {
-  if (n_jobs == 0) return;
-  {
-    const std::lock_guard<std::mutex> lock(sweep_mutex_);
-    body_ = &body;
-    outstanding_ = n_jobs;
-    first_error_ = nullptr;
-  }
-  // Jobs are dealt as contiguous blocks so every worker starts on a cache-
-  // friendly index range; stealing rebalances from whoever still has the
-  // most.  Pushes happen after the sweep state is published but before the
-  // generation bump: a worker that pops a job (under the queue mutex) always
-  // sees the current body, and a worker woken by the bump always finds the
-  // jobs.
-  const std::size_t chunk = (n_jobs + queues_.size() - 1) / queues_.size();
-  for (std::size_t w = 0; w < queues_.size(); ++w) {
-    const std::size_t begin = w * chunk;
-    const std::size_t end = std::min(n_jobs, begin + chunk);
-    if (begin >= end) break;
-    WorkerQueue& queue = *queues_[w];
-    const std::lock_guard<std::mutex> qlock(queue.mutex);
-    for (std::size_t job = begin; job < end; ++job) queue.jobs.push_back(job);
-  }
-  {
-    const std::lock_guard<std::mutex> lock(sweep_mutex_);
-    ++generation_;
-  }
-  sweep_start_.notify_all();
-
-  // The calling thread participates as worker 0.
-  std::vector<std::size_t> batch;
-  while (next_jobs(0, batch)) run_batch(batch);
-
-  std::unique_lock<std::mutex> lock(sweep_mutex_);
-  sweep_done_.wait(lock, [this] { return outstanding_ == 0; });
-  body_ = nullptr;
-  if (first_error_) {
-    std::exception_ptr e = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(e);
-  }
-}
-
-void RunPool::worker_loop(std::size_t self) {
-  std::size_t seen_generation = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(sweep_mutex_);
-      sweep_start_.wait(lock, [&] { return shutdown_ || generation_ != seen_generation; });
-      if (shutdown_) return;
-      seen_generation = generation_;
-    }
-    std::vector<std::size_t> batch;
-    while (next_jobs(self, batch)) run_batch(batch);
-  }
-}
-
-bool RunPool::next_jobs(std::size_t self, std::vector<std::size_t>& batch) {
-  batch.clear();
-  {
-    WorkerQueue& own = *queues_[self];
-    const std::lock_guard<std::mutex> lock(own.mutex);
-    while (!own.jobs.empty() && batch.size() < kBatch) {
-      batch.push_back(own.jobs.front());
-      own.jobs.pop_front();
-    }
-    if (!batch.empty()) return true;
-  }
-  // Steal from the back of the fullest victim.  Queues only drain within a
-  // sweep, so a scan that finds every queue empty is definitive.
-  for (;;) {
-    std::size_t victim = queues_.size();
-    std::size_t victim_size = 0;
-    for (std::size_t i = 0; i < queues_.size(); ++i) {
-      if (i == self) continue;
-      const std::lock_guard<std::mutex> lock(queues_[i]->mutex);
-      if (queues_[i]->jobs.size() > victim_size) {
-        victim = i;
-        victim_size = queues_[i]->jobs.size();
+void run_indexed(std::size_t n, std::size_t threads,
+                 const std::function<void(std::size_t)>& body) {
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::size_t error_job = n;  // guarded by error_mutex, like error
+  std::exception_ptr error;
+  const auto claim_until_drained = [&] {
+    for (std::size_t job = next++; job < n; job = next++) {
+      try {
+        body(job);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (job < error_job) {
+          error_job = job;
+          error = std::current_exception();
+        }
       }
     }
-    if (victim == queues_.size()) return false;
-    const std::lock_guard<std::mutex> lock(queues_[victim]->mutex);
-    // Take at most half the victim's remaining work (and no more than a
-    // batch) so a late joiner cannot invert the imbalance it is fixing.
-    std::size_t take = (queues_[victim]->jobs.size() + 1) / 2;
-    take = std::min(take, kBatch);
-    if (take == 0) continue;  // lost the race, rescan
-    for (std::size_t i = 0; i < take; ++i) {
-      batch.push_back(queues_[victim]->jobs.back());
-      queues_[victim]->jobs.pop_back();
-    }
-    return true;
+  };
+  {
+    // jthreads join on scope exit, also when spawning a later one throws.
+    std::vector<std::jthread> helpers;
+    for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(claim_until_drained);
+    claim_until_drained();
   }
-}
-
-void RunPool::run_batch(const std::vector<std::size_t>& batch) {
-  for (const std::size_t job : batch) {
-    try {
-      (*body_)(job);
-    } catch (...) {
-      record_failure(job);
-    }
-  }
-  // One completion update per batch, not per job: the sweep mutex is the
-  // other dispatch-overhead hot spot for short repetitions.
-  const std::lock_guard<std::mutex> lock(sweep_mutex_);
-  outstanding_ -= batch.size();
-  if (outstanding_ == 0) sweep_done_.notify_all();
-}
-
-void RunPool::record_failure(std::size_t job) {
-  const std::lock_guard<std::mutex> lock(sweep_mutex_);
-  if (!first_error_ || job < first_error_job_) {
-    first_error_ = std::current_exception();
-    first_error_job_ = job;
-  }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace nws::bench

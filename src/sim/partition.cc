@@ -18,7 +18,7 @@ PartitionedScheduler::PartitionedScheduler(PartitionConfig config) : config_(std
     auto part = std::make_unique<Part>();
     part->outbox.reserve(config_.partitions);
     for (std::size_t q = 0; q < config_.partitions; ++q) {
-      part->outbox.push_back(std::make_unique<SpscMailbox>(config_.mailbox_capacity));
+      part->outbox.push_back(std::make_unique<SpscMailbox>());
     }
     parts_.push_back(std::move(part));
   }

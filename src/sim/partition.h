@@ -52,8 +52,6 @@ struct PartitionConfig {
   /// p % workers).  This is what `--jobs` controls; it must not affect
   /// results, only wall-clock.  Clamped to [1, partitions].
   std::size_t workers = 1;
-  /// Ring capacity of each cross-partition mailbox (overflow spills safely).
-  std::size_t mailbox_capacity = SpscMailbox::kDefaultCapacity;
   /// Optional hook invoked around each partition's execution slice on its
   /// worker thread: slice_scope(partition, /*enter=*/true) before events run
   /// and (partition, false) after.  Lets the harness bind per-partition

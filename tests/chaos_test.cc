@@ -158,8 +158,7 @@ Outcome run_scenario(std::uint64_t seed) {
   if (trace_path != nullptr) session.emplace(recorder);
   const obs::ScopedClock trace_clock(sched);
   daos::Cluster cluster(sched, sc.cfg);
-  const FieldBenchResult result = sc.pattern == 'A' ? run_field_pattern_a(cluster, sc.params)
-                                                    : run_field_pattern_b(cluster, sc.params);
+  const FieldBenchResult result = run_field_pattern(cluster, sc.params, sc.pattern);
 
   Outcome out;
   out.failed = result.failed;
@@ -246,7 +245,7 @@ Outcome run_scenario(std::uint64_t seed) {
 TEST(ChaosSweep, DefaultProfileHoldsInvariants) {
   const std::uint64_t base = env_u64("NWS_CHAOS_SEED", 1);
   const std::uint64_t count = env_u64("NWS_CHAOS_COUNT", 200);
-  // The sweep fans out over the run pool (NWS_JOBS workers, default all
+  // The sweep fans out through parallel_map (NWS_JOBS threads, default all
   // cores); every scenario is a pure function of its seed so the outcomes —
   // and the failure report below, emitted on this thread in seed order —
   // are bit-identical at any job count.  Single-seed replay
@@ -375,7 +374,7 @@ TEST(ChaosRetries, SurfacedInFieldIoClientAndOpLog) {
     params.processes_per_node = 4;
     params.verify_payload = true;
     params.log_detail_capacity = 256;
-    const FieldBenchResult result = run_field_pattern_a(cluster, params);
+    const FieldBenchResult result = run_field_pattern(cluster, params, 'A');
     ASSERT_FALSE(result.failed) << result.failure;
     EXPECT_GT(result.write_log.total_retries() + result.read_log.total_retries(), 0u);
   }

@@ -5,7 +5,9 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <condition_variable>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -176,7 +178,7 @@ TEST_P(FieldPatternModes, PatternACompletesAndBalances) {
   params.mode = GetParam();
   params.ops_per_process = 5;
   params.processes_per_node = 4;
-  const FieldBenchResult result = run_field_pattern_a(cluster, params);
+  const FieldBenchResult result = run_field_pattern(cluster, params, 'A');
   ASSERT_FALSE(result.failed) << result.failure;
   EXPECT_EQ(result.write_log.operations(), 20u);
   EXPECT_EQ(result.read_log.operations(), 20u);
@@ -191,7 +193,7 @@ TEST_P(FieldPatternModes, PatternBOverlapsWritersAndReaders) {
   params.mode = GetParam();
   params.ops_per_process = 6;
   params.processes_per_node = 4;
-  const FieldBenchResult result = run_field_pattern_b(cluster, params);
+  const FieldBenchResult result = run_field_pattern(cluster, params, 'B');
   ASSERT_FALSE(result.failed) << result.failure;
   // Half the nodes write, half read: 4 writers, 4 readers.
   EXPECT_EQ(result.write_log.operations(), 24u);
@@ -223,7 +225,7 @@ TEST(FieldBenchTest, PatternBUnderSharedForecastIndex) {
   params.shared_forecast_index = true;
   params.ops_per_process = 4;
   params.processes_per_node = 4;
-  const FieldBenchResult result = run_field_pattern_b(cluster, params);
+  const FieldBenchResult result = run_field_pattern(cluster, params, 'B');
   ASSERT_FALSE(result.failed) << result.failure;
   EXPECT_EQ(result.write_log.operations(), 16u);
   EXPECT_EQ(result.read_log.operations(), 16u);
@@ -259,7 +261,7 @@ TEST(FieldBenchTest, SingleClientNodePatternBSplitsProcesses) {
   FieldBenchParams params;
   params.ops_per_process = 3;
   params.processes_per_node = 6;  // 3 writers + 3 readers
-  const FieldBenchResult result = run_field_pattern_b(cluster, params);
+  const FieldBenchResult result = run_field_pattern(cluster, params, 'B');
   ASSERT_FALSE(result.failed) << result.failure;
   EXPECT_EQ(result.write_log.operations(), 9u);
   EXPECT_EQ(result.read_log.operations(), 9u);
@@ -335,21 +337,33 @@ TEST(RunPoolTest, ParallelMapReturnsResultsInIndexOrder) {
 }
 
 TEST(RunPoolTest, EveryJobRunsExactlyOnce) {
-  constexpr std::size_t kJobs = 257;  // not a multiple of the worker count
+  constexpr std::size_t kJobs = 257;  // not a multiple of the thread count
   std::vector<std::atomic<int>> hits(kJobs);
-  RunPool pool(8);
-  EXPECT_EQ(pool.threads(), 8u);
-  pool.run(kJobs, [&](std::size_t i) { hits[i].fetch_add(1); });
+  run_indexed(kJobs, 8, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < kJobs; ++i) EXPECT_EQ(hits[i].load(), 1) << "job " << i;
 }
 
-TEST(RunPoolTest, PoolIsReusableAcrossSweeps) {
-  RunPool pool(4);
-  std::atomic<std::size_t> total{0};
-  for (int sweep = 0; sweep < 5; ++sweep) {
-    pool.run(40, [&](std::size_t i) { total.fetch_add(i); });
-  }
-  EXPECT_EQ(total.load(), 5u * (39u * 40u / 2u));
+/// A thread claims its next job only when it is free, so a job that blocks
+/// never holds back the jobs behind it.  On 2 threads jobs 0-1 sleep, then
+/// jobs 2 and 3 wait for each other: they meet only if they run on
+/// different threads.  Dealing each thread a contiguous block, or popping
+/// several jobs per claim, runs 2 and 3 one after the other on one thread.
+TEST(RunPoolTest, QueuedJobRunsBesideABlockedOne) {
+  if (hardware_jobs() < 2) GTEST_SKIP() << "needs at least 2 hardware threads";
+  std::mutex mutex;
+  std::condition_variable arrival;
+  std::size_t arrived = 0;  // guarded by mutex
+  const std::vector<int> met = parallel_map(std::size_t{4}, std::size_t{2}, [&](std::size_t i) {
+    if (i < 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      return 1;
+    }
+    std::unique_lock<std::mutex> lock(mutex);
+    ++arrived;
+    arrival.notify_all();
+    return arrival.wait_for(lock, std::chrono::seconds(5), [&] { return arrived == 2; }) ? 1 : 0;
+  });
+  EXPECT_EQ(met, (std::vector<int>{1, 1, 1, 1}));
 }
 
 TEST(RunPoolTest, LowestIndexedExceptionWinsAndSweepStillDrains) {
@@ -408,12 +422,12 @@ TEST(RunPoolTest, ParallelSweepBitIdenticalToSerial) {
   }
 }
 
-/// The run pool must pay for itself on millisecond-scale repetitions, the
-/// case its batched dispatch exists for: 16 short field runs through
-/// repeat() on min(4, hardware_jobs()) workers are not slower than serially.
-/// Serial and parallel takes interleave, so a busy stretch of the host hits
-/// both sides, and each side keeps its best of three.  The name stays
-/// outside RunPoolTest.* so the TSan stage does not time it.
+/// The fan-out must pay for itself on millisecond-scale repetitions: 16
+/// short field runs through repeat() on min(4, hardware_jobs()) threads are
+/// not slower than serially.  Serial and parallel takes interleave, so a
+/// busy stretch of the host hits both sides, and each side keeps its best
+/// of three.  The name stays outside RunPoolTest.* so the TSan stage does
+/// not time it.
 TEST(RunPoolSpeedTest, ParallelSweepNotSlowerThanSerial) {
 #ifndef NDEBUG
   GTEST_SKIP() << "unoptimised build: wall time says nothing about the pool";
@@ -500,7 +514,7 @@ TEST(FieldBenchTest, LayerCountersAggregatedIntoResult) {
   FieldBenchParams params;
   params.ops_per_process = 5;
   params.processes_per_node = 4;
-  const FieldBenchResult result = run_field_pattern_a(cluster, params);
+  const FieldBenchResult result = run_field_pattern(cluster, params, 'A');
   ASSERT_FALSE(result.failed) << result.failure;
   EXPECT_EQ(result.field_stats.fields_written, 20u);
   EXPECT_EQ(result.field_stats.fields_read, 20u);
