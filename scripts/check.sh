@@ -146,14 +146,14 @@ if [[ $run_tsan -eq 1 ]]; then
   # const.
   TSAN_OPTIONS=halt_on_error=1 \
     ./build-tsan/tests/harness_test --gtest_filter='RunPoolTest.*:StatsRaceTest.*:ExperimentTest.RepeatAndBestOverPpnIdenticalAtAnyJobCount:ExperimentTest.MetricsSnapshotIdenticalAtAnyJobCount'
-  # The partitioned window protocol: worker threads + SPSC mailboxes +
-  # std::barrier.  The scheduler and bench suites run multi-worker windowed
-  # executions (workers 2..8), which is where a missing release edge on the
-  # mailbox ring or a barrier-completion write would surface.  The full
-  # determinism suite stays in the plain pass — it is a logic property, and
-  # under TSan it would dominate the stage's wall clock.
+  # The partitioned window protocol: worker threads, per-pair outbox vectors
+  # and std::barrier.  The scheduler and bench suites run multi-worker
+  # windowed executions (workers 2..8), which is where an outbox touched
+  # outside its source's slice or the barrier's completion step would
+  # surface.  The full determinism suite stays in the plain pass — it is a
+  # logic property, and under TSan it would dominate the stage's wall clock.
   TSAN_OPTIONS=halt_on_error=1 \
-    ./build-tsan/tests/partition_test --gtest_filter='SpscMailboxTest.*:PartitionedSchedulerTest.*:PartitionedBenchTest.*'
+    ./build-tsan/tests/partition_test --gtest_filter='PartitionedSchedulerTest.*:PartitionedBenchTest.*'
   TSAN_OPTIONS=halt_on_error=1 NWS_CHAOS_COUNT=24 NWS_JOBS=0 \
     ./build-tsan/tests/chaos_test
   # The dfs property/chaos sweep drives the POSIX emulation's shared

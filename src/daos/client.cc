@@ -129,7 +129,6 @@ sim::Task<Status> Client::kv_put(KvHandle& handle, const std::string& key, std::
   const std::size_t shard = route.primary;
   co_await rpc(shard, m.kv_op_overhead);
   if (Status fault = co_await fault_check(shard); !fault.is_ok()) co_return fault;
-  if (cluster_.inject_io_failure()) co_return Status::error(Errc::io_error, "injected KV put failure");
 
   // Shard service: metadata work competes with array I/O for the engine and
   // target.  Conditional updates contending on the same object abort and
@@ -186,9 +185,6 @@ sim::Task<Status> Client::kv_put_if_absent(KvHandle& handle, const std::string& 
   const std::size_t shard = route.primary;
   co_await rpc(shard, m.kv_op_overhead);
   if (Status fault = co_await fault_check(shard); !fault.is_ok()) co_return fault;
-  if (cluster_.inject_io_failure()) {
-    co_return Status::error(Errc::io_error, "injected KV conditional put failure");
-  }
 
   handle.kv->writer_enter();
   const std::size_t contenders = handle.kv->active_writers() - 1;
@@ -242,9 +238,6 @@ sim::Task<Result<std::string>> Client::kv_get(KvHandle& handle, const std::strin
   const std::size_t shard = route.primary;
   co_await rpc(shard, m.kv_op_overhead);
   if (Status fault = co_await fault_check(shard); !fault.is_ok()) co_return fault;
-  if (cluster_.inject_io_failure()) {
-    co_return Status::error(Errc::io_error, "injected KV get failure");
-  }
 
   handle.kv->reader_enter();
   const std::size_t concurrent = handle.kv->active_readers() - 1;
@@ -585,7 +578,6 @@ sim::Task<Status> Client::array_write(ArrayHandle& handle, Bytes offset, const s
       static_cast<sim::Duration>(extents.size() > 1 ? (extents.size() - 1) * m.stripe_fanout_overhead : 0);
   co_await rpc(plan.lead, m.array_io_overhead + fanout);
   if (Status fault = co_await fault_check(plan.lead); !fault.is_ok()) co_return fault;
-  if (cluster_.inject_io_failure()) co_return Status::error(Errc::io_error, "injected array write failure");
   co_await container_indirection(handle.container, plan.lead, /*is_write=*/true);
 
   // Pool space for newly written extent growth (never reclaimed: the field
@@ -645,9 +637,6 @@ sim::Task<Result<Bytes>> Client::array_read(ArrayHandle& handle, Bytes offset, s
       static_cast<sim::Duration>(extents.size() > 1 ? (extents.size() - 1) * m.stripe_fanout_overhead : 0);
   co_await rpc(plan.lead, m.array_io_overhead + fanout);
   if (Status fault = co_await fault_check(plan.lead); !fault.is_ok()) co_return fault;
-  if (cluster_.inject_io_failure()) {
-    co_return Status::error(Errc::io_error, "injected array read failure");
-  }
   co_await container_indirection(handle.container, plan.lead, /*is_write=*/false);
   // EC reconstruction: the engine reads k surviving shards and re-derives
   // the missing member's bytes before shipping them (docs/FAULTS.md).

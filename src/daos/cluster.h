@@ -49,9 +49,6 @@ struct FaultInjection {
   bool container_create_issue = false;
   std::size_t container_issue_min_servers = 8;
   std::size_t container_issue_threshold = 64;
-
-  /// Random injected I/O failure probability per data operation (testing).
-  double io_failure_rate = 0.0;
 };
 
 struct ClusterConfig {
@@ -219,10 +216,6 @@ class Cluster {
   // --- model ------------------------------------------------------------------
   [[nodiscard]] const ModelConfig& model() const { return config_.model; }
   [[nodiscard]] Rng fork_rng(std::uint64_t salt) { return rng_.fork(salt); }
-  /// Samples roughly uniform fault decisions for io_failure_rate injection.
-  [[nodiscard]] bool inject_io_failure() {
-    return config_.faults.io_failure_rate > 0.0 && rng_.next_double() < config_.faults.io_failure_rate;
-  }
 
   /// Armed chaos fault plan, or nullptr when fault_spec injects nothing.
   [[nodiscard]] fault::FaultPlan* fault_plan() { return fault_plan_.get(); }

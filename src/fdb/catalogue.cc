@@ -4,10 +4,6 @@
 
 namespace nws::fdb {
 
-namespace {
-constexpr const char* kStoreContainerEntry = "__store_container";
-}
-
 Catalogue::Catalogue(daos::Client& client, FieldIoConfig config)
     : client_(client),
       config_(config),
@@ -25,9 +21,7 @@ sim::Task<Status> Catalogue::init() {
   }
   (void)co_await client_.pool_connect();
   main_cont_ = co_await client_.main_cont_open();
-  const daos::ObjectId main_oid =
-      daos::ObjectId::from_digest(md5("nws:main-index"), daos::ObjectType::key_value, config_.kv_class);
-  main_kv_ = co_await client_.kv_open(main_cont_, main_oid);
+  main_kv_ = co_await client_.kv_open(main_cont_, main_index_oid(config_.kv_class));
   initialised_ = true;
   co_return Status::ok();
 }
@@ -35,9 +29,8 @@ sim::Task<Status> Catalogue::init() {
 sim::Task<Result<std::vector<FieldEntry>>> Catalogue::fields_of(const std::string& forecast_key,
                                                                 daos::ContHandle index_cont,
                                                                 daos::ContHandle store_cont) {
-  const daos::ObjectId kv_oid = daos::ObjectId::from_digest(
-      md5(forecast_key + ":index-kv"), daos::ObjectType::key_value, config_.kv_class);
-  daos::KvHandle index_kv = co_await client_.kv_open(index_cont, kv_oid);
+  daos::KvHandle index_kv =
+      co_await client_.kv_open(index_cont, forecast_index_oid(forecast_key, config_.kv_class));
 
   std::vector<FieldEntry> fields;
   for (const std::string& key : co_await client_.kv_list(index_kv)) {
@@ -68,27 +61,28 @@ sim::Task<Result<std::vector<FieldEntry>>> Catalogue::fields_of(const std::strin
   co_return fields;
 }
 
+sim::Task<Result<Catalogue::ForecastContainers>> Catalogue::open_containers(
+    const std::string& forecast_key) {
+  auto exists = co_await retrier_.run_result<std::string>(
+      [&] { return client_.kv_get(main_kv_, forecast_key); });
+  if (!exists.is_ok()) co_return exists.status();
+  const daos::Uuid index_uuid = index_container_uuid(forecast_key);
+  auto opened_index = co_await retrier_.run_result<daos::ContHandle>(
+      [&] { return client_.cont_open(index_uuid); });
+  if (!opened_index.is_ok()) co_return opened_index.status();
+  const daos::Uuid store_uuid = store_container_uuid(forecast_key);
+  auto opened_store = co_await retrier_.run_result<daos::ContHandle>(
+      [&] { return client_.cont_open(store_uuid); });
+  if (!opened_store.is_ok()) co_return opened_store.status();
+  co_return ForecastContainers{opened_index.value(), opened_store.value()};
+}
+
 sim::Task<Result<std::vector<FieldEntry>>> Catalogue::list_fields(const std::string& forecast_key) {
   if (!initialised_) throw std::logic_error("Catalogue::list_fields before init()");
-
-  daos::ContHandle index_cont = main_cont_;
-  daos::ContHandle store_cont = main_cont_;
-  if (config_.mode == Mode::full) {
-    auto exists = co_await retrier_.run_result<std::string>(
-        [&] { return client_.kv_get(main_kv_, forecast_key); });
-    if (!exists.is_ok()) co_return exists.status();
-    const daos::Uuid index_uuid = daos::Uuid::from_string_md5(forecast_key + ":index");
-    auto opened_index = co_await retrier_.run_result<daos::ContHandle>(
-        [&] { return client_.cont_open(index_uuid); });
-    if (!opened_index.is_ok()) co_return opened_index.status();
-    index_cont = opened_index.value();
-    const daos::Uuid store_uuid = daos::Uuid::from_string_md5(forecast_key + ":store");
-    auto opened_store = co_await retrier_.run_result<daos::ContHandle>(
-        [&] { return client_.cont_open(store_uuid); });
-    if (!opened_store.is_ok()) co_return opened_store.status();
-    store_cont = opened_store.value();
-  }
-  co_return co_await fields_of(forecast_key, index_cont, store_cont);
+  if (config_.mode != Mode::full) co_return co_await fields_of(forecast_key, main_cont_, main_cont_);
+  auto opened = co_await open_containers(forecast_key);
+  if (!opened.is_ok()) co_return opened.status();
+  co_return co_await fields_of(forecast_key, opened.value().index, opened.value().store);
 }
 
 sim::Task<Result<std::vector<FieldEntry>>> Catalogue::list_fields_at(const std::string& forecast_key,
@@ -107,27 +101,18 @@ sim::Task<Result<std::vector<FieldEntry>>> Catalogue::list_fields_at(const std::
     co_return fields;
   }
 
-  auto exists = co_await retrier_.run_result<std::string>(
-      [&] { return client_.kv_get(main_kv_, forecast_key); });
-  if (!exists.is_ok()) co_return exists.status();
-  const daos::Uuid index_uuid = daos::Uuid::from_string_md5(forecast_key + ":index");
-  auto opened_index = co_await retrier_.run_result<daos::ContHandle>(
-      [&] { return client_.cont_open(index_uuid); });
-  if (!opened_index.is_ok()) co_return opened_index.status();
-  const daos::Uuid store_uuid = daos::Uuid::from_string_md5(forecast_key + ":store");
-  auto opened_store = co_await retrier_.run_result<daos::ContHandle>(
-      [&] { return client_.cont_open(store_uuid); });
-  if (!opened_store.is_ok()) co_return opened_store.status();
+  auto opened = co_await open_containers(forecast_key);
+  if (!opened.is_ok()) co_return opened.status();
 
   // Pin the index (publication point) first, then the store — the same
   // order as FieldIo::pin_snapshot, for the same reason: every entry
   // visible at the pinned index epoch was published before the store pin.
   auto index_snap = co_await retrier_.run_result<daos::ContHandle>(
-      [&] { return client_.cont_snapshot(opened_index.value(), epoch); });
+      [&] { return client_.cont_snapshot(opened.value().index, epoch); });
   if (!index_snap.is_ok()) co_return index_snap.status();
   daos::ContHandle index_cont = index_snap.value();
   auto store_snap = co_await retrier_.run_result<daos::ContHandle>(
-      [&] { return client_.cont_snapshot(opened_store.value(), epoch); });
+      [&] { return client_.cont_snapshot(opened.value().store, epoch); });
   if (!store_snap.is_ok()) {
     (co_await client_.snapshot_close(index_cont)).expect_ok("Catalogue snapshot release");
     co_return store_snap.status();
@@ -165,7 +150,7 @@ sim::Task<Result<Catalogue::PurgeReport>> Catalogue::purge(const std::string& fo
     auto exists = co_await retrier_.run_result<std::string>(
         [&] { return client_.kv_get(main_kv_, forecast_key); });
     if (!exists.is_ok()) co_return exists.status();
-    const daos::Uuid store_uuid = daos::Uuid::from_string_md5(forecast_key + ":store");
+    const daos::Uuid store_uuid = store_container_uuid(forecast_key);
     auto opened = co_await retrier_.run_result<daos::ContHandle>(
         [&] { return client_.cont_open(store_uuid); });
     if (!opened.is_ok()) co_return opened.status();

@@ -72,6 +72,13 @@ class Catalogue {
   sim::Task<Result<PurgeReport>> purge(const std::string& forecast_key);
 
  private:
+  struct ForecastContainers {
+    daos::ContHandle index;
+    daos::ContHandle store;
+  };
+  /// Full mode: looks the forecast up in the main index, then opens its
+  /// index and store containers.
+  sim::Task<Result<ForecastContainers>> open_containers(const std::string& forecast_key);
   sim::Task<Result<std::vector<FieldEntry>>> fields_of(const std::string& forecast_key,
                                                        daos::ContHandle index_cont,
                                                        daos::ContHandle store_cont);

@@ -7,20 +7,6 @@
 
 namespace nws::fdb {
 
-namespace {
-// A std::string (not const char*) so retry lambdas can pass it to const
-// std::string& coroutine parameters without materialising a temporary that
-// would die before the lazy task runs.
-const std::string kStoreContainerEntry = "__store_container";
-
-daos::Uuid index_container_uuid(const std::string& msk) {
-  return daos::Uuid::from_string_md5(msk + ":index");
-}
-daos::Uuid store_container_uuid(const std::string& msk) {
-  return daos::Uuid::from_string_md5(msk + ":store");
-}
-}  // namespace
-
 const char* mode_name(Mode mode) {
   switch (mode) {
     case Mode::full: return "full";
@@ -72,18 +58,10 @@ sim::Task<Status> FieldIo::init() {
   pool_ = co_await client_.pool_connect();
   main_cont_ = co_await client_.main_cont_open();
   if (config_.mode != Mode::no_index) {
-    // The main index: one well-known KV in the main container.
-    const daos::ObjectId main_oid =
-        daos::ObjectId::from_digest(md5("nws:main-index"), daos::ObjectType::key_value, config_.kv_class);
-    main_kv_ = co_await client_.kv_open(main_cont_, main_oid);
+    main_kv_ = co_await client_.kv_open(main_cont_, main_index_oid(config_.kv_class));
   }
   initialised_ = true;
   co_return Status::ok();
-}
-
-daos::ObjectId FieldIo::forecast_kv_oid(const std::string& msk) const {
-  return daos::ObjectId::from_digest(md5(msk + ":index-kv"), daos::ObjectType::key_value,
-                                     config_.kv_class);
 }
 
 daos::ObjectId FieldIo::next_array_oid() {
@@ -116,23 +94,7 @@ sim::Task<Result<FieldIo::ForecastHandles*>> FieldIo::resolve_forecast_for_write
   // Algorithm 1: query the main index for the forecast.
   auto indexed = co_await retrier_.run_result<std::string>(
       [&] { return client_.kv_get(main_kv_, msk); });
-  if (indexed.is_ok()) {
-    const daos::Uuid index_uuid = index_container_uuid(msk);
-    auto index_cont = co_await retrier_.run_result<daos::ContHandle>(
-        [&] { return client_.cont_open(index_uuid); });
-    if (!index_cont.is_ok()) co_return index_cont.status();
-    handles.index_cont = index_cont.value();
-    handles.index_kv = co_await client_.kv_open(handles.index_cont, forecast_kv_oid(msk));
-    auto store_ref = co_await retrier_.run_result<std::string>(
-        [&] { return client_.kv_get(handles.index_kv, kStoreContainerEntry); });
-    if (!store_ref.is_ok()) co_return store_ref.status();
-    const daos::Uuid resolved_store_uuid = daos::Uuid::from_string_md5(store_ref.value());
-    auto store_cont = co_await retrier_.run_result<daos::ContHandle>(
-        [&] { return client_.cont_open(resolved_store_uuid); });
-    if (!store_cont.is_ok()) co_return store_cont.status();
-    handles.store_cont = store_cont.value();
-    co_return &forecasts_.emplace(msk, handles).first->second;
-  }
+  if (indexed.is_ok()) co_return co_await open_indexed_forecast(msk);
   if (indexed.status().code() != Errc::not_found) co_return indexed.status();
 
   // Not indexed yet: create the forecast index and store containers.  Ids
@@ -157,10 +119,10 @@ sim::Task<Result<FieldIo::ForecastHandles*>> FieldIo::resolve_forecast_for_write
   // the forecast in the main index.
   handles.index_kv = co_await client_.kv_open(handles.index_cont, forecast_kv_oid(msk));
   const Status store_reg = co_await retrier_.run(
-      [&] { return client_.kv_put(handles.index_kv, kStoreContainerEntry, msk + ":store"); });
+      [&] { return client_.kv_put(handles.index_kv, kStoreContainerEntry, store_container_name(msk)); });
   if (!store_reg.is_ok()) co_return store_reg;
   const Status main_reg =
-      co_await retrier_.run([&] { return client_.kv_put(main_kv_, msk, msk + ":index"); });
+      co_await retrier_.run([&] { return client_.kv_put(main_kv_, msk, index_container_name(msk)); });
   if (!main_reg.is_ok()) co_return main_reg;
 
   co_return &forecasts_.emplace(msk, handles).first->second;
@@ -170,12 +132,11 @@ sim::Task<Result<FieldIo::ForecastHandles*>> FieldIo::resolve_forecast_for_read(
   const auto cached = forecasts_.find(msk);
   if (cached != forecasts_.end()) co_return &cached->second;
 
-  ForecastHandles handles;
-
   if (config_.mode == Mode::no_containers) {
     auto indexed = co_await retrier_.run_result<std::string>(
         [&] { return client_.kv_get(main_kv_, msk); });
     if (!indexed.is_ok()) co_return indexed.status();  // unknown forecasts fail
+    ForecastHandles handles;
     handles.index_cont = main_cont_;
     handles.store_cont = main_cont_;
     handles.index_kv = co_await client_.kv_open(main_cont_, forecast_kv_oid(msk));
@@ -186,7 +147,11 @@ sim::Task<Result<FieldIo::ForecastHandles*>> FieldIo::resolve_forecast_for_read(
   auto indexed = co_await retrier_.run_result<std::string>(
       [&] { return client_.kv_get(main_kv_, msk); });
   if (!indexed.is_ok()) co_return indexed.status();
+  co_return co_await open_indexed_forecast(msk);
+}
 
+sim::Task<Result<FieldIo::ForecastHandles*>> FieldIo::open_indexed_forecast(const std::string& msk) {
+  ForecastHandles handles;
   const daos::Uuid index_uuid = index_container_uuid(msk);
   auto index_cont = co_await retrier_.run_result<daos::ContHandle>(
       [&] { return client_.cont_open(index_uuid); });

@@ -28,6 +28,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/md5.h"
 #include "common/status.h"
 #include "daos/client.h"
 #include "daos/retry.h"
@@ -79,6 +80,33 @@ inline FieldIoStats& operator+=(FieldIoStats& a, const FieldIoStats& b) {
   a.snapshot_pins += b.snapshot_pins;
   return a;
 }
+
+// --- the naming scheme (Section 4), shared by FieldIo and Catalogue ---------
+
+/// The main index: one well-known KV in the main container.
+inline daos::ObjectId main_index_oid(daos::ObjectClass kv_class) {
+  return daos::ObjectId::from_digest(md5("nws:main-index"), daos::ObjectType::key_value, kv_class);
+}
+/// A forecast's index KV, named by its most-significant key part.
+inline daos::ObjectId forecast_index_oid(const std::string& msk, daos::ObjectClass kv_class) {
+  return daos::ObjectId::from_digest(md5(msk + ":index-kv"), daos::ObjectType::key_value, kv_class);
+}
+/// Container names, recorded as index values (the main index maps a forecast
+/// to its index container, the forecast index KV's kStoreContainerEntry to
+/// its store container); a container's uuid is the md5 of its name.
+inline std::string index_container_name(const std::string& msk) { return msk + ":index"; }
+inline std::string store_container_name(const std::string& msk) { return msk + ":store"; }
+inline daos::Uuid index_container_uuid(const std::string& msk) {
+  return daos::Uuid::from_string_md5(index_container_name(msk));
+}
+inline daos::Uuid store_container_uuid(const std::string& msk) {
+  return daos::Uuid::from_string_md5(store_container_name(msk));
+}
+/// The forecast index KV's special entry naming the store container.  A
+/// std::string (not const char*) so retry lambdas can pass it to const
+/// std::string& coroutine parameters without materialising a temporary that
+/// would die before the lazy task runs.
+inline const std::string kStoreContainerEntry = "__store_container";
 
 /// Per-process field reader/writer.  Pool and container connections are
 /// cached, as in the paper's benchmark ("Pool and container connections in a
@@ -160,13 +188,18 @@ class FieldIo {
   /// Read path of Algorithm 2: resolves via the main index only; fails with
   /// not_found for unknown forecasts.
   sim::Task<Result<ForecastHandles*>> resolve_forecast_for_read(const std::string& msk);
+  /// Full mode, forecast found in the main index: opens its index container,
+  /// index KV and (via the KV's store entry) store container, and caches them.
+  sim::Task<Result<ForecastHandles*>> open_indexed_forecast(const std::string& msk);
 
   /// Algorithm 2 against a pinned forecast: bypasses the live handle caches
   /// so every resolution happens at the snapshot epoch.
   sim::Task<Result<Bytes>> read_pinned(const FieldKey& key, PinnedForecast& pin, std::uint8_t* out,
                                        Bytes out_len);
 
-  [[nodiscard]] daos::ObjectId forecast_kv_oid(const std::string& msk) const;
+  [[nodiscard]] daos::ObjectId forecast_kv_oid(const std::string& msk) const {
+    return forecast_index_oid(msk, config_.kv_class);
+  }
   [[nodiscard]] daos::ObjectId next_array_oid();
 
   daos::Client& client_;

@@ -4,7 +4,6 @@
 #include <barrier>
 // NWSLINT(allow-file:determinism): steady_clock here only measures barrier-wait wall time for PartitionRunStats; it never feeds simulated time, seeds, or report output
 #include <chrono>
-#include <mutex>
 #include <thread>
 
 #include "common/log.h"
@@ -15,12 +14,8 @@ PartitionedScheduler::PartitionedScheduler(PartitionConfig config) : config_(std
   if (config_.partitions == 0) throw std::invalid_argument("partitions must be >= 1");
   parts_.reserve(config_.partitions);
   for (std::size_t p = 0; p < config_.partitions; ++p) {
-    auto part = std::make_unique<Part>();
-    part->outbox.reserve(config_.partitions);
-    for (std::size_t q = 0; q < config_.partitions; ++q) {
-      part->outbox.push_back(std::make_unique<SpscMailbox>());
-    }
-    parts_.push_back(std::move(part));
+    parts_.push_back(std::make_unique<Part>());
+    parts_.back()->outbox.resize(config_.partitions);
   }
 }
 
@@ -50,21 +45,20 @@ void PartitionedScheduler::exec_slice(std::size_t p, TimePoint horizon) {
     part.error = std::current_exception();
   }
   if (config_.slice_scope) config_.slice_scope(p, false);
-  part.executed_in_window = ran;
   if (ran == 0) ++part.null_windows;
 }
 
-void PartitionedScheduler::drain_all_mailboxes() {
-  // Canonical delivery order — (destination, source, send sequence) — keeps
-  // the destination's (t, seq) tie-break identical for every worker count.
+void PartitionedScheduler::deliver_cross_events() {
+  // Canonical delivery order — (destination, source, send order) — keeps the
+  // destination's (t, seq) tie-break identical for every worker count.  A
+  // partition's outbox to itself stays empty: post() rejects self-sends.
   for (std::size_t to = 0; to < parts_.size(); ++to) {
     Scheduler& dst = parts_[to]->sched;
-    for (std::size_t from = 0; from < parts_.size(); ++from) {
-      if (from == to) continue;
-      parts_[from]->outbox[to]->drain([&](CrossEvent&& ev) {
-        ++stats_.cross_events;
-        dst.schedule_callback(ev.t, std::move(ev.callback));
-      });
+    for (const auto& src : parts_) {
+      std::vector<CrossEvent>& box = src->outbox[to];
+      for (CrossEvent& ev : box) dst.schedule_callback(ev.t, std::move(ev.callback));
+      stats_.cross_events += box.size();
+      box.clear();
     }
   }
 }
@@ -109,19 +103,7 @@ void PartitionedScheduler::run_serial_merged() {
   }
 }
 
-void PartitionedScheduler::run_windowed_single() {
-  windowed_ = true;
-  horizon_ = compute_next_horizon();
-  while (horizon_ != Scheduler::kNoEventTime) {
-    for (std::size_t p = 0; p < parts_.size(); ++p) exec_slice(p, horizon_);
-    drain_all_mailboxes();
-    ++stats_.windows;
-    horizon_ = compute_next_horizon();
-  }
-  windowed_ = false;
-}
-
-void PartitionedScheduler::run_windowed_threaded() {
+void PartitionedScheduler::run_windowed() {
   const std::size_t workers = stats_.workers_used;
   windowed_ = true;
   horizon_ = compute_next_horizon();
@@ -129,36 +111,39 @@ void PartitionedScheduler::run_windowed_threaded() {
 
   // Completion step: runs on exactly one thread after all workers arrive, and
   // its effects happen-before every worker's release from the barrier — so
-  // the drain, the stats updates, and the horizon/done writes need no extra
-  // synchronisation.
+  // the outbox drain, the stats updates, and the horizon/done writes need no
+  // extra synchronisation.
   auto on_window_complete = [&]() noexcept {
-    drain_all_mailboxes();
+    deliver_cross_events();
     ++stats_.windows;
     horizon_ = compute_next_horizon();
-    if (horizon_ == Scheduler::kNoEventTime) done = true;
+    done = horizon_ == Scheduler::kNoEventTime;
   };
   std::barrier barrier(static_cast<std::ptrdiff_t>(workers), on_window_complete);
 
-  std::mutex wait_mutex;
-  double total_wait = 0;
+  std::vector<double> wait_seconds(workers, 0.0);  // one slot per worker
   auto worker_loop = [&](std::size_t w) {
-    double wait_seconds = 0;
+    double waited = 0;
     while (!done) {
       for (std::size_t p = w; p < parts_.size(); p += workers) exec_slice(p, horizon_);
       const auto wait_start = std::chrono::steady_clock::now();
       barrier.arrive_and_wait();
-      wait_seconds += std::chrono::duration<double>(std::chrono::steady_clock::now() - wait_start).count();
+      waited += std::chrono::duration<double>(std::chrono::steady_clock::now() - wait_start).count();
     }
-    const std::lock_guard<std::mutex> lock(wait_mutex);
-    total_wait += wait_seconds;
+    wait_seconds[w] = waited;
   };
 
+  // Worker 0 is the calling thread; a single worker starts no thread.
   std::vector<std::thread> threads;
   threads.reserve(workers - 1);
   for (std::size_t w = 1; w < workers; ++w) threads.emplace_back(worker_loop, w);
   worker_loop(0);
   for (std::thread& t : threads) t.join();
-  stats_.barrier_wait_seconds = total_wait;
+  // A lone worker never waits for another; its barrier only runs the
+  // completion step.
+  if (workers > 1) {
+    for (const double s : wait_seconds) stats_.barrier_wait_seconds += s;
+  }
   windowed_ = false;
 }
 
@@ -167,7 +152,6 @@ void PartitionedScheduler::finish_run() {
     stats_.events_executed += part->sched.events_executed();
     stats_.null_windows += part->null_windows;
     stats_.cross_events += part->direct_cross_events;
-    for (const auto& box : part->outbox) stats_.mailbox_spills += box->spills();
   }
   for (const auto& part : parts_) {
     if (part->error) std::rethrow_exception(part->error);
@@ -195,10 +179,8 @@ void PartitionedScheduler::run() {
   } else if (config_.lookahead <= 0) {
     stats_.workers_used = 1;
     run_serial_merged();
-  } else if (stats_.workers_used == 1) {
-    run_windowed_single();
   } else {
-    run_windowed_threaded();
+    run_windowed();
   }
   finish_run();
 }

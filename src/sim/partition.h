@@ -8,9 +8,9 @@
 //   window n:   W_n     = min over partitions of next_event_time()
 //               horizon = W_n + L
 //               every partition executes all its events with t < horizon
-//   barrier:    cross-partition mailboxes are drained in canonical order
-//               (destination asc, source asc, send sequence asc) and their
-//               events scheduled into the destination queues; the next W is
+//   barrier:    cross-partition outboxes are drained in canonical order
+//               (destination asc, source asc, send order) and their events
+//               scheduled into the destination queues; the next W is
 //               computed; repeat until every queue is empty.
 //
 // Safety: a cross-partition event sent while executing window n is stamped
@@ -35,7 +35,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/mailbox.h"
 #include "sim/scheduler.h"
 #include "sim/time.h"
 
@@ -65,8 +64,7 @@ struct PartitionConfig {
 struct PartitionRunStats {
   std::uint64_t windows = 0;        // barrier rounds executed
   std::uint64_t null_windows = 0;   // partition-windows that ran 0 events
-  std::uint64_t cross_events = 0;   // events exchanged through mailboxes
-  std::uint64_t mailbox_spills = 0; // cross events that overflowed a ring
+  std::uint64_t cross_events = 0;   // events exchanged between partitions
   std::uint64_t events_executed = 0;
   std::size_t partitions = 0;
   std::size_t workers_used = 0;
@@ -108,7 +106,7 @@ class PartitionedScheduler {
     if (windowed_) {
       InlineCallback callback;
       callback.emplace(std::forward<F>(cb));
-      src.outbox[to]->push(t, src.send_seq++, std::move(callback));
+      src.outbox[to].push_back(CrossEvent{t, std::move(callback)});
     } else {
       // Serial fallback / pre-run setup: deliver directly, same counters.
       ++src.direct_cross_events;
@@ -124,22 +122,29 @@ class PartitionedScheduler {
   [[nodiscard]] const PartitionRunStats& stats() const { return stats_; }
 
  private:
+  /// One cross-partition event: run `callback` on the destination at `t`.
+  struct CrossEvent {
+    TimePoint t = 0;
+    InlineCallback callback;
+  };
+
   struct Part {
     Scheduler sched;
-    std::uint64_t send_seq = 0;          // producer order for this source
-    std::uint64_t executed_in_window = 0;
     std::uint64_t null_windows = 0;
     std::uint64_t direct_cross_events = 0;
-    std::exception_ptr error;            // first failure seen on this partition
-    std::vector<std::unique_ptr<SpscMailbox>> outbox;  // one per destination
+    std::exception_ptr error;  // first failure seen on this partition
+    /// Events posted inside the current window, one vector per destination
+    /// in send order.  Only this partition's worker appends to them, and
+    /// only the barrier's completion step drains them, so the barrier's
+    /// ordering is the only synchronisation they need.
+    std::vector<std::vector<CrossEvent>> outbox;
   };
 
   void check_post(std::size_t from, std::size_t to, TimePoint t) const;
   void run_serial_merged();
-  void run_windowed_single();
-  void run_windowed_threaded();
-  /// Barrier-step helpers shared by the single-thread and threaded loops.
-  void drain_all_mailboxes();
+  void run_windowed();
+  /// Barrier completion step: moves every outbox into its destination queue.
+  void deliver_cross_events();
   [[nodiscard]] TimePoint compute_next_horizon();
   void exec_slice(std::size_t p, TimePoint horizon);
   void finish_run();

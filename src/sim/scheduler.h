@@ -200,7 +200,7 @@ class Scheduler {
     return Timer{timers_, slot, s.generation};
   }
 
-  /// Overload for already type-erased callbacks (cross-partition mailbox
+  /// Overload for already type-erased callbacks (cross-partition outbox
   /// delivery): moves straight into the slot, no second erasure layer.
   Timer schedule_callback(TimePoint t, InlineCallback cb) {
     if (t < now_) throw std::logic_error("schedule_callback in the past");

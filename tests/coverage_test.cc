@@ -212,7 +212,7 @@ TEST(JitterTest, SeedChangesTimingButNotOutcome) {
 TEST(FaultInjectionTest, PartialFailureRateDegradesGracefully) {
   sim::Scheduler sched;
   daos::ClusterConfig cfg = bench::testbed_config(1, 1);
-  cfg.faults.io_failure_rate = 0.3;
+  cfg.fault_spec.transient_error_rate = 0.3;
   daos::Cluster cluster(sched, cfg);
   int ok = 0;
   int failed = 0;
@@ -220,8 +220,14 @@ TEST(FaultInjectionTest, PartialFailureRateDegradesGracefully) {
     daos::Client client(cl, cl.client_endpoint(0, 0), 0);
     daos::ContHandle cont = co_await client.main_cont_open();
     for (std::uint64_t i = 0; i < 60; ++i) {
+      // Both the create and the write consult the fault plan.
       const ObjectId oid = ObjectId::generate(3, i, ObjectType::array, ObjectClass::S1);
       auto arr = co_await client.array_create(cont, oid, 1, 1_MiB);
+      if (!arr.is_ok()) {
+        ++*fail_count;
+        continue;
+      }
+      ++*ok_count;
       auto handle = arr.value();
       const Status st = co_await client.array_write(handle, 0, nullptr, 1_MiB);
       st.is_ok() ? ++*ok_count : ++*fail_count;
@@ -230,10 +236,11 @@ TEST(FaultInjectionTest, PartialFailureRateDegradesGracefully) {
   };
   sched.spawn(proc(cluster, &ok, &failed));
   sched.run();
-  // Roughly 30% of operations fail; the rest complete normally.
+  // Roughly 30% of operations fail, each one an injected transient error;
+  // the rest complete normally.
   EXPECT_GT(failed, 5);
   EXPECT_GT(ok, 20);
-  EXPECT_EQ(ok + failed, 60);
+  EXPECT_EQ(static_cast<std::uint64_t>(failed), cluster.fault_plan()->stats().transient_errors);
 }
 
 }  // namespace

@@ -487,17 +487,17 @@ TEST(ClientTest, IoFailureInjection) {
   sim::Scheduler sched;
   ClusterConfig cfg = small_config();
   cfg.payload_mode = PayloadMode::digest;
-  cfg.faults.io_failure_rate = 1.0;  // always fail
+  cfg.fault_spec.transient_error_rate = 1.0;  // every fault-checked op fails
   Cluster cluster(sched, cfg);
   run_client(cluster, [](Client& c) -> sim::Task<void> {
     ContHandle main = co_await c.main_cont_open();
     const ObjectId oid = ObjectId::generate(0, 5, ObjectType::array, ObjectClass::S1);
-    auto arr = co_await c.array_create(main, oid, 1, 1_MiB);
-    auto handle = arr.value();
-    EXPECT_EQ((co_await c.array_write(handle, 0, nullptr, 1_MiB)).code(), Errc::io_error);
+    EXPECT_EQ((co_await c.array_create(main, oid, 1, 1_MiB)).status().code(), Errc::io_error);
     KvHandle kv = co_await c.kv_open(main, ObjectId::generate(0, 6, ObjectType::key_value, ObjectClass::S1));
     EXPECT_EQ((co_await c.kv_put(kv, "k", "v")).code(), Errc::io_error);
+    EXPECT_EQ((co_await c.kv_get(kv, "k")).status().code(), Errc::io_error);
   });
+  EXPECT_EQ(cluster.fault_plan()->stats().transient_errors, 3u);
 }
 
 TEST(ClientTest, LargerTransfersAreMoreEfficient) {

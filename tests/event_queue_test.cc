@@ -1,6 +1,8 @@
 // Tests for the asynchronous event-queue API and array destruction/purge.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "daos/client.h"
 #include "daos/cluster.h"
 #include "daos/event_queue.h"
@@ -106,14 +108,17 @@ TEST(EventQueueTest, FailuresSurfaceInStatus) {
   cfg.server_nodes = 1;
   cfg.client_nodes = 1;
   cfg.payload_mode = PayloadMode::digest;
-  cfg.faults.io_failure_rate = 1.0;
+  cfg.fault_spec.transient_error_rate = 1.0;
   Cluster cluster(sched, cfg);
   auto proc = [](Cluster& cl) -> sim::Task<void> {
     Client client(cl, cl.client_endpoint(0, 0), 0);
     ContHandle cont = co_await client.main_cont_open();
-    auto arr = (co_await client.array_create(cont, array_oid(30), 1, 1_MiB)).value();
+    // kv_open does not consult the fault plan; the put behind the event does.
+    KvHandle kv =
+        co_await client.kv_open(cont, ObjectId::generate(5, 30, ObjectType::key_value, ObjectClass::S1));
+    const std::string key = "k";
     EventQueue eq(cl.scheduler());
-    const EventId e = eq.launch(client.array_write(arr, 0, nullptr, 1_MiB));
+    const EventId e = eq.launch(client.kv_put(kv, key, "v"));
     co_await eq.wait_all();
     EXPECT_EQ(eq.status_of(e).code(), Errc::io_error);
   };

@@ -1,12 +1,13 @@
-// Tests for the conservative time-window partitioning stack: the SPSC
-// mailbox, the partitioned scheduler's window protocol, lookahead
-// derivation from the topology, and the --jobs determinism gate over a
-// registry of scenarios run through the harness's own runners.
+// Tests for the conservative time-window partitioning stack: the
+// partitioned scheduler's window protocol and cross-partition delivery
+// order, lookahead derivation from the topology, and the --jobs determinism
+// gate over a registry of scenarios run through the harness's own runners.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -17,41 +18,11 @@
 #include "net/provider.h"
 #include "net/topology.h"
 #include "obs/report.h"
-#include "sim/mailbox.h"
 #include "sim/partition.h"
 #include "sim/sync.h"
 
 namespace nws::sim {
 namespace {
-
-InlineCallback noop_callback() {
-  InlineCallback cb;
-  cb.emplace([] {});
-  return cb;
-}
-
-TEST(SpscMailboxTest, PreservesSendOrderThroughSpill) {
-  SpscMailbox box(4);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    box.push(static_cast<TimePoint>(100 + i), i, noop_callback());
-  }
-  EXPECT_EQ(box.spills(), 6u);  // pushes 5..10 overflowed the 4-slot ring
-  std::vector<std::uint64_t> seqs;
-  box.drain([&](CrossEvent&& ev) { seqs.push_back(ev.send_seq); });
-  ASSERT_EQ(seqs.size(), 10u);
-  for (std::uint64_t i = 0; i < 10; ++i) EXPECT_EQ(seqs[i], i);
-  EXPECT_TRUE(box.empty());
-}
-
-TEST(SpscMailboxTest, ReusableAfterDrain) {
-  SpscMailbox box(2);
-  box.push(1, 0, noop_callback());
-  box.drain([](CrossEvent&&) {});
-  box.push(2, 1, noop_callback());
-  std::size_t delivered = 0;
-  box.drain([&](CrossEvent&&) { ++delivered; });
-  EXPECT_EQ(delivered, 1u);
-}
 
 Task<void> delayed_post(PartitionedScheduler& psched, std::size_t from, std::size_t to,
                         Duration wait, Duration latency, TimePoint* delivered_at) {
@@ -187,6 +158,78 @@ TEST(PartitionedSchedulerTest, WorkerCountDoesNotChangeResults) {
   }
 }
 
+Task<void> post_burst(PartitionedScheduler& psched, std::size_t self, std::size_t count,
+                      std::vector<std::pair<std::size_t, std::size_t>>* delivered) {
+  Scheduler& sched = psched.partition(self);
+  co_await sched.delay(milliseconds(1));
+  const TimePoint t = sched.now() + microseconds(10);
+  for (std::size_t i = 0; i < count; ++i) {
+    psched.post(self, 0, t, [delivered, self, i] { delivered->emplace_back(self, i); });
+  }
+}
+
+/// Two sources post more same-timestamp events to one destination inside a
+/// single window than a fixed-size ring would hold.  The destination runs
+/// them in canonical order — every event of the lower source first, each
+/// source in send order — whatever the worker count.
+TEST(PartitionedSchedulerTest, CrossEventsKeepCanonicalOrder) {
+  constexpr std::size_t kPerSource = 5000;
+  const auto run_at = [](std::size_t workers) {
+    PartitionConfig cfg;
+    cfg.partitions = 3;
+    cfg.lookahead = microseconds(10);
+    cfg.workers = workers;
+    PartitionedScheduler psched(cfg);
+    std::vector<std::pair<std::size_t, std::size_t>> delivered;
+    psched.partition(2).spawn(post_burst(psched, 2, kPerSource, &delivered));
+    psched.partition(1).spawn(post_burst(psched, 1, kPerSource, &delivered));
+    psched.run();
+    EXPECT_EQ(psched.stats().cross_events, 2 * kPerSource) << "workers=" << workers;
+    return delivered;
+  };
+  const auto serial = run_at(1);
+  ASSERT_EQ(serial.size(), 2 * kPerSource);
+  for (std::size_t k = 0; k < serial.size(); ++k) {
+    const std::pair<std::size_t, std::size_t> expect{k < kPerSource ? 1 : 2, k % kPerSource};
+    ASSERT_EQ(serial[k], expect) << "delivery " << k;
+  }
+  EXPECT_EQ(run_at(3), serial);
+}
+
+/// Ping-pong between two partitions: every message opens a new window, so
+/// the outboxes are drained and refilled once per round.
+TEST(PartitionedSchedulerTest, CrossEventsFlowAcrossManyWindows) {
+  constexpr std::size_t kRounds = 500;
+  struct PingPong {
+    PartitionedScheduler* psched;
+    std::vector<TimePoint> sent_for;
+    std::vector<TimePoint> arrived_at;
+    void send(std::size_t from, TimePoint t) {
+      const std::size_t to = 1 - from;
+      sent_for.push_back(t);
+      psched->post(from, to, t, [this, to] {
+        const TimePoint now = psched->partition(to).now();
+        arrived_at.push_back(now);
+        if (arrived_at.size() < kRounds) send(to, now + microseconds(10 + arrived_at.size() % 3));
+      });
+    }
+  };
+  for (const std::size_t workers : {1u, 2u}) {
+    PartitionConfig cfg;
+    cfg.partitions = 2;
+    cfg.lookahead = microseconds(10);
+    cfg.workers = workers;
+    PartitionedScheduler psched(cfg);
+    PingPong game{&psched, {}, {}};
+    psched.partition(0).schedule_callback(0, [&game] { game.send(0, microseconds(10)); });
+    psched.run();
+    EXPECT_EQ(game.arrived_at.size(), kRounds) << "workers=" << workers;
+    EXPECT_EQ(game.arrived_at, game.sent_for) << "workers=" << workers;
+    EXPECT_EQ(psched.stats().cross_events, kRounds) << "workers=" << workers;
+    EXPECT_GE(psched.stats().windows, kRounds) << "workers=" << workers;
+  }
+}
+
 }  // namespace
 }  // namespace nws::sim
 
@@ -265,7 +308,6 @@ std::string report_json(const std::string& scenario, std::uint64_t seed, const R
     table.add_row({"partition.windows", std::to_string(stats.windows)});
     table.add_row({"partition.null_windows", std::to_string(stats.null_windows)});
     table.add_row({"partition.cross_events", std::to_string(stats.cross_events)});
-    table.add_row({"partition.mailbox_spills", std::to_string(stats.mailbox_spills)});
     table.add_row({"partition.serial_fallback", stats.serial_fallback ? "1" : "0"});
   }
   report.add_table("deterministic outcome", table);
