@@ -15,10 +15,12 @@
 // Two scenarios per backend: `stream` (large fields, bandwidth-bound) and
 // `meta` (small fields plus a partial unaligned overwrite, periodic
 // directory listings and unlink cleanup — metadata-op-rate-bound).  Every
-// payload read back is compared byte for byte with the regenerated
-// expected bytes, patch included.  The bench asserts the paper's interface
-// ordering on the metadata-heavy scenario: native >= dfs >= posix fields/s.
-#include <cstring>
+// payload read back is verified byte for byte, in place, against the
+// deterministic field payload, patch included.  The bench asserts the
+// paper's interface ordering on the metadata-heavy scenario: native >= dfs
+// >= posix fields/s.
+#include <array>
+#include <memory>
 
 #include "bench_util.h"
 #include "common/md5.h"
@@ -53,21 +55,33 @@ std::string field_canonical(std::uint32_t rank, std::uint32_t op) {
   return "fc" + std::to_string(rank) + "/" + field_name(op);
 }
 
-/// The bytes a verifying reader must see: the deterministic payload, with
-/// the meta scenario's patch applied on top.
-std::vector<std::uint8_t> expected_bytes(const std::string& canonical, Bytes size, bool meta) {
-  auto payload = bench::make_field_payload(canonical, size);
-  if (meta) {
-    const auto patch = bench::make_field_payload(canonical + "#patch", kPatchLen);
-    std::memcpy(payload.data() + kPatchOffset, patch.data(), patch.size());
-  }
-  return payload;
+std::string patch_key(const std::string& canonical) { return canonical + "#patch"; }
+
+/// Whether `got` holds what a verifying reader must see, checked in place:
+/// the field's payload, and in the meta scenario the patch's payload over
+/// [kPatchOffset, kPatchOffset + kPatchLen).
+bool verify_read_back(const std::uint8_t* got, Bytes n, const std::string& canonical, bool meta) {
+  if (!meta) return bench::verify_field_payload(got, 0, n, canonical);
+  constexpr Bytes kPatchEnd = kPatchOffset + kPatchLen;
+  return bench::verify_field_payload(got, 0, kPatchOffset, canonical) &&
+         bench::verify_field_payload(got + kPatchOffset, 0, kPatchLen, patch_key(canonical)) &&
+         bench::verify_field_payload(got + kPatchEnd, kPatchEnd, n - kPatchEnd, canonical);
 }
 
-bool payload_matches(const std::uint8_t* got, Bytes n, const std::string& canonical, bool meta) {
-  const auto expected = expected_bytes(canonical, n, meta);
-  return std::memcmp(got, expected.data(), static_cast<std::size_t>(n)) == 0;
-}
+/// One process's byte buffers: each op fills them for its writes, and the
+/// read phase reads back into `field`.
+struct FieldBuffers {
+  explicit FieldBuffers(Bytes field_size)
+      : field(std::make_unique_for_overwrite<std::uint8_t[]>(static_cast<std::size_t>(field_size))) {}
+
+  void fill(const std::string& canonical, Bytes field_size, bool meta) {
+    bench::fill_field_payload(field.get(), 0, field_size, canonical);
+    if (meta) bench::fill_field_payload(patch.data(), 0, kPatchLen, patch_key(canonical));
+  }
+
+  std::unique_ptr<std::uint8_t[]> field;
+  std::array<std::uint8_t, kPatchLen> patch{};
+};
 
 struct FsShared {
   dfs::DfsStats dfs_stats;
@@ -85,7 +99,7 @@ struct FsShared {
 
 /// One process of the dfs / posix campaign: write (and in the meta scenario
 /// patch, list) every field of its own forecast, barrier, read each back
-/// MD5-verified (and unlink in the meta scenario).
+/// and verify it (and unlink in the meta scenario).
 sim::Task<void> fs_process(daos::Cluster& cluster, Campaign camp, bool posix_mode,
                            sim::Mutex& shared_meta, FsShared& shared, bench::IoLog& wlog,
                            bench::IoLog& rlog, sim::Barrier& phase, std::uint32_t node,
@@ -112,22 +126,22 @@ sim::Task<void> fs_process(daos::Cluster& cluster, Campaign camp, bool posix_mod
   if (!mounted.is_ok()) shared.fail("dfs mount failed: " + mounted.to_string());
   const std::string forecast = "fc" + std::to_string(rank);
 
+  FieldBuffers bufs(camp.field_size);
   for (std::uint32_t op = 0; op < camp.ops && !shared.failed; ++op) {
     const std::string canonical = field_canonical(rank, op);
-    const auto payload = bench::make_field_payload(canonical, camp.field_size);
+    bufs.fill(canonical, camp.field_size, camp.meta);
     client.set_trace_iteration(op);
     obs::Span io_span("io", "io", actor, op, static_cast<double>(camp.field_size));
     const sim::TimePoint t0 = cluster.scheduler().now();
-    Status st = co_await files.write_field(forecast, field_name(op), payload.data(),
+    Status st = co_await files.write_field(forecast, field_name(op), bufs.field.get(),
                                            camp.field_size);
     if (st.is_ok() && camp.meta) {
       // Partial unaligned overwrite of the published file.
-      const auto patch = bench::make_field_payload(canonical + "#patch", kPatchLen);
       const std::string path = dfs::ForecastFiles::field_path(forecast, field_name(op));
       if (posix_mode) {
         auto fd = co_await pfs.open(path);
         if (fd.is_ok()) {
-          st = co_await pfs.pwrite(fd.value(), kPatchOffset, patch.data(), kPatchLen);
+          st = co_await pfs.pwrite(fd.value(), kPatchOffset, bufs.patch.data(), kPatchLen);
           const Status closed = co_await pfs.close(fd.value());
           if (st.is_ok()) st = closed;
         } else {
@@ -136,7 +150,7 @@ sim::Task<void> fs_process(daos::Cluster& cluster, Campaign camp, bool posix_mod
       } else {
         auto file = co_await fs.open(path);
         if (file.is_ok()) {
-          st = co_await fs.write(file.value(), kPatchOffset, patch.data(), kPatchLen);
+          st = co_await fs.write(file.value(), kPatchOffset, bufs.patch.data(), kPatchLen);
           co_await fs.close(file.value());
         } else {
           st = file.status();
@@ -163,19 +177,18 @@ sim::Task<void> fs_process(daos::Cluster& cluster, Campaign camp, bool posix_mod
 
   co_await phase.arrive_and_wait();
 
-  std::vector<std::uint8_t> buf(static_cast<std::size_t>(camp.field_size));
   for (std::uint32_t op = 0; op < camp.ops && !shared.failed; ++op) {
     const std::string canonical = field_canonical(rank, op);
     client.set_trace_iteration(op);
     obs::Span io_span("io", "io", actor, op, static_cast<double>(camp.field_size));
     const sim::TimePoint t0 = cluster.scheduler().now();
-    auto n = co_await files.read_field(forecast, field_name(op), buf.data(), camp.field_size);
+    auto n = co_await files.read_field(forecast, field_name(op), bufs.field.get(), camp.field_size);
     if (!n.is_ok() || n.value() != camp.field_size) {
       shared.fail("read failed: " +
                   (n.is_ok() ? std::string("short read") : n.status().to_string()));
       break;
     }
-    if (!payload_matches(buf.data(), n.value(), canonical, camp.meta)) {
+    if (!verify_read_back(bufs.field.get(), n.value(), canonical, camp.meta)) {
       shared.fail("payload mismatch: " + canonical);
       break;
     }
@@ -192,7 +205,7 @@ sim::Task<void> fs_process(daos::Cluster& cluster, Campaign camp, bool posix_mod
 
 bench::RunOutcome run_fs_once(const Campaign& camp, bool posix_mode, std::uint64_t seed) {
   daos::ClusterConfig cfg = bench::testbed_config(camp.servers, camp.client_nodes);
-  cfg.payload_mode = daos::PayloadMode::full;  // MD5 verification needs bytes
+  cfg.payload_mode = daos::PayloadMode::full;  // verification needs bytes
   cfg.seed = seed;
   sim::Scheduler sched;
   const obs::ScopedClock trace_clock(sched);
@@ -243,23 +256,23 @@ sim::Task<void> lustre_process(lustre::LustreSystem& system, Campaign camp, Lust
   const std::string forecast = "fc" + std::to_string(rank);
   const std::string dir = "/fdb/" + md5(forecast).hex();
 
+  FieldBuffers bufs(camp.field_size);
   for (std::uint32_t op = 0; op < camp.ops && !shared.failed; ++op) {
     const std::string canonical = field_canonical(rank, op);
-    const auto payload = bench::make_field_payload(canonical, camp.field_size);
+    bufs.fill(canonical, camp.field_size, camp.meta);
     const std::string final_path = dfs::ForecastFiles::field_path(forecast, field_name(op));
     const std::string tmp_path = final_path + ".tmp";
     const sim::TimePoint t0 = system.scheduler().now();
     Status st = Status::ok();
     auto file = co_await client.create(tmp_path);
     if (!file.is_ok()) st = file.status();
-    if (st.is_ok()) st = co_await client.write(file.value(), 0, payload.data(), camp.field_size);
+    if (st.is_ok()) st = co_await client.write(file.value(), 0, bufs.field.get(), camp.field_size);
     if (file.is_ok()) co_await client.close(file.value());
     if (st.is_ok()) st = co_await client.rename(tmp_path, final_path);
     if (st.is_ok() && camp.meta) {
-      const auto patch = bench::make_field_payload(canonical + "#patch", kPatchLen);
       auto patched = co_await client.open(final_path);
       if (patched.is_ok()) {
-        st = co_await client.write(patched.value(), kPatchOffset, patch.data(), kPatchLen);
+        st = co_await client.write(patched.value(), kPatchOffset, bufs.patch.data(), kPatchLen);
         co_await client.close(patched.value());
       } else {
         st = patched.status();
@@ -278,7 +291,6 @@ sim::Task<void> lustre_process(lustre::LustreSystem& system, Campaign camp, Lust
 
   co_await phase.arrive_and_wait();
 
-  std::vector<std::uint8_t> buf(static_cast<std::size_t>(camp.field_size));
   for (std::uint32_t op = 0; op < camp.ops && !shared.failed; ++op) {
     const std::string canonical = field_canonical(rank, op);
     const std::string final_path = dfs::ForecastFiles::field_path(forecast, field_name(op));
@@ -288,14 +300,14 @@ sim::Task<void> lustre_process(lustre::LustreSystem& system, Campaign camp, Lust
       shared.fail("lustre open failed: " + file.status().to_string());
       break;
     }
-    auto n = co_await client.read(file.value(), 0, buf.data(), camp.field_size);
+    auto n = co_await client.read(file.value(), 0, bufs.field.get(), camp.field_size);
     co_await client.close(file.value());
     if (!n.is_ok() || n.value() != camp.field_size) {
       shared.fail("lustre read failed: " +
                   (n.is_ok() ? std::string("short read") : n.status().to_string()));
       break;
     }
-    if (!payload_matches(buf.data(), n.value(), canonical, camp.meta)) {
+    if (!verify_read_back(bufs.field.get(), n.value(), canonical, camp.meta)) {
       shared.fail("lustre payload mismatch: " + canonical);
       break;
     }
@@ -349,7 +361,7 @@ bench::RunOutcome run_native_once(const Campaign& camp, std::uint64_t seed) {
   params.ops_per_process = camp.ops;
   params.processes_per_node = camp.ppn;
   params.field_size = camp.field_size;
-  params.verify_payload = true;  // byte-exact: strictly stronger than MD5
+  params.verify_payload = true;  // every read verified byte for byte
   return bench::run_field_once(cfg, params, 'A', seed);
 }
 

@@ -11,7 +11,9 @@
 # plain pass also runs scripts/report_digests.sh, which fails when any
 # table/figure bench's results differ between the default --jobs and
 # --jobs 1, and builds the nwsbench benchmark (benchmark/, into
-# build-bench/) and runs its --smoke self-check.
+# build-bench/) and runs its --smoke self-check.  It also runs every
+# example with no arguments, and checks scripts/hostprof.py's folding of a
+# flat profile on a committed fixture.
 #
 # A coverage stage (--coverage-only, or part of the full run) rebuilds with
 # -DNWS_COVERAGE=ON, reruns the test suite and enforces the per-directory
@@ -112,6 +114,17 @@ if [[ $run_plain -eq 1 ]]; then
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DNWS_WERROR=ON
   cmake --build build -j "$jobs"
   NWS_JOBS="$jobs" ctest --test-dir build --output-on-failure -j "$jobs"
+  # Every example must run to completion with no arguments (a few seconds
+  # in all; they write no files).
+  for example in quickstart capacity_planning end_to_end_forecast fieldio_cli \
+                 nwp_operational_cycle; do
+    echo "==> example $example (no arguments)"
+    ./build/examples/"$example" >/dev/null
+  done
+  # hostprof's bucketing, on a committed flat profile: shares sum to 1 and
+  # known symbols land in their buckets (no profiling run, no timing gate).
+  echo "==> hostprof --fold (scripts/testdata/hostprof_flat.txt)"
+  python3 scripts/test_hostprof.py
   check_artifacts build
   echo "==> report digests (build/): every bench's results identical at --jobs 1"
   scripts/report_digests.sh build

@@ -1,5 +1,6 @@
 #include "common/md5.h"
 
+#include <bit>
 #include <cstring>
 
 namespace nws {
@@ -36,40 +37,37 @@ void Md5::reset() {
 }
 
 void Md5::process_block(const std::uint8_t* block) {
+  // The message words are little-endian (RFC 1321, Section 3.4).
   std::array<std::uint32_t, 16> m;
-  for (std::size_t i = 0; i < 16; ++i) {
-    m[i] = static_cast<std::uint32_t>(block[i * 4]) | (static_cast<std::uint32_t>(block[i * 4 + 1]) << 8) |
-           (static_cast<std::uint32_t>(block[i * 4 + 2]) << 16) |
-           (static_cast<std::uint32_t>(block[i * 4 + 3]) << 24);
+  std::memcpy(m.data(), block, sizeof(m));
+  if constexpr (std::endian::native == std::endian::big) {
+    for (std::uint32_t& w : m) w = __builtin_bswap32(w);
   }
 
   std::uint32_t a = state_[0];
   std::uint32_t b = state_[1];
   std::uint32_t c = state_[2];
   std::uint32_t d = state_[3];
-
-  for (std::uint32_t i = 0; i < 64; ++i) {
-    std::uint32_t f = 0;
-    std::uint32_t g = 0;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) % 16;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) % 16;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) % 16;
-    }
+  // One step: a = b + ((a + f + K[i] + M[g]) <<< s), then (a, b, c, d)
+  // rotate right by one.
+  const auto step = [&](std::uint32_t f, std::size_t i, std::size_t g) {
     const std::uint32_t tmp = d;
     d = c;
     c = b;
     b = b + rotl(a + f + kSine[i] + m[g], kShift[i]);
     a = tmp;
-  }
+  };
+
+  // One fully unrolled loop per round function, so every shift, constant
+  // and message index is a compile-time constant.
+#pragma GCC unroll 16
+  for (std::size_t i = 0; i < 16; ++i) step(d ^ (b & (c ^ d)), i, i);  // F
+#pragma GCC unroll 16
+  for (std::size_t i = 16; i < 32; ++i) step(c ^ (d & (b ^ c)), i, (5 * i + 1) % 16);  // G
+#pragma GCC unroll 16
+  for (std::size_t i = 32; i < 48; ++i) step(b ^ c ^ d, i, (3 * i + 5) % 16);  // H
+#pragma GCC unroll 16
+  for (std::size_t i = 48; i < 64; ++i) step(c ^ (b | ~d), i, (7 * i) % 16);  // I
 
   state_[0] += a;
   state_[1] += b;

@@ -185,8 +185,14 @@ Bytes ArrayObject::write(Bytes offset, const std::uint8_t* data, Bytes len, Epoc
   const Bytes end = offset + len;
   if (mode_ == PayloadMode::full) {
     if (data == nullptr) throw std::invalid_argument("full-mode array write needs data");
-    if (v.bytes.size() < end) v.bytes.resize(end, 0);
-    std::memcpy(v.bytes.data() + offset, data, len);
+    if (offset == 0 && len >= v.bytes.size()) {
+      // Covers the whole version: one copy, nothing zero-filled first.
+      v.bytes.assign(data, data + len);
+    } else {
+      // Partial: a hole up to `offset` reads as zeros.
+      if (v.bytes.size() < end) v.bytes.resize(end, 0);
+      std::memcpy(v.bytes.data() + offset, data, len);
+    }
     v.exact = true;
   } else {
     if (offset == 0) {

@@ -183,7 +183,10 @@ class ArrayObject {
   /// Stores `len` bytes at `offset` in the `epoch` version.  Writing past a
   /// retained older version copies it first (copy-on-write); with retention
   /// off the newest version is recycled in place.  Returns the bytes
-  /// actually copied.  In digest mode only size/checksum are retained:
+  /// actually copied.  In full mode a write at offset 0 that covers the
+  /// whole version replaces its bytes with one copy; a partial write keeps
+  /// the rest, and a hole it opens reads as zeros.  In digest mode only
+  /// size/checksum are retained:
   /// whole-object writes and pure appends keep an exact checksum; other
   /// partial re-writes fold the new bytes into a combined hash and the
   /// version's checksum_exact() turns false.

@@ -1,5 +1,8 @@
 #include "harness/field_bench.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -97,28 +100,146 @@ fdb::FieldKey bench_field_key(const FieldBenchParams& params, std::uint32_t glob
   return key;
 }
 
+namespace {
+
+constexpr std::size_t kTileBytes = 4096;
+constexpr std::size_t kTileWords = kTileBytes / 8;
+
+/// Payload words are stored little-endian: a byte swap on big-endian hosts,
+/// nothing on little-endian ones.  The swap is its own inverse, so loads
+/// use it too.
+std::uint64_t little_endian(std::uint64_t word) {
+  if constexpr (std::endian::native == std::endian::big) return __builtin_bswap64(word);
+  return word;
+}
+
+/// One key's tiled payload stream, able to produce any byte range: the
+/// key's block of SplitMix64 words (only as many as the range reaches) and
+/// the per-tile masks.
+class PayloadTiles {
+ public:
+  /// Generates the block words that bytes [0, end) reach.
+  PayloadTiles(std::string_view key_canonical, Bytes end) {
+    std::uint64_t h = 1469598103934665603ull;  // FNV-1a over the canonical key
+    for (const char c : key_canonical) h = (h ^ static_cast<std::uint8_t>(c)) * 1099511628211ull;
+    seed_ = mix64(h);
+    words_ = end >= kTileBytes ? kTileWords : static_cast<std::size_t>((end + 7) / 8);
+    Rng rng(seed_);
+    for (std::size_t i = 0; i < words_; ++i) block_[i] = rng.next_u64();
+  }
+
+  /// Walks payload bytes [offset, offset + n) in order, calling
+  /// part(word, skip, len) for a partial word at either end (bytes
+  /// [skip, skip + len) of the little-endian `word`) and
+  /// run(block, count, mask) for each stretch of whole words inside one
+  /// tile (payload word k of the stretch is block[k] ^ mask).  Stops and
+  /// returns false as soon as a callback returns false.
+  template <typename Part, typename Run>
+  bool walk(Bytes offset, Bytes n, const Part& part, const Run& run) const {
+    const Bytes end = offset + n;
+    if (offset % 8 != 0) {
+      const std::size_t skip = static_cast<std::size_t>(offset % 8);
+      const std::size_t len = static_cast<std::size_t>(std::min<Bytes>(8 - skip, n));
+      if (!part(word(offset / 8), skip, len)) return false;
+      offset += len;
+    }
+    for (Bytes first = offset / 8; first < end / 8;) {
+      const std::size_t i = static_cast<std::size_t>(first % kTileWords);
+      const std::size_t count =
+          static_cast<std::size_t>(std::min<Bytes>(end / 8 - first, kTileWords - i));
+      require_generated(i + count);
+      if (!run(block_.data() + i, count, mask(first / kTileWords))) return false;
+      first += count;
+    }
+    if (end % 8 == 0 || offset == end) return true;
+    return part(word(end / 8), 0, static_cast<std::size_t>(end % 8));
+  }
+
+ private:
+  void require_generated(std::size_t words) const {
+    if (words > words_) throw std::logic_error("PayloadTiles: read past the generated block words");
+  }
+
+  /// Little-endian payload word `j`, i.e. payload bytes [8j, 8j + 8).
+  [[nodiscard]] std::uint64_t word(Bytes j) const {
+    const std::size_t i = static_cast<std::size_t>(j % kTileWords);
+    require_generated(i + 1);
+    return little_endian(block_[i] ^ mask(j / kTileWords));
+  }
+
+  [[nodiscard]] std::uint64_t mask(Bytes tile) const {
+    return mix64(seed_ ^ ((tile + 1) * 0x9e3779b97f4a7c15ull));
+  }
+
+  std::uint64_t seed_ = 0;
+  std::size_t words_ = 0;
+  std::array<std::uint64_t, kTileWords> block_;  // [0, words_) generated
+};
+
+/// The payload key of one version of a versioned field.
+std::string version_key(const std::string& key_canonical, std::uint64_t version) {
+  return key_canonical + "#v" + std::to_string(version);
+}
+
+}  // namespace
+
+void fill_field_payload(std::uint8_t* out, Bytes offset, Bytes n, std::string_view key_canonical) {
+  if (n == 0) return;
+  const auto part = [&out](std::uint64_t word, std::size_t skip, std::size_t len) {
+    std::memcpy(out, reinterpret_cast<const std::uint8_t*>(&word) + skip, len);
+    out += len;
+    return true;
+  };
+  const auto run = [&out](const std::uint64_t* block, std::size_t count, std::uint64_t mask) {
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::uint64_t word = little_endian(block[k] ^ mask);
+      std::memcpy(out + 8 * k, &word, 8);
+    }
+    out += 8 * count;
+    return true;
+  };
+  PayloadTiles(key_canonical, offset + n).walk(offset, n, part, run);
+}
+
+bool verify_field_payload(const std::uint8_t* got, Bytes offset, Bytes n,
+                          std::string_view key_canonical) {
+  if (n == 0) return true;
+  const auto part = [&got](std::uint64_t word, std::size_t skip, std::size_t len) {
+    const auto* expected = reinterpret_cast<const std::uint8_t*>(&word) + skip;
+    for (std::size_t k = 0; k < len; ++k) {
+      if (got[k] != expected[k]) return false;
+    }
+    got += len;
+    return true;
+  };
+  // One branch per tile: the difference is accumulated over the stretch.
+  const auto run = [&got](const std::uint64_t* block, std::size_t count, std::uint64_t mask) {
+    std::uint64_t diff = 0;
+    for (std::size_t k = 0; k < count; ++k) {
+      std::uint64_t word = 0;
+      std::memcpy(&word, got + 8 * k, 8);
+      diff |= little_endian(word) ^ block[k] ^ mask;
+    }
+    got += 8 * count;
+    return diff == 0;
+  };
+  return PayloadTiles(key_canonical, offset + n).walk(offset, n, part, run);
+}
+
 std::vector<std::uint8_t> make_field_payload(const std::string& key_canonical, Bytes size) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over the canonical key
-  for (const char c : key_canonical) h = (h ^ static_cast<std::uint8_t>(c)) * 1099511628211ull;
-  Rng rng(mix64(h ^ size));
   std::vector<std::uint8_t> payload(static_cast<std::size_t>(size));
-  std::size_t i = 0;
-  for (; i + 8 <= payload.size(); i += 8) {
-    const std::uint64_t word = rng.next_u64();
-    std::memcpy(&payload[i], &word, 8);
-  }
-  if (i < payload.size()) {
-    const std::uint64_t word = rng.next_u64();
-    std::memcpy(&payload[i], &word, payload.size() - i);
-  }
+  fill_field_payload(payload.data(), 0, size, key_canonical);
   return payload;
 }
 
-std::vector<std::uint8_t> make_versioned_payload(const std::string& key_canonical, Bytes size,
-                                                 std::uint64_t version) {
-  auto payload = make_field_payload(key_canonical + "#v" + std::to_string(version), size);
-  if (payload.size() >= 8) std::memcpy(payload.data(), &version, 8);
-  return payload;
+void fill_versioned_payload(std::uint8_t* out, Bytes n, const std::string& key_canonical,
+                            std::uint64_t version) {
+  if (n < 8) {
+    fill_field_payload(out, 0, n, version_key(key_canonical, version));
+    return;
+  }
+  std::memcpy(out, &version, 8);
+  fill_field_payload(out + 8, 8, n - 8, version_key(key_canonical, version));
 }
 
 std::int64_t versioned_payload_version(const std::uint8_t* got, Bytes n,
@@ -127,20 +248,17 @@ std::int64_t versioned_payload_version(const std::uint8_t* got, Bytes n,
   std::uint64_t version = 0;
   std::memcpy(&version, got, 8);
   if (version > static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())) return -1;
-  const auto expected = make_versioned_payload(key_canonical, n, version);
-  if (std::memcmp(got, expected.data(), static_cast<std::size_t>(n)) != 0) return -1;
+  if (!verify_field_payload(got + 8, 8, n - 8, version_key(key_canonical, version))) return -1;
   return static_cast<std::int64_t>(version);
 }
 
 namespace {
 
-/// Verifies a read-back field against the regenerated expected payload.
-/// Compared byte-for-byte: strictly stronger than digest equality, and it
-/// keeps hashing cost out of the harness (the real MD5 checks the paper's
-/// clients perform are I/O-side work, not simulator work).
-bool payload_matches(const std::vector<std::uint8_t>& got, Bytes n, const std::string& key_canonical) {
-  const auto expected = make_field_payload(key_canonical, n);
-  return std::memcmp(got.data(), expected.data(), static_cast<std::size_t>(n)) == 0;
+/// One process's payload buffer of field_size bytes, left uninitialised
+/// (every op fills or reads it whole); null when the run moves no bytes.
+std::unique_ptr<std::uint8_t[]> payload_buffer(const FieldBenchParams& params, bool needed) {
+  if (!needed) return nullptr;
+  return std::make_unique_for_overwrite<std::uint8_t[]>(static_cast<std::size_t>(params.field_size));
 }
 
 void require_verifiable(const daos::Cluster& cluster, const FieldBenchParams& params) {
@@ -165,19 +283,15 @@ sim::Task<void> pattern_a_writer(daos::Cluster& cluster, const FieldBenchParams 
   co_await cluster.scheduler().delay(startup_skew(cluster, global_rank));
   (co_await self.io.init()).expect_ok("FieldIo::init");
 
-  std::vector<std::uint8_t> payload;
+  const auto payload = payload_buffer(params, params.verify_payload);
   for (std::uint32_t op = 0; op < params.ops_per_process && !shared.failed; ++op) {
     const fdb::FieldKey key = bench_field_key(params, global_rank, op, /*designated=*/false);
-    const std::uint8_t* data = nullptr;
-    if (params.verify_payload) {
-      payload = make_field_payload(key.canonical(), params.field_size);
-      data = payload.data();
-    }
+    if (payload) fill_field_payload(payload.get(), 0, params.field_size, key.canonical());
     self.client.set_trace_iteration(op);
     obs::Span io_span("io", "io", self.actor, op, static_cast<double>(params.field_size));
     const std::uint64_t retries_before = self.io.stats().retries;
     const sim::TimePoint start = cluster.scheduler().now();
-    const Status st = co_await self.io.write(key, data, params.field_size);
+    const Status st = co_await self.io.write(key, payload.get(), params.field_size);
     if (!st.is_ok()) {
       shared.fail("write failed: " + st.to_string());
       break;
@@ -190,26 +304,24 @@ sim::Task<void> pattern_a_writer(daos::Cluster& cluster, const FieldBenchParams 
 
 /// The read-and-verify loop of pattern A's readers and pattern B's live
 /// readers: reads bench_field_key(params, key_rank, op, designated) once per
-/// op, checking it against the regenerated payload under verify_payload.
+/// op, verifying it in place against the key's payload under verify_payload.
 sim::Task<void> read_fields(daos::Cluster& cluster, const FieldBenchParams& params, Process& self,
                             IoLog& log, std::uint32_t key_rank, bool designated) {
   Shared& shared = self.shared;
-  std::vector<std::uint8_t> buf;
-  if (params.verify_payload) buf.resize(static_cast<std::size_t>(params.field_size));
+  const auto buf = payload_buffer(params, params.verify_payload);
   for (std::uint32_t op = 0; op < params.ops_per_process && !shared.failed; ++op) {
     const fdb::FieldKey key = bench_field_key(params, key_rank, op, designated);
     self.client.set_trace_iteration(op);
     obs::Span io_span("io", "io", self.actor, op, static_cast<double>(params.field_size));
     const std::uint64_t retries_before = self.io.stats().retries;
     const sim::TimePoint start = cluster.scheduler().now();
-    auto n =
-        co_await self.io.read(key, params.verify_payload ? buf.data() : nullptr, params.field_size);
+    auto n = co_await self.io.read(key, buf.get(), params.field_size);
     if (!n.is_ok() || n.value() != params.field_size) {
       shared.fail("read failed: " + (n.is_ok() ? std::string("short read") : n.status().to_string()));
       break;
     }
-    if (params.verify_payload && !payload_matches(buf, n.value(), key.canonical())) {
-      shared.fail("payload MD5 mismatch: " + key.canonical());
+    if (buf && !verify_field_payload(buf.get(), 0, n.value(), key.canonical())) {
+      shared.fail("payload mismatch: " + key.canonical());
       break;
     }
     log.record(self.node, self.proc, op, start, cluster.scheduler().now(), params.field_size,
@@ -246,24 +358,21 @@ sim::Task<void> pattern_b_writer(daos::Cluster& cluster, const FieldBenchParams 
   (co_await self.io.init()).expect_ok("FieldIo::init");
 
   const fdb::FieldKey key = bench_field_key(params, global_rank, 0, /*designated=*/true);
-  std::vector<std::uint8_t> payload;
-  const std::uint8_t* data = nullptr;
+  const auto payload = payload_buffer(params, params.snapshot_reads || params.verify_payload);
   if (params.snapshot_reads) {
     // Every (re-)write stores a distinct complete version; readers assert
     // they only ever observe whole versions (snapshot isolation).
-    payload = make_versioned_payload(key.canonical(), params.field_size, 0);
-    data = payload.data();
+    fill_versioned_payload(payload.get(), params.field_size, key.canonical(), 0);
   } else if (params.verify_payload) {
     // Re-writes store the same deterministic content, so readers racing a
     // re-write always see a consistent payload for the designated key.
-    payload = make_field_payload(key.canonical(), params.field_size);
-    data = payload.data();
+    fill_field_payload(payload.get(), 0, params.field_size, key.canonical());
   }
 
   // Setup phase: populate the designated field once (and, in snapshot-read
   // runs, publish it — readers then always find a committed epoch to pin).
   {
-    const Status st = co_await self.io.write(key, data, params.field_size);
+    const Status st = co_await self.io.write(key, payload.get(), params.field_size);
     if (!st.is_ok()) {
       shared.fail("setup write failed: " + st.to_string());
     } else if (params.snapshot_reads) {
@@ -282,10 +391,9 @@ sim::Task<void> pattern_b_writer(daos::Cluster& cluster, const FieldBenchParams 
     const std::uint64_t retries_before = self.io.stats().retries;
     const sim::TimePoint start = cluster.scheduler().now();
     if (params.snapshot_reads) {
-      payload = make_versioned_payload(key.canonical(), params.field_size, op + 1);
-      data = payload.data();
+      fill_versioned_payload(payload.get(), params.field_size, key.canonical(), op + 1);
     }
-    const Status st = co_await self.io.write(key, data, params.field_size);
+    const Status st = co_await self.io.write(key, payload.get(), params.field_size);
     if (!st.is_ok()) {
       shared.fail("re-write failed: " + st.to_string());
       break;
@@ -328,8 +436,8 @@ sim::Task<void> pattern_b_reader(daos::Cluster& cluster, const FieldBenchParams 
   // at the newest committed epoch and retry; the writer's finite schedule
   // bounds the retries.
   const fdb::FieldKey key = bench_field_key(params, writer_rank, 0, /*designated=*/true);
-  std::vector<std::uint8_t> first(static_cast<std::size_t>(params.field_size));
-  std::vector<std::uint8_t> second(static_cast<std::size_t>(params.field_size));
+  const auto first = payload_buffer(params, true);
+  const auto second = payload_buffer(params, true);
   bool fallback_mode = false;
   for (std::uint32_t op = 0; op < params.ops_per_process && !shared.failed; ++op) {
     self.client.set_trace_iteration(op);
@@ -341,13 +449,13 @@ sim::Task<void> pattern_b_reader(daos::Cluster& cluster, const FieldBenchParams 
       if (fallback_mode) {
         // Retention 0 disables snapshots: live read, still asserting the
         // payload is one complete version (writes are never torn).
-        auto n = co_await self.io.read(key, first.data(), params.field_size);
+        auto n = co_await self.io.read(key, first.get(), params.field_size);
         if (!n.is_ok() || n.value() != params.field_size) {
           shared.fail("read failed: " +
                       (n.is_ok() ? std::string("short read") : n.status().to_string()));
           break;
         }
-        if (versioned_payload_version(first.data(), params.field_size, key.canonical()) < 0) {
+        if (versioned_payload_version(first.get(), params.field_size, key.canonical()) < 0) {
           shared.fail("torn read: live read is not a complete version: " + key.canonical());
           break;
         }
@@ -364,7 +472,7 @@ sim::Task<void> pattern_b_reader(daos::Cluster& cluster, const FieldBenchParams 
         shared.fail("pin_snapshot failed: " + pinned.status().to_string());
         break;
       }
-      auto n = co_await self.io.read(key, first.data(), params.field_size);
+      auto n = co_await self.io.read(key, first.get(), params.field_size);
       if (!n.is_ok() || n.value() != params.field_size) {
         (co_await self.io.unpin_snapshot(key)).expect_ok("unpin_snapshot");
         if (!n.is_ok() && n.status().code() == Errc::not_found) {
@@ -375,15 +483,15 @@ sim::Task<void> pattern_b_reader(daos::Cluster& cluster, const FieldBenchParams 
                     (n.is_ok() ? std::string("short read") : n.status().to_string()));
         break;
       }
-      auto n2 = co_await self.io.read(key, second.data(), params.field_size);
+      auto n2 = co_await self.io.read(key, second.get(), params.field_size);
       (co_await self.io.unpin_snapshot(key)).expect_ok("unpin_snapshot");
       if (!n2.is_ok() || n2.value() != params.field_size ||
-          std::memcmp(first.data(), second.data(), first.size()) != 0) {
+          std::memcmp(first.get(), second.get(), static_cast<std::size_t>(params.field_size)) != 0) {
         shared.fail("snapshot instability: re-read under the pinned epoch differed: " +
                     key.canonical());
         break;
       }
-      if (versioned_payload_version(first.data(), params.field_size, key.canonical()) < 0) {
+      if (versioned_payload_version(first.get(), params.field_size, key.canonical()) < 0) {
         shared.fail("torn read: pinned read is not a complete version: " + key.canonical());
         break;
       }

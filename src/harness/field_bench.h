@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "daos/cluster.h"
@@ -43,12 +44,12 @@ struct FieldBenchParams {
   std::size_t processes_per_node = 24;
   daos::ObjectClass kv_class = daos::ObjectClass::SX;
   daos::ObjectClass array_class = daos::ObjectClass::S1;
-  /// Write deterministic per-key payloads and verify every read's MD5
-  /// against the expected bytes (chaos/property testing).  Requires the
-  /// cluster to run with PayloadMode::full.
+  /// Write deterministic per-key payloads (fill_field_payload) and verify
+  /// every read byte for byte against them in place (chaos/property
+  /// testing).  Requires the cluster to run with PayloadMode::full.
   bool verify_payload = false;
   /// Pattern B only: writers publish every re-write with FieldIo::commit()
-  /// (payloads are versioned — make_versioned_payload) and readers pin the
+  /// (payloads are versioned — fill_versioned_payload) and readers pin the
   /// newest committed epoch, assert snapshot isolation (the pinned read is a
   /// complete version and re-reads under the same pin are byte-identical),
   /// then unpin.  When the cluster's retention policy disables snapshots
@@ -121,21 +122,40 @@ FieldBenchResult run_field_pattern(daos::Cluster& cluster, const FieldBenchParam
 fdb::FieldKey bench_field_key(const FieldBenchParams& params, std::uint32_t global_rank,
                               std::uint32_t op, bool designated);
 
-/// Deterministic field payload for verify_payload runs: bytes are a pure
-/// function of (canonical key, size), so any reader can regenerate the
-/// expected content and compare MD5s.
+/// Deterministic field payloads for verify_payload runs.  The payload of a
+/// key is one endless byte stream; a field of `size` bytes is its first
+/// `size` bytes, so any byte range is a slice of the same stream.  Layout:
+/// the stream is a sequence of 4 KiB tiles.  With seed = mix64(FNV-1a(key)),
+/// the key gets one 4 KiB block of SplitMix64 words seeded with `seed`, and
+/// word i of tile t is block[i] ^ mix64(seed ^ (t + 1) * 0x9e3779b97f4a7c15),
+/// stored little-endian.  Every tile carries its own mask, so a tile stored
+/// at the wrong position, another key's bytes, a shifted patch or a flipped
+/// byte all fail verification.
+///
+/// Writes bytes [offset, offset + n) of `key_canonical`'s payload to `out`.
+/// Generates only the block words the range reaches; nothing is zero-filled.
+void fill_field_payload(std::uint8_t* out, Bytes offset, Bytes n, std::string_view key_canonical);
+
+/// Whether `got[0, n)` equals bytes [offset, offset + n) of
+/// `key_canonical`'s payload.  Compares word by word in place: no expected
+/// buffer, no allocation.
+[[nodiscard]] bool verify_field_payload(const std::uint8_t* got, Bytes offset, Bytes n,
+                                        std::string_view key_canonical);
+
+/// The first `size` bytes of `key_canonical`'s payload in a fresh vector
+/// (callers that keep whole payloads; fill_field_payload writes in place).
 std::vector<std::uint8_t> make_field_payload(const std::string& key_canonical, Bytes size);
 
-/// Versioned payload for snapshot_reads runs: the first 8 bytes hold
-/// `version` little-endian, the rest is a pure function of (canonical key,
-/// size, version) — so torn reads mixing two versions can never pass the
-/// completeness check below.
-std::vector<std::uint8_t> make_versioned_payload(const std::string& key_canonical, Bytes size,
-                                                 std::uint64_t version);
+/// Versioned payload for snapshot_reads runs, written to out[0, n): the
+/// first 8 bytes hold `version`, the rest are bytes [8, n) of the payload
+/// of `key_canonical + "#v" + version` — so torn reads mixing two versions
+/// can never pass the completeness check below.
+void fill_versioned_payload(std::uint8_t* out, Bytes n, const std::string& key_canonical,
+                            std::uint64_t version);
 
 /// Parses the version header of a read-back payload and checks the bytes
-/// are exactly that version's.  Returns the version, or -1 if `got` is not
-/// a complete version (torn or corrupt).
+/// are exactly that version's, in place.  Returns the version, or -1 if
+/// `got` is not a complete version (torn or corrupt).
 std::int64_t versioned_payload_version(const std::uint8_t* got, Bytes n,
                                        const std::string& key_canonical);
 

@@ -5,8 +5,8 @@
 // checks the invariants that must hold for EVERY seed (SimChecker): all
 // processes and flows drained, bytes conserved, monotone per-op timing, and
 // bandwidth equations 1-2 consistent with the op log.  verify_payload runs
-// the benchmark with real payloads so every read is MD5-checked against the
-// deterministic expected content.
+// the benchmark with real payloads so every read is verified byte for byte,
+// in place, against the deterministic payload (verify_field_payload).
 //
 // Reproducing a failure: every scenario is a pure function of its seed.  The
 // sweep prints the seed of any violating scenario; replay just that one with
@@ -72,7 +72,7 @@ Scenario make_scenario(std::uint64_t seed) {
   const std::size_t client_nodes = 1 + rng.next_below(2);
   sc.cfg = testbed_config(1, client_nodes);
   sc.cfg.seed = mix64(seed);
-  sc.cfg.payload_mode = daos::PayloadMode::full;  // real bytes: MD5-checkable
+  sc.cfg.payload_mode = daos::PayloadMode::full;  // real bytes: verifiable
   sc.cfg.fault_spec = fault::FaultSpec::default_chaos(mix64(seed ^ 0xfa017ull));
 
   sc.pattern = rng.next_below(2) == 0 ? 'A' : 'B';
@@ -343,14 +343,16 @@ TEST(ChaosRetries, SurfacedInFieldIoClientAndOpLog) {
     bool all_ok = true;
     auto body = [&]() -> sim::Task<void> {
       (co_await io.init()).expect_ok("init");
+      std::vector<std::uint8_t> payload(static_cast<std::size_t>(64_KiB));
       std::vector<std::uint8_t> buf(static_cast<std::size_t>(64_KiB));
       for (int i = 0; i < 20; ++i) {
         fdb::FieldKey key;
         key.set("class", "od").set("date", "20201224").set("step", std::to_string(i));
-        const auto payload = make_field_payload(key.canonical(), 64_KiB);
+        fill_field_payload(payload.data(), 0, 64_KiB, key.canonical());
         all_ok &= (co_await io.write(key, payload.data(), 64_KiB)).is_ok();
         auto n = co_await io.read(key, buf.data(), 64_KiB);
-        all_ok &= n.is_ok() && n.value() == 64_KiB;
+        all_ok &= n.is_ok() && n.value() == 64_KiB &&
+                  verify_field_payload(buf.data(), 0, 64_KiB, key.canonical());
       }
     };
     sched.spawn(body());

@@ -1,6 +1,7 @@
 // Unit, integration and property tests for the DAOS simulator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -294,6 +295,50 @@ TEST(ArrayObjectTest, SparseWriteExtendsSize) {
   std::uint8_t byte = 1;
   EXPECT_EQ(arr.read(500, &byte, 1), 1u);
   EXPECT_EQ(byte, 0u);  // hole reads as zero
+}
+
+TEST(ArrayObjectTest, ShorterWholeVersionRewriteKeepsTheTail) {
+  sim::Scheduler sched;
+  ArrayObject arr(sched, 1, 1_MiB, PayloadMode::full);
+  std::vector<std::uint8_t> data(300);
+  std::iota(data.begin(), data.end(), 0);
+  arr.write(0, data.data(), data.size());
+  // Same epoch, then a later epoch recycling the version in place.
+  const std::vector<std::uint8_t> head(100, 0xaa);
+  for (const Epoch epoch : {Epoch{1}, Epoch{2}}) {
+    arr.write(0, head.data(), head.size(), epoch);
+    EXPECT_EQ(arr.size(), 300u);
+    std::vector<std::uint8_t> out(300);
+    EXPECT_EQ(arr.read(0, out.data(), out.size()), 300u);
+    EXPECT_TRUE(std::equal(head.begin(), head.end(), out.begin()));
+    EXPECT_TRUE(std::equal(out.begin() + 100, out.end(), data.begin() + 100)) << "tail lost";
+    // The checksum covers the stored bytes, so it sees a dropped tail too.
+    EXPECT_EQ(arr.checksum(), fnv1a(out.data(), out.size()));
+  }
+  // A rewrite covering the whole version replaces every byte and can grow it.
+  std::vector<std::uint8_t> longer(400);
+  std::iota(longer.begin(), longer.end(), 7);
+  arr.write(0, longer.data(), longer.size(), 2);
+  std::vector<std::uint8_t> out(400);
+  EXPECT_EQ(arr.read(0, out.data(), out.size()), 400u);
+  EXPECT_EQ(out, longer);
+  EXPECT_EQ(arr.checksum(), fnv1a(longer.data(), longer.size()));
+}
+
+TEST(ArrayObjectTest, WritePastTheEndLeavesAZeroHole) {
+  sim::Scheduler sched;
+  ArrayObject arr(sched, 1, 1_MiB, PayloadMode::full);
+  const std::vector<std::uint8_t> first(100, 0x11);
+  const std::vector<std::uint8_t> far(10, 0x22);
+  arr.write(0, first.data(), first.size());
+  arr.write(200, far.data(), far.size());
+  EXPECT_EQ(arr.size(), 210u);
+  std::vector<std::uint8_t> out(210, 0xff);
+  EXPECT_EQ(arr.read(0, out.data(), out.size()), 210u);
+  EXPECT_TRUE(std::all_of(out.begin(), out.begin() + 100, [](std::uint8_t b) { return b == 0x11; }));
+  EXPECT_TRUE(std::all_of(out.begin() + 100, out.begin() + 200, [](std::uint8_t b) { return b == 0; }))
+      << "hole must read as zeros";
+  EXPECT_TRUE(std::all_of(out.begin() + 200, out.end(), [](std::uint8_t b) { return b == 0x22; }));
 }
 
 TEST(ClientTest, PoolConnectAndMainContainer) {

@@ -438,8 +438,10 @@ TEST_P(FieldIoEpochModes, CommitPinReadRoundtrip) {
     (co_await io.init()).expect_ok("init");
     const fdb::FieldKey key = field_key(0);
     const Bytes size = 64_KiB;
-    const std::vector<std::uint8_t> v1 = bench::make_versioned_payload(key.canonical(), size, 1);
-    const std::vector<std::uint8_t> v2 = bench::make_versioned_payload(key.canonical(), size, 2);
+    std::vector<std::uint8_t> v1(size);
+    std::vector<std::uint8_t> v2(size);
+    bench::fill_versioned_payload(v1.data(), size, key.canonical(), 1);
+    bench::fill_versioned_payload(v2.data(), size, key.canonical(), 2);
 
     (co_await io.write(key, v1.data(), size)).expect_ok("write v1");
     const Epoch e1 = (co_await io.commit(key)).value();

@@ -2,16 +2,20 @@
 // patterns and the experiment runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <limits>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 
+#include "common/md5.h"
+#include "common/rng.h"
 #include "harness/experiment.h"
 #include "harness/field_bench.h"
 #include "obs/io_log.h"
@@ -167,6 +171,169 @@ TEST(FieldBenchTest, KeysEncodeContention) {
   // Designated keys are stable across ops (pattern B re-writes).
   EXPECT_EQ(bench_field_key(high, 3, 0, true).canonical(),
             bench_field_key(high, 3, 9, true).canonical());
+}
+
+// ---- the tiled field payload -------------------------------------------------
+
+constexpr Bytes kTile = 4096;
+
+std::vector<std::uint8_t> payload_range(Bytes offset, Bytes n, const std::string& key) {
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(n));
+  fill_field_payload(out.data(), offset, n, key);
+  return out;
+}
+
+TEST(PayloadTest, AnyRangeIsASliceOfTheWholePayload) {
+  const std::string key = "od:oper:0001:20201224:t:3:0";
+  const Bytes total = 6 * kTile + 100;
+  const std::vector<std::uint8_t> whole = payload_range(0, total, key);
+  EXPECT_EQ(whole, make_field_payload(key, total));
+  std::vector<std::pair<Bytes, Bytes>> ranges = {
+      {0, 1},        {0, 7},          {3, 2},           {5, 3},          {100, 1000},
+      {kTile - 1, 2}, {kTile - 3, 11}, {kTile - 5, 2 * kTile + 9}, {2 * kTile, kTile},
+      {8, 8},        {total - 1, 1},  {1, total - 1}};
+  Rng rng(21);
+  for (int i = 0; i < 200; ++i) {
+    const Bytes offset = rng.next_below(total);
+    ranges.emplace_back(offset, 1 + rng.next_below(total - offset));
+  }
+  for (const auto& [offset, n] : ranges) {
+    const auto got = payload_range(offset, n, key);
+    const auto begin = whole.begin() + static_cast<std::ptrdiff_t>(offset);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), begin, begin + static_cast<std::ptrdiff_t>(n)))
+        << "fill at [" << offset << ", " << offset + n << ")";
+    EXPECT_TRUE(verify_field_payload(whole.data() + offset, offset, n, key))
+        << "verify at [" << offset << ", " << offset + n << ")";
+  }
+  // The size is not part of the seed: a short payload is a prefix of a long one.
+  EXPECT_TRUE(verify_field_payload(whole.data(), 0, 1000, key));
+  EXPECT_TRUE(verify_field_payload(nullptr, 17, 0, key));
+}
+
+TEST(PayloadTest, VerifyRejectsAnyFlippedByte) {
+  const std::string key = "flip";
+  const Bytes total = 3 * kTile;
+  std::vector<std::uint8_t> bytes = payload_range(0, total, key);
+  for (const Bytes pos : {Bytes{0}, Bytes{7}, Bytes{8}, kTile - 1, kTile, Bytes{5000}, total - 1}) {
+    bytes[pos] ^= 0x01;
+    EXPECT_FALSE(verify_field_payload(bytes.data(), 0, total, key)) << "flipped byte " << pos;
+    // Unaligned ranges whose partial head or tail word holds the flip.
+    const Bytes lo = pos >= 3 ? pos - 3 : 0;
+    EXPECT_FALSE(verify_field_payload(bytes.data() + lo, lo, pos + 1 - lo, key)) << pos;
+    EXPECT_FALSE(verify_field_payload(bytes.data() + pos, pos, std::min<Bytes>(5, total - pos), key))
+        << pos;
+    bytes[pos] ^= 0x01;
+  }
+  EXPECT_TRUE(verify_field_payload(bytes.data(), 0, total, key));
+}
+
+TEST(PayloadTest, VerifyRejectsSwappedTiles) {
+  const std::string key = "tiles";
+  const Bytes total = 4 * kTile;
+  const std::vector<std::uint8_t> whole = payload_range(0, total, key);
+  std::vector<std::uint8_t> swapped = whole;
+  std::swap_ranges(swapped.begin() + kTile, swapped.begin() + 2 * kTile,
+                   swapped.begin() + 2 * kTile);
+  EXPECT_FALSE(verify_field_payload(swapped.data(), 0, total, key));
+  // Each tile is valid only at its own position.
+  EXPECT_TRUE(verify_field_payload(whole.data() + kTile, kTile, kTile, key));
+  EXPECT_FALSE(verify_field_payload(whole.data() + kTile, 2 * kTile, kTile, key));
+  EXPECT_FALSE(verify_field_payload(whole.data() + 2 * kTile, kTile, kTile, key));
+}
+
+TEST(PayloadTest, VerifyRejectsAPatchOneByteOff) {
+  // fig_interfaces' meta scenario: the field's payload with the payload of
+  // "<key>#patch" over [100, 1100), checked range by range.
+  const std::string key = "fc0/f1";
+  const std::string patch_key = key + "#patch";
+  const Bytes size = 16000;
+  const Bytes patch_offset = 100;
+  const Bytes patch_len = 1000;
+  const auto patched_ok = [&](const std::vector<std::uint8_t>& got) {
+    const Bytes end = patch_offset + patch_len;
+    return verify_field_payload(got.data(), 0, patch_offset, key) &&
+           verify_field_payload(got.data() + patch_offset, 0, patch_len, patch_key) &&
+           verify_field_payload(got.data() + end, end, size - end, key);
+  };
+  const std::vector<std::uint8_t> patch = payload_range(0, patch_len, patch_key);
+  for (const Bytes at : {patch_offset, patch_offset + 1, patch_offset - 1}) {
+    std::vector<std::uint8_t> file = payload_range(0, size, key);
+    std::copy(patch.begin(), patch.end(), file.begin() + static_cast<std::ptrdiff_t>(at));
+    EXPECT_EQ(patched_ok(file), at == patch_offset) << "patch applied at " << at;
+  }
+}
+
+TEST(PayloadTest, VerifyRejectsAnotherKeysBytes) {
+  const Bytes size = 2 * kTile + 13;
+  const std::vector<std::uint8_t> other = payload_range(0, size, "fc0/f2");
+  EXPECT_TRUE(verify_field_payload(other.data(), 0, size, "fc0/f2"));
+  EXPECT_FALSE(verify_field_payload(other.data(), 0, size, "fc0/f1"));
+  EXPECT_FALSE(verify_field_payload(other.data() + 9, 9, 20, "fc0/f1"));
+  EXPECT_FALSE(verify_field_payload(other.data(), 0, 3, "fc0/f1"));
+}
+
+TEST(PayloadTest, VersionedPayloadNamesItsOwnVersion) {
+  const std::string key = "od:designated";
+  const Bytes size = kTile + 40;
+  std::vector<std::uint8_t> v3(static_cast<std::size_t>(size));
+  fill_versioned_payload(v3.data(), size, key, 3);
+  EXPECT_EQ(versioned_payload_version(v3.data(), size, key), 3);
+  // A header that names another version fails, in either direction.
+  for (const std::uint64_t other : {std::uint64_t{2}, std::uint64_t{4}}) {
+    std::vector<std::uint8_t> relabelled = v3;
+    std::memcpy(relabelled.data(), &other, 8);
+    EXPECT_EQ(versioned_payload_version(relabelled.data(), size, key), -1) << other;
+  }
+  // A torn read: version 3's header and head, version 4's tail.
+  std::vector<std::uint8_t> v4(static_cast<std::size_t>(size));
+  fill_versioned_payload(v4.data(), size, key, 4);
+  std::vector<std::uint8_t> torn = v3;
+  std::copy(v4.begin() + kTile, v4.end(), torn.begin() + kTile);
+  EXPECT_EQ(versioned_payload_version(torn.data(), size, key), -1);
+  EXPECT_EQ(versioned_payload_version(v3.data(), size, "od:other"), -1);
+  EXPECT_EQ(versioned_payload_version(v3.data(), 7, key), -1);
+}
+
+TEST(PayloadTest, VerifiedReadCatchesAFlippedStoredByte) {
+  sim::Scheduler sched;
+  daos::ClusterConfig cfg = testbed_config(1, 1);
+  cfg.payload_mode = daos::PayloadMode::full;
+  daos::Cluster cluster(sched, cfg);
+  daos::Client client(cluster, cluster.client_endpoint(0, 0), 0);
+  fdb::FieldIoConfig io_cfg;
+  io_cfg.mode = fdb::Mode::no_index;  // the key's md5 names the Array directly
+  fdb::FieldIo io(client, io_cfg, 0);
+  fdb::FieldKey key;
+  key.set("class", "od").set("date", "20201224").set("step", "6");
+  const Bytes size = 3 * kTile + 5;
+  const Bytes flip_at = kTile + 21;
+  bool intact_ok = false;
+  bool corrupt_ok = true;
+  auto body = [&]() -> sim::Task<void> {
+    (co_await io.init()).expect_ok("init");
+    std::vector<std::uint8_t> buf = payload_range(0, size, key.canonical());
+    (co_await io.write(key, buf.data(), size)).expect_ok("write");
+    std::fill(buf.begin(), buf.end(), 0);
+    auto n = co_await io.read(key, buf.data(), size);
+    intact_ok = n.is_ok() && n.value() == size && verify_field_payload(buf.data(), 0, size, key.canonical());
+
+    // Flip one stored byte behind FieldIo's back.
+    daos::Container& main = cluster.main_container();
+    const daos::ObjectId oid = daos::ObjectId::from_digest(
+        md5(key.canonical()), daos::ObjectType::array, io_cfg.array_class);
+    daos::ArrayObject* arr = main.open_array(oid).value();
+    std::uint8_t byte = 0;
+    EXPECT_EQ(arr->read(flip_at, &byte, 1), 1u);
+    byte ^= 0x80;
+    arr->write(flip_at, &byte, 1, main.write_epoch(), main.retains_superseded());
+
+    n = co_await io.read(key, buf.data(), size);
+    corrupt_ok = n.is_ok() && n.value() == size && verify_field_payload(buf.data(), 0, size, key.canonical());
+  };
+  sched.spawn(body());
+  sched.run();
+  EXPECT_TRUE(intact_ok);
+  EXPECT_FALSE(corrupt_ok);
 }
 
 class FieldPatternModes : public ::testing::TestWithParam<fdb::Mode> {};
