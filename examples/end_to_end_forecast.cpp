@@ -1,68 +1,64 @@
-// End-to-end forecast output: generate -> encode -> aggregate -> store ->
-// catalogue -> retrieve -> decode.
+// End-to-end forecast output: archive -> catalogue -> retrieve -> verify,
+// then the model -> I/O-server aggregation pipeline.
 //
 // Exercises the full stack the paper describes for one miniature forecast:
-// synthetic global fields (codec/field_generator) are GRIB-encoded
-// (codec/grib), pushed through the model -> I/O-server aggregation pipeline
-// (ioserver) into the DAOS-backed field store (fdb on daos), listed with
-// the catalogue, then one field is retrieved and decoded, verifying the
-// quantisation-bounded round trip.
+// twelve 1 MiB fields (three steps of four parameters, the field size of
+// paper 1.2) are archived into the DAOS-backed field store (fdb on daos),
+// listed with the catalogue, then retrieved and verified byte for byte
+// against their deterministic per-key payloads.  Part 2 pushes the same
+// field count through the model -> I/O-server aggregation pipeline
+// (ioserver).  Exits non-zero when a read-back fails verification or the
+// pipeline fails.
 //
 //   $ ./examples/end_to_end_forecast
-#include <cmath>
 #include <cstdio>
-#include <vector>
+#include <iterator>
+#include <memory>
+#include <string>
 
-#include "codec/field_generator.h"
-#include "codec/grib.h"
 #include "daos/client.h"
 #include "daos/cluster.h"
 #include "fdb/catalogue.h"
 #include "fdb/field_io.h"
+#include "harness/field_bench.h"
 #include "ioserver/ioserver.h"
 
 using namespace nws;
 
 namespace {
 
-fdb::FieldKey key_for(std::uint32_t step, codec::Parameter parameter) {
+constexpr std::uint32_t kSteps = 3;
+constexpr const char* kParams[] = {"t", "z", "u", "q"};
+constexpr Bytes kFieldSize = 1_MiB;
+
+fdb::FieldKey key_for(std::uint32_t step, const char* param) {
   fdb::FieldKey key;
   key.set("class", "od").set("stream", "oper").set("date", "20260705").set("time", "0000");
   key.set("step", std::to_string(step));
-  key.set("param", codec::parameter_name(parameter));
+  key.set("param", param);
   key.set("levtype", "pl").set("level", "850");
   return key;
 }
 
-sim::Task<void> forecast(daos::Cluster& cluster) {
+sim::Task<void> forecast(daos::Cluster& cluster, bool& verified) {
   daos::Client client(cluster, cluster.client_endpoint(0, 0), 0);
   fdb::FieldIoConfig cfg;  // full mode: the operational layout
   fdb::FieldIo io(client, cfg, 0);
   (co_await io.init()).expect_ok("init");
+  const auto buffer = std::make_unique_for_overwrite<std::uint8_t[]>(kFieldSize);
 
-  // --- generate + encode + archive three steps of four parameters --------
-  const codec::Parameter params[] = {codec::Parameter::temperature, codec::Parameter::geopotential,
-                                     codec::Parameter::wind_u, codec::Parameter::specific_humidity};
-  codec::GeneratorOptions gen;
-  codec::grid_for_encoded_size(1_MiB, gen.nlat, gen.nlon);  // ~1 MiB fields (paper 1.2)
-  std::printf("grid: %u x %u points, ~%s encoded per field\n", gen.nlat, gen.nlon,
-              format_bytes(codec::encoded_size(gen.nlat, gen.nlon)).c_str());
-
-  Bytes archived = 0;
-  for (std::uint32_t step = 0; step < 3; ++step) {
-    for (const codec::Parameter parameter : params) {
-      gen.parameter = parameter;
-      gen.step_hours = step * 6.0;
-      const codec::Field field = codec::generate_field(gen);
-      const auto message = codec::encode(field).value();
-      (co_await io.write(key_for(step, parameter), message.data(), message.size()))
-          .expect_ok("archive");
-      archived += message.size();
+  // --- archive three steps of four parameters ------------------------------
+  for (std::uint32_t step = 0; step < kSteps; ++step) {
+    for (const char* param : kParams) {
+      const fdb::FieldKey key = key_for(step, param);
+      bench::fill_field_payload(buffer.get(), 0, kFieldSize, key.canonical());
+      (co_await io.write(key, buffer.get(), kFieldSize)).expect_ok("archive");
     }
   }
   std::printf("archived: %llu fields, %s, in %.2f s simulated\n",
               static_cast<unsigned long long>(io.stats().fields_written),
-              format_bytes(archived).c_str(), sim::to_seconds(cluster.scheduler().now()));
+              format_bytes(io.stats().bytes_written).c_str(),
+              sim::to_seconds(cluster.scheduler().now()));
 
   // --- catalogue ----------------------------------------------------------
   fdb::Catalogue catalogue(client, cfg);
@@ -73,25 +69,19 @@ sim::Task<void> forecast(daos::Cluster& cluster) {
                 fc.field_count, format_bytes(fc.total_bytes).c_str());
   }
 
-  // --- retrieve + decode + verify -----------------------------------------
-  gen.parameter = codec::Parameter::temperature;
-  gen.step_hours = 12.0;  // step 2
-  const codec::Field original = codec::generate_field(gen);
-  const Bytes expect = codec::encoded_size(gen.nlat, gen.nlon);
-  std::vector<std::uint8_t> message(expect);
-  const Bytes n =
-      (co_await io.read(key_for(2, codec::Parameter::temperature), message.data(), message.size()))
-          .value();
-  const codec::Field decoded = codec::decode(message.data(), n).value();
-
-  double max_error = 0.0;
-  for (std::size_t i = 0; i < original.values.size(); ++i) {
-    max_error = std::max(max_error, std::abs(decoded.values[i] - original.values[i]));
+  // --- retrieve + verify --------------------------------------------------
+  verified = true;
+  for (std::uint32_t step = 0; step < kSteps; ++step) {
+    for (const char* param : kParams) {
+      const fdb::FieldKey key = key_for(step, param);
+      const Bytes n = (co_await io.read(key, buffer.get(), kFieldSize)).value();
+      verified = verified && n == kFieldSize &&
+                 bench::verify_field_payload(buffer.get(), 0, n, key.canonical());
+    }
   }
-  const double bound = codec::quantisation_error_bound(original);
-  std::printf("retrieved: t850 step 2, %s; max decode error %.4f K (bound %.4f K) -> %s\n",
-              format_bytes(n).c_str(), max_error, bound,
-              max_error <= bound * 1.000001 ? "verified" : "MISMATCH");
+  std::printf("retrieved: %llu fields, %s -> %s\n",
+              static_cast<unsigned long long>(io.stats().fields_read),
+              format_bytes(io.stats().bytes_read).c_str(), verified ? "verified" : "MISMATCH");
 }
 
 }  // namespace
@@ -101,11 +91,12 @@ int main() {
   daos::ClusterConfig cfg;
   cfg.server_nodes = 1;
   cfg.client_nodes = 2;
-  cfg.payload_mode = daos::PayloadMode::full;  // keep real bytes for decode
+  cfg.payload_mode = daos::PayloadMode::full;  // keep real bytes to verify
   daos::Cluster cluster(sched, cfg);
 
-  // Part 1: direct archive/retrieve round trip with real encoded fields.
-  sched.spawn(forecast(cluster));
+  // Part 1: direct archive/retrieve round trip with real payload bytes.
+  bool verified = false;
+  sched.spawn(forecast(cluster, verified));
   sched.run();
 
   // Part 2: the same fields through the model -> I/O-server pipeline.
@@ -117,13 +108,13 @@ int main() {
   ioserver::PipelineConfig pipeline;
   pipeline.model_processes = 32;
   pipeline.io_servers = 4;
-  pipeline.steps = 3;
-  pipeline.fields_per_step = 4;
+  pipeline.steps = kSteps;
+  pipeline.fields_per_step = static_cast<std::uint32_t>(std::size(kParams));
   const ioserver::PipelineResult result = ioserver::run_pipeline(cluster2, pipeline);
   std::printf("pipeline: %llu fields aggregated from %zu model procs via %zu I/O servers "
               "in %.2f s simulated (store bandwidth %s)\n",
               static_cast<unsigned long long>(result.fields_stored), pipeline.model_processes,
               pipeline.io_servers, sim::to_seconds(result.makespan),
               format_bandwidth(result.store_log.global_timing_bandwidth()).c_str());
-  return result.failed ? 1 : 0;
+  return verified && !result.failed ? 0 : 1;
 }

@@ -16,9 +16,14 @@
 # flat profile on a committed fixture.
 #
 # A coverage stage (--coverage-only, or part of the full run) rebuilds with
-# -DNWS_COVERAGE=ON, reruns the test suite and enforces the per-directory
-# line-coverage floor in scripts/coverage_baseline.txt via scripts/coverage.py
-# (plain gcov JSON + python3 stdlib; no gcovr dependency).
+# -DNWS_COVERAGE=ON, plus nwsbench into build-coverage/nwsbench/.  It first
+# runs the artifact producers alone (the report_digests.sh benches with
+# --trace/--report, obs_lint over one pair, the examples and nwsbench
+# --smoke) and fails, via scripts/coverage.py --reached, when a src/ .cc file
+# executes no line: code that no artifact reaches.  Then it reruns the test
+# suite and enforces the per-directory line-coverage floor in
+# scripts/coverage_baseline.txt via scripts/coverage.py (plain gcov JSON +
+# python3 stdlib; no gcovr dependency).
 #
 # A lint stage (--lint-only, and the first step of the full run) builds and
 # runs tools/nwslint over src/ bench/ tests/ examples/ tools/: determinism
@@ -54,6 +59,10 @@ while [[ $# -gt 0 ]]; do
   esac
   shift
 done
+
+# Run with no arguments by the plain stage, and by the coverage stage's
+# reachability pass.
+examples=(quickstart capacity_planning end_to_end_forecast fieldio_cli nwp_operational_cycle)
 
 # Runs one quick bench out of $1/bench with tracing + reporting on and lints
 # the artifacts it wrote.  Kept tiny (--quick, 1 repetition, 4 ops) so the
@@ -102,6 +111,36 @@ check_artifacts() {
   rm -rf "$scratch"
 }
 
+# Runs every artifact producer of the coverage build once, at the smallest
+# scale that reaches the same src/ files as --quick: the report_digests.sh
+# benches (fig4-6 at one repetition of 4 ops) with --trace/--report, obs_lint
+# over one pair, the examples (capacity_planning up to 2 servers) and
+# nwsbench --smoke.  No tests run, so coverage.py --reached then names the
+# src/ files that only tests reach.
+run_artifact_producers() {
+  local scratch name
+  local -a benches extra
+  scratch="$(mktemp -d)"
+  mapfile -t benches < <(scripts/report_digests.sh --list)
+  for name in "${benches[@]}"; do
+    extra=()
+    case "$name" in
+      fig4_*|fig5_*|fig6_*) extra=(--reps=1 --ops=4) ;;
+    esac
+    build-coverage/bench/"$name" --quick "${extra[@]}" \
+      --trace="$scratch/$name.trace.json" --report="$scratch/$name.report.json" >/dev/null
+  done
+  build-coverage/bench/obs_lint --schema=scripts/obs_schema.txt \
+    --trace="$scratch/fig_interfaces.trace.json" --report="$scratch/fig_interfaces.report.json"
+  for name in "${examples[@]}"; do
+    extra=()
+    [[ $name == capacity_planning ]] && extra=(--max-servers=2 --ops=4)
+    build-coverage/examples/"$name" "${extra[@]}" >/dev/null
+  done
+  build-coverage/nwsbench/nwsbench --smoke >/dev/null
+  rm -rf "$scratch"
+}
+
 if [[ $run_lint -eq 1 ]]; then
   echo "==> nwslint (static analysis: determinism, layering, obs schema, status discipline)"
   cmake -B build -S . -DCMAKE_BUILD_TYPE=Release -DNWS_WERROR=ON
@@ -116,8 +155,7 @@ if [[ $run_plain -eq 1 ]]; then
   NWS_JOBS="$jobs" ctest --test-dir build --output-on-failure -j "$jobs"
   # Every example must run to completion with no arguments (a few seconds
   # in all; they write no files).
-  for example in quickstart capacity_planning end_to_end_forecast fieldio_cli \
-                 nwp_operational_cycle; do
+  for example in "${examples[@]}"; do
     echo "==> example $example (no arguments)"
     ./build/examples/"$example" >/dev/null
   done
@@ -178,10 +216,20 @@ if [[ $run_tsan -eq 1 ]]; then
 fi
 
 if [[ $run_coverage -eq 1 ]]; then
-  echo "==> coverage build (build-coverage/, -DNWS_COVERAGE=ON): line-coverage floor"
+  echo "==> coverage build (build-coverage/, -DNWS_COVERAGE=ON)"
   cmake -B build-coverage -S . -DCMAKE_BUILD_TYPE=Debug -DNWS_COVERAGE=ON
   cmake --build build-coverage -j "$jobs"
-  # Stale counters from a previous run would inflate coverage.
+  # nwsbench is its own CMake project: the root tree's --coverage link
+  # option does not reach its executable, so the linker flag is passed here.
+  cmake -S benchmark -B build-coverage/nwsbench -DCMAKE_BUILD_TYPE=Debug \
+        -DNWS_COVERAGE=ON -DCMAKE_EXE_LINKER_FLAGS=--coverage
+  cmake --build build-coverage/nwsbench -j "$jobs" --target nwsbench
+  # Counters of earlier runs would count as reached (and inflate coverage).
+  find build-coverage -name '*.gcda' -delete
+  echo "==> reachability: every src/ .cc file runs in an artifact producer"
+  run_artifact_producers
+  python3 scripts/coverage.py build-coverage --reached
+  echo "==> line-coverage floor (ctest)"
   find build-coverage -name '*.gcda' -delete
   NWS_JOBS="$jobs" ctest --test-dir build-coverage --output-on-failure -j "$jobs"
   python3 scripts/coverage.py build-coverage

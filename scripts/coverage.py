@@ -1,20 +1,31 @@
 #!/usr/bin/env python3
-"""Aggregate gcov line coverage and enforce the per-directory baseline.
+"""Aggregate gcov line coverage: per-directory floors, or unreached src/ files.
 
 Usage: scripts/coverage.py <build-dir> [--baseline scripts/coverage_baseline.txt]
+       scripts/coverage.py <build-dir> --reached
 
-Walks <build-dir> for .gcda counter files (produced by a test run of an
+Walks <build-dir> for .gcda counter files (produced by runs of an
 NWS_COVERAGE=ON build), asks gcov for machine-readable JSON per translation
-unit (`gcov --json-format --stdout`; gcovr is deliberately not a dependency),
-sums execution counts per source line across all translation units, and
-reports line coverage for each directory listed in the baseline file.
+unit (`gcov --json-format --stdout`; gcovr is deliberately not a dependency)
+and sums execution counts per source line across all translation units.
 
-The baseline file has one `<directory> <min-percent>` pair per line
+By default it reports line coverage for each directory listed in the
+baseline file, which has one `<directory> <min-percent>` pair per line
 (comments with '#').  Coverage below the baseline fails the script — the
 floor only ratchets up: when a PR raises coverage, raise the baseline with
-it.  Override the gcov binary with GCOV=gcov-12 when the compiler was g++-12.
+it.
+
+--reached instead names every src/**/*.cc file that executed no line, and
+fails if there is one.  A file with no gcov record at all counts as
+unreached: it is a library member that no binary links.  Only .cc files
+are checked, so headers and templates stay out of it.  scripts/check.sh
+runs it after the artifact producers alone (benches, examples, nwsbench),
+so code that only tests reach fails it.
+
+Override the gcov binary with GCOV=gcov-12 when the compiler was g++-12.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -61,26 +72,9 @@ def gcov_json(gcov, gcda_paths, build_dir):
                 yield json.loads(line)
 
 
-def main():
-    if len(sys.argv) < 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    build_dir = sys.argv[1]
-    baseline_path = "scripts/coverage_baseline.txt"
-    if len(sys.argv) >= 4 and sys.argv[2] == "--baseline":
-        baseline_path = sys.argv[3]
-    baseline = parse_baseline(baseline_path)
-    gcov = os.environ.get("GCOV", "gcov")
-
-    gcda = sorted(find_gcda(build_dir))
-    if not gcda:
-        print(f"coverage: no .gcda files under {build_dir} — "
-              "configure with -DNWS_COVERAGE=ON and run the tests first", file=sys.stderr)
-        return 1
-
-    # (relative source path, line) -> summed execution count.
+def line_counts(gcov, gcda, build_dir, repo):
+    """{(source path relative to the repo, line): summed execution count}."""
     counts = {}
-    repo = os.path.abspath(os.path.dirname(os.path.dirname(__file__)))
     for doc in gcov_json(gcov, gcda, build_dir):
         for entry in doc.get("files", []):
             path = entry["file"]
@@ -92,7 +86,26 @@ def main():
             for line in entry.get("lines", []):
                 key = (rel, line["line_number"])
                 counts[key] = counts.get(key, 0) + int(line["count"])
+    return counts
 
+
+def check_reached(counts, repo):
+    """Names every src/**/*.cc file that executed no line; 1 if there is one."""
+    sources = sorted(
+        os.path.relpath(os.path.join(root, name), repo)
+        for root, _dirs, files in os.walk(os.path.join(repo, "src"))
+        for name in files
+        if name.endswith(".cc"))
+    reached = {rel for (rel, _line), n in counts.items() if n > 0}
+    unreached = [rel for rel in sources if rel not in reached]
+    for rel in unreached:
+        print(f"coverage: {rel} executed no line", file=sys.stderr)
+    print(f"reached {len(sources) - len(unreached)} of {len(sources)} src/ .cc files")
+    return 1 if unreached else 0
+
+
+def check_floors(counts, baseline):
+    """Prints each baseline directory's line coverage; 1 if one is below its floor."""
     failed = False
     print(f"{'directory':<12} {'lines':>7} {'covered':>8} {'coverage':>9} {'baseline':>9}")
     for directory in sorted(baseline):
@@ -109,6 +122,27 @@ def main():
         if percent < baseline[directory]:
             failed = True
     return 1 if failed else 0
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("build_dir")
+    parser.add_argument("--baseline", default="scripts/coverage_baseline.txt")
+    parser.add_argument("--reached", action="store_true",
+                        help="fail on a src/ .cc file that executed no line; no floors")
+    args = parser.parse_args()
+    gcov = os.environ.get("GCOV", "gcov")
+
+    gcda = sorted(find_gcda(args.build_dir))
+    if not gcda:
+        print(f"coverage: no .gcda files under {args.build_dir} — "
+              "configure with -DNWS_COVERAGE=ON and run the binaries first", file=sys.stderr)
+        return 1
+    repo = os.path.abspath(os.path.dirname(os.path.dirname(__file__)))
+    counts = line_counts(gcov, gcda, args.build_dir, repo)
+    if args.reached:
+        return check_reached(counts, repo)
+    return check_floors(counts, parse_baseline(args.baseline))
 
 
 if __name__ == "__main__":

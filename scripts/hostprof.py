@@ -11,6 +11,18 @@ every workload of BENCHMARK.json) in a temporary directory, and runs
 `gprof -b -p` on the gmon.out the run leaves there.  gprof ships with
 binutils, so nothing is downloaded.
 
+gprof drops every function symbol with a dot in its name, except the
+`.N`, `.clone.N` and `.constprop.N` suffixes, and charges its samples to
+the kept symbol before it.  GCC names coroutine bodies `.actor` and
+`.destroy`, and split or specialised functions `.cold`, `.part.N` and
+`.isra.N`, so their time would land on an unrelated function (a pgen
+serving run charged `nws::ior::run_ior` with the I/O server's coroutine
+body).  hostprof therefore profiles against a copy of the binary,
+build-hostprof/nwsbench.gprof, in which each such name is renamed once to
+a kept `<prefix>.N` name (`objcopy --redefine-syms`).  Rows of the
+renamed symbols are mapped back to their original names before
+demangling (`c++filt`) and bucketing.
+
 The flat profile's self time is folded into host.share.<bucket> shares that
 sum to 1:
 
@@ -51,6 +63,9 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUILD = os.path.join(ROOT, "build-hostprof")
 BINARY = os.path.join(BUILD, "nwsbench")
+# The copy gprof reads symbols from: BINARY with every dotted name that gprof
+# would drop renamed (rename_table).
+RENAMED = BINARY + ".gprof"
 TOP_SYMBOLS = 15
 
 # nws:: namespaces whose bucket is not their own name.
@@ -65,6 +80,11 @@ LIBC_ALLOC = re.compile(
     r"|sysmalloc|systrim|operator (new|delete))\b")
 # A flat-profile row: %time, cumulative s, self s, optional call columns, name.
 ROW = re.compile(r"^\s*(\d+\.\d+)\s+(\d+\.\d+)\s+(\d+\.\d+)\s+(?:\d+\s+\d+\.\d+\s+\d+\.\d+\s+)?(\S.*)$")
+# The dotted suffixes gprof keeps (binutils gprof/corefile.c, core_sym_class):
+# runs of `.N`, `.clone.N` and `.constprop.N`.
+KEPT_SUFFIX = re.compile(r"(?:\.(?:clone\.|constprop\.)?\d+)*")
+# Text symbols in `nm` output: address, type, name.
+TEXT_SYMBOL = re.compile(r"^[0-9a-fA-F]+ [tTwWi] (\S+)$")
 
 
 def without_groups(text, brackets):
@@ -99,6 +119,50 @@ def bucket(symbol):
     return "other"
 
 
+def rename_table(names):
+    """{name: kept name} for every symbol name gprof would drop.
+
+    A name gprof drops has a dot that does not start a kept suffix.  It is
+    renamed to the part before its first dot plus `.N`, with N unique over
+    the table and the new name unused in `names`.  Each distinct name is
+    listed once (objcopy aborts on a repeated entry).
+    """
+    names = set(names)
+    table = {}
+    serial = 0
+    for name in sorted(names):
+        dot = name.find(".")
+        if dot <= 0 or KEPT_SUFFIX.fullmatch(name, dot):
+            continue
+        while True:
+            serial += 1
+            new = f"{name[:dot]}.{serial}"
+            if new not in names:
+                break
+        table[name] = new
+    return table
+
+
+def demangle(names):
+    """`names` demangled as gprof shows them (`c++filt --no-verbose`)."""
+    if not names:
+        return []
+    done = subprocess.run(["c++filt", "--no-verbose"], input="\n".join(names) + "\n",
+                          capture_output=True, text=True, check=True)
+    out = done.stdout.splitlines()
+    if len(out) != len(names):
+        raise RuntimeError("c++filt returned a different number of names")
+    return out
+
+
+def restore_names(rows, table):
+    """Rows of an undemangled flat profile of the renamed binary, with each
+    renamed symbol mapped back to its original name, then demangled."""
+    original = {new: old for old, new in table.items()}
+    names = demangle([original.get(symbol, symbol) for _, symbol in rows])
+    return [(seconds, name) for (seconds, _), name in zip(rows, names)]
+
+
 def parse_flat(text):
     """[(self seconds, symbol)] of a `gprof -b -p` flat profile."""
     rows = []
@@ -121,9 +185,8 @@ def fold(rows):
     return total, shares
 
 
-def report(title, text):
-    """Prints the shares and top symbols of one flat profile."""
-    rows = parse_flat(text)
+def report(title, rows):
+    """Prints the shares and top symbols of one flat profile's rows."""
     total, shares = fold(rows)
     print(f"== {title}: {total:.2f} s sampled self time")
     for key, share in sorted(shares.items(), key=lambda kv: (-kv[1], kv[0])):
@@ -149,15 +212,29 @@ def build():
         subprocess.run(cmd, stdout=sys.stderr, check=True)
 
 
-def profile(workload, seconds, seed):
-    """The flat profile of one nwsbench run of `workload`."""
+def write_renamed():
+    """Writes RENAMED (see the module docstring); returns its rename table."""
+    nm = subprocess.run(["nm", "--defined-only", BINARY], capture_output=True, text=True,
+                        check=True)
+    names = [m.group(1) for m in map(TEXT_SYMBOL.match, nm.stdout.splitlines()) if m]
+    table = rename_table(names)
+    with tempfile.NamedTemporaryFile("w", prefix="hostprof-", suffix=".syms") as syms:
+        syms.writelines(f"{old} {new}\n" for old, new in sorted(table.items()))
+        syms.flush()
+        subprocess.run(["objcopy", f"--redefine-syms={syms.name}", BINARY, RENAMED], check=True)
+    return table
+
+
+def profile(workload, seconds, seed, table):
+    """The rows of the flat profile of one nwsbench run of `workload`."""
     with tempfile.TemporaryDirectory(prefix="hostprof-") as scratch:
         subprocess.run([BINARY, "--workload", workload, "--seed", str(seed),
                         "--seconds", str(seconds), "--trace", "0"],
                        cwd=scratch, stdout=subprocess.DEVNULL, check=True)
-        done = subprocess.run(["gprof", "-b", "-p", BINARY, os.path.join(scratch, "gmon.out")],
+        done = subprocess.run(["gprof", "-b", "-p", "--no-demangle", RENAMED,
+                               os.path.join(scratch, "gmon.out")],
                               capture_output=True, text=True, check=True)
-        return done.stdout
+        return restore_names(parse_flat(done.stdout), table)
 
 
 def main():
@@ -171,15 +248,16 @@ def main():
 
     if args.fold:
         with open(args.fold) as f:
-            report(args.fold, f.read())
+            report(args.fold, parse_flat(f.read()))
         return 0
     workloads = args.workloads
     if not workloads:
         with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
             workloads = [w["name"] for w in json.load(f)["workloads"]]
     build()
+    table = write_renamed()
     for workload in workloads:
-        report(workload, profile(workload, args.seconds, args.seed))
+        report(workload, profile(workload, args.seconds, args.seed, table))
     return 0
 
 

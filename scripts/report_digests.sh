@@ -15,9 +15,10 @@
 # which records the flag, may differ.  Takes several seconds.
 #
 # Usage: scripts/report_digests.sh [BUILD_DIR]   (default: the repo's build/)
+#        scripts/report_digests.sh --list        (the bench names, one a line;
+#                                                 check.sh's coverage stage
+#                                                 runs the same list)
 set -euo pipefail
-repo="$(cd "$(dirname "$0")/.." && pwd)"
-build_dir="$(cd "${1:-$repo/build}" && pwd)"
 
 benches=(
   table1_ior_single_server table2_mpi_p2p
@@ -26,6 +27,13 @@ benches=(
   fig_contention_serving fig_snapshot_rw fig_rebuild_interference fig_interfaces
   baseline_lustre ablation_transfer_scheme projection_future_volumes
 )
+if [[ "${1:-}" == --list ]]; then
+  printf '%s\n' "${benches[@]}"
+  exit 0
+fi
+
+repo="$(cd "$(dirname "$0")/.." && pwd)"
+build_dir="$(cd "${1:-$repo/build}" && pwd)"
 
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT

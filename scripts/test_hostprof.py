@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Checks scripts/hostprof.py's folding on a committed flat profile.
+"""Checks scripts/hostprof.py's folding and symbol renaming.
 
     python3 scripts/test_hostprof.py
 
@@ -7,7 +7,10 @@ The fixture (scripts/testdata/hostprof_flat.txt) is `gprof -b -p` output of
 a static -pg nwsbench, trimmed to a few rows of the chaos_rebuild,
 serving_snapshot and posix_meta profiles.  The checks: the shares sum to 1,
 known symbols land in their buckets, and the libc.mem share is the memory
-functions' self time over the total.  No profiling run, no timing.
+functions' self time over the total.  The rename table is checked on
+symbol names of that binary: exactly the names gprof drops are renamed, to
+unique names it keeps, and a renamed row maps back to its original name
+and bucket (this runs c++filt).  No profiling run, no timing.
 """
 
 import os
@@ -50,6 +53,58 @@ EXPECTED = [
     ("__cos_fma", "other"),
     ("_IO_default_xsputn", "other"),
 ]
+
+
+# The I/O server's model_process coroutine body, as GCC 12 names it.
+ACTOR = ("_ZN3nws8ioserver12_GLOBAL__N_113model_processEPZNS1_13model_processERNS_4daos7Cluster"
+         "ENS0_14PipelineConfigERNS1_13PipelineStateEmE113_ZN3nws8ioserver12_GLOBAL__N_113model_"
+         "processERNS_4daos7ClusterENS0_14PipelineConfigERNS1_13PipelineStateEm.Frame.actor")
+DROPPED = [
+    ACTOR,
+    ACTOR.replace(".Frame.actor", ".Frame.destroy"),
+    ACTOR + ".cold",
+    "_ZN3nws3net13FlowScheduler15recompute_ratesEv.cold",
+    "_ZN3nws4fdb7FieldIo4readEv.isra.0",
+    "_ZN3nws4fdb7FieldIo4readEv.part.0",
+    "_ZN3nws4fdb7FieldIo4readEv.constprop.0.isra.0",
+    "_GLOBAL__sub_I_eh_alloc.cc",
+]
+KEPT = [
+    "_ZN3nws4Md513process_blockEPKh",
+    "unlink_chunk.constprop.0",
+    "_ZN3nws3sim9Scheduler3runEv.clone.3",
+    "_ZN3nws4fdb7FieldIo4readEv.1",
+    "_ZN3nws4fdb7FieldIo4readEv.constprop.0.2",
+]
+
+
+class RenameTable(unittest.TestCase):
+    @classmethod
+    def setUpClass(cls):
+        # A repeated name (a local symbol of two translation units) counts once.
+        cls.table = hostprof.rename_table(DROPPED + KEPT + DROPPED[:2])
+
+    def test_exactly_the_dropped_names_are_renamed(self):
+        self.assertEqual(sorted(self.table), sorted(DROPPED))
+
+    def test_new_names_are_kept_unique_and_unused(self):
+        new = list(self.table.values())
+        self.assertEqual(len(set(new)), len(new))
+        self.assertFalse(set(new) & set(DROPPED + KEPT))
+        for old, name in self.table.items():
+            dot = name.index(".")
+            self.assertEqual(name[:dot], old[:old.index(".")])
+            self.assertTrue(hostprof.KEPT_SUFFIX.fullmatch(name, dot), name)
+
+    def test_renamed_row_maps_back_to_its_name_and_bucket(self):
+        rows = [(0.5, self.table[ACTOR]), (0.25, "_ZN3nws3net13FlowScheduler15recompute_ratesEv")]
+        (_, actor), (_, solver) = hostprof.restore_names(rows, self.table)
+        self.assertTrue(actor.startswith("nws::ioserver::(anonymous namespace)::model_process("))
+        self.assertTrue(actor.endswith(" [clone .actor]"), actor)
+        self.assertEqual(hostprof.bucket(actor), "ioserver")
+        self.assertEqual(solver, "nws::net::FlowScheduler::recompute_rates()")
+        # Unmapped, the renamed name no longer demangles and would fall to other.
+        self.assertEqual(hostprof.bucket(hostprof.demangle([self.table[ACTOR]])[0]), "other")
 
 
 class FoldFixture(unittest.TestCase):

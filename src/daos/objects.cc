@@ -157,34 +157,44 @@ Bytes ArrayObject::pending_cow_bytes(Epoch epoch, bool retain_superseded) const 
   return newest.epoch < epoch ? newest.size : 0;
 }
 
-Bytes ArrayObject::write(Bytes offset, const std::uint8_t* data, Bytes len, Epoch epoch,
-                         bool retain_superseded) {
-  if (len == 0) return 0;
-  Bytes cow = 0;
+Bytes ArrayObject::writable_version(Epoch epoch, bool retain_superseded) {
   if (versions_.empty()) {
     Version initial;
     initial.epoch = epoch;
     versions_.push_back(std::move(initial));
-  } else if (versions_.back().epoch > epoch) {
-    throw std::logic_error("ArrayObject::write at a stale epoch (writes go to the pending epoch)");
-  } else if (versions_.back().epoch < epoch) {
-    if (retain_superseded) {
-      // Copy-on-write: preserve the committed version for pinned readers.
-      Version next = versions_.back();
-      next.epoch = epoch;
-      cow = next.size;
-      versions_.push_back(std::move(next));
-      if (stats_ != nullptr) stats_->cow_bytes += cow;
-    } else {
-      // Nothing retains the superseded version: recycle it in place.
-      versions_.back().epoch = epoch;
-    }
+    return 0;
   }
+  Version& newest = versions_.back();
+  if (newest.epoch > epoch) {
+    throw std::logic_error(
+        "ArrayObject: write/truncate at a stale epoch (writes go to the pending epoch)");
+  }
+  if (newest.epoch == epoch) return 0;
+  if (!retain_superseded) {
+    // Nothing retains the superseded version: recycle it in place.
+    newest.epoch = epoch;
+    return 0;
+  }
+  // Copy-on-write: preserve the committed version for pinned readers.
+  Version next = newest;
+  next.epoch = epoch;
+  const Bytes cow = next.size;
+  versions_.push_back(std::move(next));
+  if (stats_ != nullptr) stats_->cow_bytes += cow;
+  return cow;
+}
+
+Bytes ArrayObject::write(Bytes offset, const std::uint8_t* data, Bytes len, Epoch epoch,
+                         bool retain_superseded) {
+  if (len == 0) return 0;
+  if (mode_ == PayloadMode::full && data == nullptr) {
+    throw std::invalid_argument("full-mode array write needs data");
+  }
+  const Bytes cow = writable_version(epoch, retain_superseded);
 
   Version& v = versions_.back();
   const Bytes end = offset + len;
   if (mode_ == PayloadMode::full) {
-    if (data == nullptr) throw std::invalid_argument("full-mode array write needs data");
     if (offset == 0 && len >= v.bytes.size()) {
       // Covers the whole version: one copy, nothing zero-filled first.
       v.bytes.assign(data, data + len);
@@ -213,25 +223,7 @@ Bytes ArrayObject::write(Bytes offset, const std::uint8_t* data, Bytes len, Epoc
 }
 
 Bytes ArrayObject::truncate(Bytes new_size, Epoch epoch, bool retain_superseded) {
-  Bytes cow = 0;
-  if (versions_.empty()) {
-    Version initial;
-    initial.epoch = epoch;
-    versions_.push_back(std::move(initial));
-  } else if (versions_.back().epoch > epoch) {
-    throw std::logic_error("ArrayObject::truncate at a stale epoch");
-  } else if (versions_.back().epoch < epoch) {
-    if (retain_superseded) {
-      Version next = versions_.back();
-      next.epoch = epoch;
-      cow = next.size;
-      versions_.push_back(std::move(next));
-      if (stats_ != nullptr) stats_->cow_bytes += cow;
-    } else {
-      versions_.back().epoch = epoch;
-    }
-  }
-
+  const Bytes cow = writable_version(epoch, retain_superseded);
   Version& v = versions_.back();
   if (v.size == new_size) return cow;
   if (mode_ == PayloadMode::full) {

@@ -250,6 +250,12 @@ class ArrayObject {
   /// Newest version at or below `epoch`, or nullptr (object absent there).
   [[nodiscard]] const Version* version_at(Epoch epoch) const;
 
+  /// Makes versions_.back() the `epoch` version that a write or truncate
+  /// modifies: a first version, the newest one when it is at `epoch` or
+  /// nothing retains it, else a copy of it.  Throws at a stale epoch.
+  /// Returns the copy-on-write bytes charged.
+  Bytes writable_version(Epoch epoch, bool retain_superseded);
+
   Bytes cell_size_;
   Bytes chunk_size_;
   PayloadMode mode_;

@@ -72,7 +72,7 @@ Dfs::Dfs(daos::Client& client, DfsConfig config, std::uint32_t rank)
       rank_(rank),
       // Seeded from (cluster seed, rank) without drawing from the cluster's
       // own stream, so enabling retries never perturbs unrelated jitter.
-      retrier_(client, config.retry, mix64(client.cluster().config().seed ^ (0xdf50d100ull + rank)),
+      retrier_(client, daos::RetryPolicy{}, mix64(client.cluster().config().seed ^ (0xdf50d100ull + rank)),
                &stats_.retries) {
   if (rank_ == kReservedUserHi) {
     throw std::invalid_argument("dfs rank collides with the reserved object-id namespace");

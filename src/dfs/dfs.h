@@ -48,7 +48,6 @@ struct DfsConfig {
   /// match the formatting mount on remount (it is encoded in the well-known
   /// object ids).
   daos::ObjectClass dir_class = daos::ObjectClass::SX;
-  daos::RetryPolicy retry;
 };
 
 /// Per-mount operation counters; fold_into emits them as `dfs.*` metrics.

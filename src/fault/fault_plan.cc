@@ -5,6 +5,16 @@
 
 namespace nws::fault {
 
+namespace {
+
+// Capacity multipliers a degradation window draws from, uniformly.
+constexpr double kSlowdownFactorMin = 0.05;  // target slowdowns
+constexpr double kSlowdownFactorMax = 0.5;
+constexpr double kLinkFactorMin = 0.1;  // NIC and UPI link degradations
+constexpr double kLinkFactorMax = 0.6;
+
+}  // namespace
+
 FaultSpec FaultSpec::default_chaos(std::uint64_t seed) {
   FaultSpec spec;
   spec.seed = seed;
@@ -56,7 +66,7 @@ void FaultPlan::generate_windows(const std::vector<TargetLinks>& targets,
   for (std::size_t t = 0; t < targets.size(); ++t) {
     const std::size_t slowdowns = sample_count(target_rng, spec_.target_slowdowns_per_target);
     for (std::size_t i = 0; i < slowdowns; ++i) {
-      const double factor = target_rng.uniform(spec_.slowdown_factor_min, spec_.slowdown_factor_max);
+      const double factor = target_rng.uniform(kSlowdownFactorMin, kSlowdownFactorMax);
       target_windows_.push_back(sample_window(target_rng, t, factor, /*outage=*/false));
     }
     const std::size_t outages = sample_count(target_rng, spec_.target_outages_per_target);
@@ -116,7 +126,7 @@ void FaultPlan::generate_windows(const std::vector<TargetLinks>& targets,
           w.start + static_cast<sim::Duration>(link_rng.uniform(static_cast<double>(spec_.window_min),
                                                                 static_cast<double>(spec_.window_max))),
           spec_.horizon);
-      w.factor = link_rng.uniform(spec_.link_factor_min, spec_.link_factor_max);
+      w.factor = link_rng.uniform(kLinkFactorMin, kLinkFactorMax);
       link_windows_.push_back(w);
     }
   }

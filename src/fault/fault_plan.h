@@ -4,10 +4,10 @@
 // events over a bounded horizon:
 //
 //   * per-target service degradation — slowdown windows (capacity factor in
-//     [slowdown_factor_min, slowdown_factor_max]) and outage windows
-//     (capacity 0, operations rejected with `unavailable`) on a DAOS
-//     target's read and write service links;
-//   * fabric link degradation — slowdown windows on NIC and UPI links;
+//     [0.05, 0.5)) and outage windows (capacity 0, operations rejected with
+//     `unavailable`) on a DAOS target's read and write service links;
+//   * fabric link degradation — slowdown windows (capacity factor in
+//     [0.1, 0.6)) on NIC and UPI links;
 //   * RPC drops — a per-operation chance that a request is silently lost,
 //     costing the client the RPC timeout before a `timeout` error surfaces;
 //   * transient operation errors — a per-operation chance of an `io_error`
@@ -50,13 +50,9 @@ struct FaultSpec {
   double target_outages_per_target = 0.0;
   sim::Duration window_min = sim::milliseconds(2.0);
   sim::Duration window_max = sim::milliseconds(30.0);
-  double slowdown_factor_min = 0.05;  // capacity multiplier during a slowdown
-  double slowdown_factor_max = 0.5;
 
   // --- fabric link degradation ---------------------------------------------
   double degradations_per_link = 0.0;  // expected windows per NIC/UPI link
-  double link_factor_min = 0.1;
-  double link_factor_max = 0.6;
 
   // --- per-operation faults ------------------------------------------------
   double rpc_drop_rate = 0.0;        // P(request silently lost) per RPC

@@ -35,8 +35,8 @@ class Catalogue {
   sim::Task<Status> init();
 
   /// Retry attempts the catalogue's operations needed (fault injection);
-  /// mirrors FieldIoStats::retries.  Listing and purge run under the same
-  /// RetryPolicy as FieldIo (config.retry), so administrative sweeps survive
+  /// mirrors FieldIoStats::retries.  Listing and purge run under FieldIo's
+  /// RetryPolicy, the default one, so administrative sweeps survive
   /// injected target outages too.
   [[nodiscard]] std::uint64_t retries() const { return retries_; }
 
@@ -85,7 +85,8 @@ class Catalogue {
 
   daos::Client& client_;
   FieldIoConfig config_;
-  /// Drives config_.retry over client_ (daos/retry.h); counts into retries_.
+  /// Drives the default RetryPolicy over client_ (daos/retry.h); counts into
+  /// retries_.
   daos::Retrier retrier_;
   std::uint64_t retries_ = 0;
   bool initialised_ = false;

@@ -53,7 +53,6 @@ struct FieldIoConfig {
   daos::ObjectClass kv_class = daos::ObjectClass::SX;
   /// ...and Arrays unstriped (Fig. 6 explores alternatives).
   daos::ObjectClass array_class = daos::ObjectClass::S1;
-  daos::RetryPolicy retry;
 };
 
 struct FieldIoStats {
@@ -205,8 +204,9 @@ class FieldIo {
   daos::Client& client_;
   FieldIoConfig config_;
   std::uint32_t rank_;
-  /// Drives config_.retry over client_ (see daos/retry.h for the LIFETIME rule
-  /// its lambda factories must respect); counts into stats_.retries.
+  /// Drives the default RetryPolicy over client_ (see daos/retry.h for the
+  /// LIFETIME rule its lambda factories must respect); counts into
+  /// stats_.retries.
   daos::Retrier retrier_;
   std::uint64_t array_counter_ = 0;
 

@@ -22,10 +22,11 @@ struct RunState {
   std::string failure;
 };
 
-daos::ObjectId object_for(std::uint32_t node, std::uint32_t proc, std::uint32_t iteration,
-                          daos::ObjectClass oclass) {
-  // File-per-process: every (node, proc, iteration) owns a distinct Array.
-  return daos::ObjectId::generate((node << 16) | proc, iteration + 1, daos::ObjectType::array, oclass);
+daos::ObjectId object_for(std::uint32_t node, std::uint32_t proc, std::uint32_t iteration) {
+  // File-per-process: every (node, proc, iteration) owns a distinct Array,
+  // unstriped (S1), the object class of the paper's IOR runs.
+  return daos::ObjectId::generate((node << 16) | proc, iteration + 1, daos::ObjectType::array,
+                                  daos::ObjectClass::S1);
 }
 
 sim::Task<void> ior_process(daos::Cluster& cluster, const IorParams params, RunState& state,
@@ -65,7 +66,7 @@ sim::Task<void> ior_process(daos::Cluster& cluster, const IorParams params, RunS
     // collective does not deadlock (as MPI-based IOR would abort together).
     bool ok = !state.failed;
     if (ok) {
-      const daos::ObjectId oid = object_for(node, proc, iter, params.object_class);
+      const daos::ObjectId oid = object_for(node, proc, iter);
       daos::ArrayHandle handle;
       if (is_write) {
         // c) create the object sized t*s.

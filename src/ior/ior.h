@@ -43,7 +43,6 @@ struct IorParams {
   std::uint32_t segments = 100;  // -s: object size = t * s
   std::uint32_t iterations = 1;  // -i
   std::size_t processes_per_node = 24;
-  daos::ObjectClass object_class = daos::ObjectClass::S1;
   TransferScheme scheme = TransferScheme::single_shot;
 
   [[nodiscard]] Bytes object_size() const { return transfer_size * segments; }

@@ -14,6 +14,12 @@ namespace nws::pgen {
 
 namespace {
 
+/// First per-node process slot the consumers occupy (kept clear of the
+/// write pipeline's io-server and model-process slots).
+constexpr std::size_t kProcessSlotBase = 256;
+/// Client jitter-stream salt base (consumer idx is added).
+constexpr std::uint64_t kClientSaltBase = 0x7000u;
+
 struct AnnouncedField {
   fdb::FieldKey key;
   Bytes size = 0;
@@ -131,9 +137,9 @@ void close_without_poller(Impl& st) {
 /// finds nothing new is authoritative — remaining fields will never land.
 sim::Task<void> poller(Impl& st) {
   sim::Scheduler& sched = st.cluster.scheduler();
-  const std::size_t slot = st.cfg.process_slot_base + st.cfg.consumers;
+  const std::size_t slot = kProcessSlotBase + st.cfg.consumers;
   daos::Client client(st.cluster, st.cluster.client_endpoint(0, slot),
-                      st.cfg.client_salt_base + 0xFFFFu);
+                      kClientSaltBase + 0xFFFFu);
   client.set_trace_actor(obs::Actor{static_cast<std::uint32_t>(st.cluster.client_topology_node(0)),
                                     static_cast<std::uint32_t>(slot)});
   fdb::Catalogue catalogue(client, st.cfg.field_io);
@@ -253,14 +259,14 @@ sim::Task<void> read_one(Impl& st, NodeState& local, fdb::FieldIo& io, daos::Cli
 /// once through the node-shared cache; parks on the gate when caught up.
 sim::Task<void> consumer(Impl& st, std::size_t idx) {
   const std::size_t node = idx % st.cluster.config().client_nodes;
-  const std::size_t slot = st.cfg.process_slot_base + idx / st.cluster.config().client_nodes;
+  const std::size_t slot = kProcessSlotBase + idx / st.cluster.config().client_nodes;
   daos::Client client(st.cluster, st.cluster.client_endpoint(node, slot),
-                      st.cfg.client_salt_base + idx);
+                      kClientSaltBase + idx);
   client.set_trace_actor(
       obs::Actor{static_cast<std::uint32_t>(st.cluster.client_topology_node(node)),
-                 static_cast<std::uint32_t>(st.cfg.process_slot_base + idx)});
+                 static_cast<std::uint32_t>(kProcessSlotBase + idx)});
   fdb::FieldIo io(client, st.cfg.field_io,
-                  static_cast<std::uint32_t>(st.cfg.client_salt_base + idx));
+                  static_cast<std::uint32_t>(kClientSaltBase + idx));
   const Status init = co_await io.init();
   if (!init.is_ok()) {
     note_failure(st, "consumer " + std::to_string(idx) +

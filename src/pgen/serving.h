@@ -60,11 +60,6 @@ struct ServingConfig {
   CacheConfig cache;          // per client node
   AdmissionConfig admission;  // per client node
   fdb::FieldIoConfig field_io;
-  /// First per-node process slot the consumers occupy (kept clear of the
-  /// write pipeline's io-server and model-process slots).
-  std::size_t process_slot_base = 256;
-  /// Client jitter-stream salt base (consumer idx is added).
-  std::uint64_t client_salt_base = 0x7000u;
 };
 
 struct ServingResult {

@@ -135,6 +135,52 @@ TEST(CatalogueTest, UnknownForecastFails) {
   });
 }
 
+TEST(PurgeTest, ReclaimsOrphanedGenerations) {
+  Fixture fx;
+  fx.run([&fx](daos::Client& client) -> sim::Task<void> {
+    FieldIoConfig cfg;  // full mode
+    FieldIo io(client, cfg, 0);
+    (co_await io.init()).expect_ok("init");
+
+    FieldKey key;
+    key.set("class", "od").set("date", "20260705").set("param", "t").set("step", "0");
+    for (int generation = 0; generation < 4; ++generation) {
+      (co_await io.write(key, nullptr, 1_MiB)).expect_ok("write");
+    }
+    EXPECT_EQ(fx.cluster->pool_used(), 4_MiB);  // 3 orphans + 1 live
+
+    Catalogue catalogue(client, cfg);
+    (co_await catalogue.init()).expect_ok("catalogue");
+    const auto report = (co_await catalogue.purge(key.most_significant())).value();
+    EXPECT_EQ(report.arrays_destroyed, 3u);
+    EXPECT_EQ(report.bytes_reclaimed, 3_MiB);
+    EXPECT_EQ(fx.cluster->pool_used(), 1_MiB);
+
+    // The live field survives the purge.
+    const auto n = co_await io.read(key, nullptr, 1_MiB);
+    EXPECT_EQ(n.value(), 1_MiB);
+    // A second purge is a no-op.
+    EXPECT_EQ((co_await catalogue.purge(key.most_significant())).value().arrays_destroyed, 0u);
+  });
+}
+
+TEST(PurgeTest, UnsupportedOutsideFullMode) {
+  Fixture fx;
+  fx.run([](daos::Client& client) -> sim::Task<void> {
+    FieldIoConfig cfg;
+    cfg.mode = Mode::no_containers;
+    FieldIo io(client, cfg, 0);
+    (co_await io.init()).expect_ok("init");
+    FieldKey key;
+    key.set("class", "od").set("date", "20260705").set("param", "t");
+    (co_await io.write(key, nullptr, 1_MiB)).expect_ok("write");
+
+    Catalogue catalogue(client, cfg);
+    (co_await catalogue.init()).expect_ok("catalogue");
+    EXPECT_EQ((co_await catalogue.purge(key.most_significant())).status().code(), Errc::unsupported);
+  });
+}
+
 TEST(CatalogueChaosTest, ListingAndPurgeSurviveInjectedFaults) {
   // Catalogue operations run under the same retry policy as FieldIo, so
   // administrative sweeps complete despite dropped RPCs, transient errors

@@ -30,10 +30,10 @@
 #include <string>
 #include <vector>
 
+#include "checker.h"
 #include "common/rng.h"
 #include "daos/client.h"
 #include "daos/cluster.h"
-#include "fault/checker.h"
 #include "fault/fault_plan.h"
 #include "fdb/field_io.h"
 #include "harness/experiment.h"

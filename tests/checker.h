@@ -14,8 +14,7 @@
 //     logged per-op records reproduces the IoLog's incrementally-aggregated
 //     values bit-for-bit.
 //
-// Header-only and included by test code, so the fault library itself never
-// depends on daos/ or harness/.
+// Test support, header-only: tests/chaos_test.cc is its one user.
 #pragma once
 
 #include <algorithm>

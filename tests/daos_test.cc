@@ -323,6 +323,22 @@ TEST(ArrayObjectTest, ShorterWholeVersionRewriteKeepsTheTail) {
   EXPECT_EQ(arr.read(0, out.data(), out.size()), 400u);
   EXPECT_EQ(out, longer);
   EXPECT_EQ(arr.checksum(), fnv1a(longer.data(), longer.size()));
+  // A later epoch that retains the superseded version: the shorter rewrite
+  // still copies it (the whole old size is charged) and keeps its tail,
+  // while epoch 2 keeps reading its own bytes.
+  EXPECT_EQ(arr.write(0, head.data(), head.size(), 3, /*retain_superseded=*/true), 400u);
+  EXPECT_EQ(arr.version_count(), 2u);
+  EXPECT_EQ(arr.read(0, out.data(), out.size(), 2), 400u);
+  EXPECT_EQ(out, longer);
+  EXPECT_EQ(arr.checksum(2), fnv1a(longer.data(), longer.size()));
+  std::vector<std::uint8_t> expected = longer;
+  std::copy(head.begin(), head.end(), expected.begin());
+  EXPECT_EQ(arr.size(), 400u);
+  // The checksum covers the stored bytes: a version that lost its tail
+  // fails here, before the read below could run past its end.
+  ASSERT_EQ(arr.checksum(), fnv1a(expected.data(), expected.size())) << "tail lost";
+  EXPECT_EQ(arr.read(0, out.data(), out.size()), 400u);
+  EXPECT_EQ(out, expected);
 }
 
 TEST(ArrayObjectTest, WritePastTheEndLeavesAZeroHole) {
@@ -506,6 +522,26 @@ TEST(ClientTest, WritesConsumePoolCapacity) {
     EXPECT_EQ(c.cluster().pool_used(), 8_MiB);
     (co_await c.array_write(handle, 8_MiB, nullptr, 2_MiB)).expect_ok("extend");
     EXPECT_EQ(c.cluster().pool_used(), 10_MiB);
+  });
+}
+
+TEST(ArrayDestroyTest, ReleasesCapacity) {
+  sim::Scheduler sched;
+  ClusterConfig cfg = small_config();
+  cfg.payload_mode = PayloadMode::digest;
+  Cluster cluster(sched, cfg);
+  run_client(cluster, [](Client& c) -> sim::Task<void> {
+    const ObjectId oid = ObjectId::generate(5, 50, ObjectType::array, ObjectClass::S1);
+    ContHandle cont = co_await c.main_cont_open();
+    auto arr = (co_await c.array_create(cont, oid, 1, 1_MiB)).value();
+    (co_await c.array_write(arr, 0, nullptr, 4_MiB)).expect_ok("write");
+    EXPECT_EQ(c.cluster().pool_used(), 4_MiB);
+    co_await c.array_close(arr);
+
+    (co_await c.array_destroy(cont, oid)).expect_ok("destroy");
+    EXPECT_EQ(c.cluster().pool_used(), 0u);
+    EXPECT_EQ((co_await c.array_open(cont, oid)).status().code(), Errc::not_found);
+    EXPECT_EQ((co_await c.array_destroy(cont, oid)).code(), Errc::not_found);
   });
 }
 
