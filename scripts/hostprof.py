@@ -23,6 +23,12 @@ a kept `<prefix>.N` name (`objcopy --redefine-syms`).  Rows of the
 renamed symbols are mapped back to their original names before
 demangling (`c++filt`) and bucketing.
 
+The static binary's .plt holds no symbol either: it is the stubs of its
+IFUNC slots (R_X86_64_IRELATIVE relocations), and gprof would charge their
+samples to `_init`, the symbol before it.  When the binary has a .plt,
+the copy gets one function symbol at its start (`objcopy --add-symbol`),
+IFUNC_STUBS, which folds into libc.ifunc.
+
 The flat profile's self time is folded into host.share.<bucket> shares that
 sum to 1:
 
@@ -32,6 +38,9 @@ sum to 1:
   harness       nws::bench, and nwsbench's own nwsbench:: namespace;
   common        nws:: itself (md5, rng, status, cli, ...);
   libc.mem      memmove, memcpy, memset, memcmp and their variants;
+  libc.ifunc    the IFUNC stubs in .plt, through which calls reach glibc's
+                string, memory and math routines (memmove, memcpy, memset,
+                strlen, ceil, cos, exp, log, log2, ...);
   libc.alloc    malloc, free, operator new/delete and the allocator's
                 internals;
   other         everything else (std:: code on no nws type, the profiler's
@@ -66,6 +75,9 @@ BINARY = os.path.join(BUILD, "nwsbench")
 # The copy gprof reads symbols from: BINARY with every dotted name that gprof
 # would drop renamed (rename_table).
 RENAMED = BINARY + ".gprof"
+# The function symbol RENAMED gets at the start of .plt (see the docstring).
+# gprof keeps it: the name has no dot.
+IFUNC_STUBS = "hostprof_ifunc_stubs"
 TOP_SYMBOLS = 15
 
 # nws:: namespaces whose bucket is not their own name.
@@ -103,6 +115,8 @@ def without_groups(text, brackets):
 
 def bucket(symbol):
     """The host.share bucket of one demangled symbol name."""
+    if symbol == IFUNC_STUBS:
+        return "libc.ifunc"
     if LIBC_MEM.search(symbol):
         return "libc.mem"
     if LIBC_ALLOC.search(symbol):
@@ -212,6 +226,12 @@ def build():
         subprocess.run(cmd, stdout=sys.stderr, check=True)
 
 
+def has_section(binary, name):
+    """Whether `binary` has a section called `name`."""
+    done = subprocess.run(["objdump", "-h", binary], capture_output=True, text=True, check=True)
+    return any(line.split()[1:2] == [name] for line in done.stdout.splitlines())
+
+
 def write_renamed():
     """Writes RENAMED (see the module docstring); returns its rename table."""
     nm = subprocess.run(["nm", "--defined-only", BINARY], capture_output=True, text=True,
@@ -221,7 +241,10 @@ def write_renamed():
     with tempfile.NamedTemporaryFile("w", prefix="hostprof-", suffix=".syms") as syms:
         syms.writelines(f"{old} {new}\n" for old, new in sorted(table.items()))
         syms.flush()
-        subprocess.run(["objcopy", f"--redefine-syms={syms.name}", BINARY, RENAMED], check=True)
+        objcopy = ["objcopy", f"--redefine-syms={syms.name}"]
+        if has_section(BINARY, ".plt"):
+            objcopy.append(f"--add-symbol={IFUNC_STUBS}=.plt:0,function")
+        subprocess.run(objcopy + [BINARY, RENAMED], check=True)
     return table
 
 

@@ -5,9 +5,10 @@
 
 The fixture (scripts/testdata/hostprof_flat.txt) is `gprof -b -p` output of
 a static -pg nwsbench, trimmed to a few rows of the chaos_rebuild,
-serving_snapshot and posix_meta profiles.  The checks: the shares sum to 1,
-known symbols land in their buckets, and the libc.mem share is the memory
-functions' self time over the total.  The rename table is checked on
+serving_snapshot and posix_meta profiles; its hostprof_ifunc_stubs row is
+the .plt symbol hostprof adds to its copy of the binary.  The checks: the
+shares sum to 1, known symbols land in their buckets, and the libc.mem
+share is the memory functions' self time over the total.  The rename table is checked on
 symbol names of that binary: exactly the names gprof drops are renamed, to
 unique names it keeps, and a renamed row maps back to its original name
 and bucket (this runs c++filt).  No profiling run, no timing.
@@ -51,6 +52,8 @@ EXPECTED = [
     ("void std::__cxx11::basic_string<char,", "other"),
     ("std::_Rb_tree_increment(", "other"),
     ("__cos_fma", "other"),
+    # The static binary's IFUNC stubs, under the symbol hostprof gives .plt.
+    (hostprof.IFUNC_STUBS, "libc.ifunc"),
     ("_IO_default_xsputn", "other"),
 ]
 
@@ -115,8 +118,8 @@ class FoldFixture(unittest.TestCase):
         cls.total, cls.shares = hostprof.fold(cls.rows)
 
     def test_every_row_parsed(self):
-        self.assertEqual(len(self.rows), 26)
-        self.assertAlmostEqual(self.total, 2.85, places=6)
+        self.assertEqual(len(self.rows), 27)
+        self.assertAlmostEqual(self.total, 2.91, places=6)
 
     def test_shares_sum_to_one(self):
         self.assertAlmostEqual(sum(self.shares.values()), 1.0, places=9)
@@ -129,8 +132,11 @@ class FoldFixture(unittest.TestCase):
             self.assertEqual(hostprof.bucket(matches[0]), expected, matches[0])
 
     def test_libc_mem_share_is_the_memory_functions_self_time(self):
-        # memset 0.65 + memmove 0.49 + memcmp 0.11 seconds of 2.85.
-        self.assertAlmostEqual(self.shares["libc.mem"], 1.25 / 2.85, places=9)
+        # memset 0.65 + memmove 0.49 + memcmp 0.11 seconds of 2.91.
+        self.assertAlmostEqual(self.shares["libc.mem"], 1.25 / 2.91, places=9)
+
+    def test_ifunc_stubs_get_their_own_bucket(self):
+        self.assertAlmostEqual(self.shares["libc.ifunc"], 0.06 / 2.91, places=9)
 
     def test_empty_profile_is_refused(self):
         with self.assertRaises(ValueError):

@@ -61,11 +61,6 @@ sim::Task<Result<ContHandle>> Client::cont_open(const Uuid& uuid) {
   co_return ContHandle{result.value()};
 }
 
-sim::Task<void> Client::cont_close(ContHandle& handle) {
-  handle.container = nullptr;
-  co_await cluster_.scheduler().delay(cluster_.model().handle_close_overhead);
-}
-
 sim::Task<ContHandle> Client::main_cont_open() {
   co_await rpc(0, cluster_.model().cont_open_overhead);
   co_return ContHandle{&cluster_.main_container()};
@@ -103,20 +98,41 @@ sim::Task<Status> Client::snapshot_close(ContHandle& handle) {
   co_return Status::ok();
 }
 
-sim::Task<Result<Epoch>> Client::cont_committed_epoch(ContHandle& handle) {
-  obs::Span span("epoch.query", "epoch", actor_, trace_iteration_);
-  if (!handle.valid()) throw std::logic_error("cont_committed_epoch on closed container handle");
-  co_await rpc(0, cluster_.model().kv_op_overhead);
-  if (Status fault = co_await fault_check(0); !fault.is_ok()) co_return fault;
-  co_return handle.container->committed_epoch();
-}
-
 sim::Task<KvHandle> Client::kv_open(ContHandle cont, const ObjectId& oid) {
   obs::Span span("kv_open", "daos", actor_, trace_iteration_);
   if (!cont.valid()) throw std::logic_error("kv_open on closed container handle");
   // Object open is a client-local handle operation in DAOS.
   co_await cluster_.scheduler().delay(cluster_.model().handle_close_overhead);
   co_return KvHandle{cont.container, oid, &cont.container->kv(oid), cont.epoch};
+}
+
+Bytes Client::kv_update_enter(KvObject& kv) {
+  // Shard service: metadata work competes with array I/O for the engine and
+  // target.  Conditional updates contending on the same object abort and
+  // retry, multiplying the server-side work — the cost scales with how many
+  // updaters are in flight on the object.
+  const ModelConfig& m = cluster_.model();
+  kv.writer_enter();
+  const std::size_t contenders = kv.active_writers() - 1;
+  Bytes retry = m.kv_contention_retry_bytes *
+                static_cast<Bytes>(std::min(contenders, m.kv_contention_retry_cap));
+  const sim::TimePoint now = cluster_.scheduler().now();
+  const bool recently_read = kv.last_read() >= 0 && now - kv.last_read() < m.kv_hot_entry_window;
+  if (kv.active_readers() > 0 || recently_read) retry += m.kv_cross_contention_bytes;
+  return m.kv_put_service_bytes + retry;
+}
+
+sim::Task<void> Client::kv_replicate(const std::vector<std::size_t>& replicas) {
+  const Bytes bytes = cluster_.model().kv_put_service_bytes;
+  std::vector<sim::Task<void>> fan;
+  fan.reserve(replicas.size());
+  for (const std::size_t target : replicas) {
+    auto one = [](Cluster& cluster, std::vector<net::LinkId> p, Bytes b) -> sim::Task<void> {
+      co_await cluster.flows().transfer(std::move(p), b);
+    }(cluster_, cluster_.service_path(target, /*is_write=*/true), bytes);
+    fan.push_back(std::move(one));
+  }
+  return sim::when_all(cluster_.scheduler(), std::move(fan));
 }
 
 sim::Task<Status> Client::kv_put(KvHandle& handle, const std::string& key, std::string value) {
@@ -130,33 +146,9 @@ sim::Task<Status> Client::kv_put(KvHandle& handle, const std::string& key, std::
   co_await rpc(shard, m.kv_op_overhead);
   if (Status fault = co_await fault_check(shard); !fault.is_ok()) co_return fault;
 
-  // Shard service: metadata work competes with array I/O for the engine and
-  // target.  Conditional updates contending on the same object abort and
-  // retry, multiplying the server-side work — the cost scales with how many
-  // updaters are in flight on the object.
-  handle.kv->writer_enter();
-  const std::size_t contenders = handle.kv->active_writers() - 1;
-  Bytes retry = m.kv_contention_retry_bytes *
-                static_cast<Bytes>(std::min(contenders, m.kv_contention_retry_cap));
-  const sim::TimePoint now_put = cluster_.scheduler().now();
-  const bool recently_read = handle.kv->last_read() >= 0 &&
-                             now_put - handle.kv->last_read() < m.kv_hot_entry_window;
-  if (handle.kv->active_readers() > 0 || recently_read) retry += m.kv_cross_contention_bytes;
-  co_await cluster_.flows().transfer(cluster_.service_path(shard, /*is_write=*/true),
-                                     m.kv_put_service_bytes + retry);
-  // Replicated classes forward the update to every other live replica; the
-  // put is not durable until all of them have serviced it.
-  if (!route.replicas.empty()) {
-    std::vector<sim::Task<void>> fan;
-    fan.reserve(route.replicas.size());
-    for (const std::size_t target : route.replicas) {
-      auto one = [](Cluster& cluster, std::vector<net::LinkId> p, Bytes b) -> sim::Task<void> {
-        co_await cluster.flows().transfer(std::move(p), b);
-      }(cluster_, cluster_.service_path(target, /*is_write=*/true), m.kv_put_service_bytes);
-      fan.push_back(std::move(one));
-    }
-    co_await sim::when_all(cluster_.scheduler(), std::move(fan));
-  }
+  const Bytes service = kv_update_enter(*handle.kv);
+  co_await cluster_.flows().transfer(cluster_.service_path(shard, /*is_write=*/true), service);
+  if (!route.replicas.empty()) co_await kv_replicate(route.replicas);
 
   // Serialised transaction-ordering section on the object.
   co_await handle.kv->object_lock().lock();
@@ -186,16 +178,8 @@ sim::Task<Status> Client::kv_put_if_absent(KvHandle& handle, const std::string& 
   co_await rpc(shard, m.kv_op_overhead);
   if (Status fault = co_await fault_check(shard); !fault.is_ok()) co_return fault;
 
-  handle.kv->writer_enter();
-  const std::size_t contenders = handle.kv->active_writers() - 1;
-  Bytes retry = m.kv_contention_retry_bytes *
-                static_cast<Bytes>(std::min(contenders, m.kv_contention_retry_cap));
-  const sim::TimePoint now_put = cluster_.scheduler().now();
-  const bool recently_read = handle.kv->last_read() >= 0 &&
-                             now_put - handle.kv->last_read() < m.kv_hot_entry_window;
-  if (handle.kv->active_readers() > 0 || recently_read) retry += m.kv_cross_contention_bytes;
-  co_await cluster_.flows().transfer(cluster_.service_path(shard, /*is_write=*/true),
-                                     m.kv_put_service_bytes + retry);
+  const Bytes service = kv_update_enter(*handle.kv);
+  co_await cluster_.flows().transfer(cluster_.service_path(shard, /*is_write=*/true), service);
 
   // The existence check and the put form one serialised transaction on the
   // object, so the replica fan-out happens under the lock: losers of a
@@ -206,17 +190,7 @@ sim::Task<Status> Client::kv_put_if_absent(KvHandle& handle, const std::string& 
     handle.kv->writer_exit();
     co_return Status::error(Errc::already_exists, "KV key exists: " + key);
   }
-  if (!route.replicas.empty()) {
-    std::vector<sim::Task<void>> fan;
-    fan.reserve(route.replicas.size());
-    for (const std::size_t target : route.replicas) {
-      auto one = [](Cluster& cluster, std::vector<net::LinkId> p, Bytes b) -> sim::Task<void> {
-        co_await cluster.flows().transfer(std::move(p), b);
-      }(cluster_, cluster_.service_path(target, /*is_write=*/true), m.kv_put_service_bytes);
-      fan.push_back(std::move(one));
-    }
-    co_await sim::when_all(cluster_.scheduler(), std::move(fan));
-  }
+  if (!route.replicas.empty()) co_await kv_replicate(route.replicas);
   co_await cluster_.scheduler().delay(
       static_cast<sim::Duration>(static_cast<double>(m.kv_put_serial) * jitter()));
   handle.kv->put(key, std::move(value), handle.container->write_epoch());
@@ -301,8 +275,7 @@ sim::Task<void> Client::kv_close(KvHandle& handle) {
   co_await cluster_.scheduler().delay(cluster_.model().handle_close_overhead);
 }
 
-sim::Task<Result<ArrayHandle>> Client::array_create(ContHandle cont, const ObjectId& oid, Bytes cell_size,
-                                                    Bytes chunk_size) {
+sim::Task<Result<ArrayHandle>> Client::array_create(ContHandle cont, const ObjectId& oid) {
   obs::Span span("array_create", "daos", actor_, trace_iteration_);
   if (!cont.valid()) throw std::logic_error("array_create on closed container handle");
   if (cont.pinned()) co_return Status::error(Errc::invalid, "array_create on a snapshot handle");
@@ -313,7 +286,7 @@ sim::Task<Result<ArrayHandle>> Client::array_create(ContHandle cont, const Objec
   co_await rpc(lead, m.array_create_overhead);
   if (Status fault = co_await fault_check(lead); !fault.is_ok()) co_return fault;
   co_await container_indirection(cont.container, lead, /*is_write=*/true);
-  auto created = cont.container->create_array(oid, cell_size, chunk_size, cluster_.config().payload_mode);
+  auto created = cont.container->create_array(oid, cluster_.config().payload_mode);
   if (!created.is_ok()) co_return created.status();
   co_return ArrayHandle{cont.container, oid, created.value(), lead};
 }
@@ -680,36 +653,6 @@ sim::Task<Bytes> Client::array_get_size(ArrayHandle& handle) {
   if (!handle.valid()) throw std::logic_error("array_get_size on closed handle");
   co_await rpc(handle.lead_target, cluster_.model().array_open_overhead);
   co_return handle.array->size(handle.epoch);
-}
-
-sim::Task<Status> Client::array_set_size(ArrayHandle& handle, Bytes size) {
-  obs::Span span("array_set_size", "daos", actor_, trace_iteration_, static_cast<double>(size));
-  if (!handle.valid()) throw std::logic_error("array_set_size on closed handle");
-  if (handle.pinned()) {
-    co_return Status::error(Errc::invalid, "array_set_size through a snapshot handle");
-  }
-  const ModelConfig& m = cluster_.model();
-  co_await rpc(handle.lead_target, m.array_open_overhead);
-  if (Status fault = co_await fault_check(handle.lead_target); !fault.is_ok()) co_return fault;
-  co_await container_indirection(handle.container, handle.lead_target, /*is_write=*/true);
-
-  if (size > handle.array->size()) {
-    auto charged = cluster_.charge_capacity(handle.lead_target, size - handle.array->size());
-    if (!charged.is_ok()) co_return charged.status();
-    handle.array->note_allocation(charged.value().first, charged.value().second);
-  }
-
-  const Epoch write_epoch = handle.container->write_epoch();
-  const bool retain = handle.container->retains_superseded();
-  co_await handle.array->object_lock().lock();
-  const Bytes cow = handle.array->pending_cow_bytes(write_epoch, retain);
-  if (cow > 0) {
-    co_await cluster_.flows().transfer(
-        cluster_.service_path(handle.lead_target, /*is_write=*/true), cow);
-  }
-  handle.array->truncate(size, write_epoch, retain);
-  handle.array->object_lock().unlock();
-  co_return Status::ok();
 }
 
 sim::Task<void> Client::array_close(ArrayHandle& handle) {

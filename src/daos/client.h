@@ -98,7 +98,6 @@ class Client {
   /// `salt` individualises the jitter stream (use the global process rank).
   Client(Cluster& cluster, net::Endpoint endpoint, std::uint64_t salt);
 
-  [[nodiscard]] net::Endpoint endpoint() const { return endpoint_; }
   [[nodiscard]] const ClientStats& stats() const { return stats_; }
   [[nodiscard]] Cluster& cluster() { return cluster_; }
 
@@ -120,7 +119,6 @@ class Client {
   sim::Task<PoolHandle> pool_connect();
   sim::Task<Status> cont_create(const Uuid& uuid);
   sim::Task<Result<ContHandle>> cont_open(const Uuid& uuid);
-  sim::Task<void> cont_close(ContHandle& handle);
 
   /// Opens the pool's main container (always exists).
   sim::Task<ContHandle> main_cont_open();
@@ -145,9 +143,6 @@ class Client {
   /// never faults (a leaked pin would wedge retention forever).
   sim::Task<Status> snapshot_close(ContHandle& handle);
 
-  /// The container's highest committed epoch (0 before any commit).
-  sim::Task<Result<Epoch>> cont_committed_epoch(ContHandle& handle);
-
   // --- Key-Value objects --------------------------------------------------------
   /// Opens (materialising on first use) the KV object `oid` in `cont`.
   sim::Task<KvHandle> kv_open(ContHandle cont, const ObjectId& oid);
@@ -164,19 +159,14 @@ class Client {
   sim::Task<void> kv_close(KvHandle& handle);
 
   // --- Array objects --------------------------------------------------------------
-  sim::Task<Result<ArrayHandle>> array_create(ContHandle cont, const ObjectId& oid, Bytes cell_size,
-                                              Bytes chunk_size);
+  sim::Task<Result<ArrayHandle>> array_create(ContHandle cont, const ObjectId& oid);
   sim::Task<Result<ArrayHandle>> array_open(ContHandle cont, const ObjectId& oid);
   sim::Task<Status> array_write(ArrayHandle& handle, Bytes offset, const std::uint8_t* data, Bytes len);
   sim::Task<Result<Bytes>> array_read(ArrayHandle& handle, Bytes offset, std::uint8_t* out, Bytes len);
   sim::Task<Bytes> array_get_size(ArrayHandle& handle);
-  /// Sets the array's logical size (daos_array_set_size): shrinking discards
-  /// the tail, growing extends with zeros.  Newly covered extent growth is
-  /// charged against pool capacity like a write's.
-  sim::Task<Status> array_set_size(ArrayHandle& handle, Bytes size);
   sim::Task<void> array_close(ArrayHandle& handle);
   /// Destroys an array object (daos_array_destroy), releasing its SCM
-  /// allocations — the building block of the catalogue's purge.
+  /// allocations — what dfs unlink and a replacing rename reclaim with.
   sim::Task<Status> array_destroy(ContHandle cont, const ObjectId& oid);
 
  private:
@@ -223,6 +213,14 @@ class Client {
     Status status;                      // data_loss when no member can serve
   };
   [[nodiscard]] KvRoute kv_route(const ObjectId& oid, const std::string& key, bool is_write) const;
+
+  /// Enters `kv` as a writer and returns the service bytes one update costs
+  /// its primary shard, contention surcharges included; the caller charges
+  /// them and calls writer_exit() once the update is applied.
+  Bytes kv_update_enter(KvObject& kv);
+  /// Forwards one update to each replica in `replicas` (replicated classes):
+  /// the put is not durable until all of them have serviced it.
+  sim::Task<void> kv_replicate(const std::vector<std::size_t>& replicas);
 
   /// Runs the per-shard data flows of one array op concurrently.
   sim::Task<void> run_data_flows(const std::vector<std::pair<std::size_t, Bytes>>& extents, bool is_write);

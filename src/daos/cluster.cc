@@ -8,6 +8,14 @@
 #include "common/table.h"
 
 namespace nws::daos {
+namespace {
+
+constexpr std::size_t kDcpmmPerSocket = 6;  // AppDirect interleaved set (paper 6.1)
+/// Server nodes beyond which FaultInjection::container_create_issue bites
+/// (paper Section 7: "failed using more than 8 server nodes").
+constexpr std::size_t kContainerIssueMinServers = 8;
+
+}  // namespace
 
 Status ClusterConfig::validate() const {
   if (server_nodes == 0) return Status::error(Errc::invalid, "at least one server node required");
@@ -40,7 +48,6 @@ Cluster::Cluster(sim::Scheduler& sched, ClusterConfig config)
       [this](std::size_t src, std::size_t dst) { return rebuild_path(src, dst); });
   arm_fault_plan();
 
-  pool_uuid_ = Uuid::from_string_md5("nws:pool");
   const Uuid main_uuid = Uuid::from_string_md5("nws:main-container");
   auto main = std::make_unique<Container>(sched_, main_uuid, /*is_main=*/true,
                                           config_.model.kv_get_concurrency,
@@ -53,7 +60,6 @@ void Cluster::build_topology() {
   net::TopologyConfig tcfg;
   tcfg.nodes = config_.server_nodes + config_.client_nodes;
   tcfg.sockets_per_node = 2;
-  tcfg.upi_capacity = config_.upi_capacity;
   tcfg.provider = config_.provider;
   topology_ = std::make_unique<net::Topology>(flows_, tcfg);
 
@@ -104,7 +110,7 @@ void Cluster::build_storage() {
       // SCM region: AppDirect interleaved set of this socket's DCPMMs.
       const std::size_t region_index = regions_.size();
       regions_.push_back(std::make_unique<scm::ScmRegion>(strf("node%zu.sock%zu.scm", n, s),
-                                                          config_.dcpmm, config_.dcpmm_per_socket));
+                                                          config_.dcpmm, kDcpmmPerSocket));
       net::Link scm_w;
       scm_w.name = regions_.back()->name() + ".write";
       scm_w.kind = net::LinkKind::scm;
@@ -460,12 +466,12 @@ Bytes Cluster::pool_used() const {
 
 Status Cluster::create_container(const Uuid& uuid) {
   const FaultInjection& f = config_.faults;
-  if (f.container_create_issue && config_.server_nodes > f.container_issue_min_servers &&
+  if (f.container_create_issue && config_.server_nodes > kContainerIssueMinServers &&
       containers_created_ >= f.container_issue_threshold) {
     return Status::error(Errc::unavailable,
                          strf("emulated DAOS issue: container creation failing beyond %zu server nodes "
                               "(paper Section 7)",
-                              f.container_issue_min_servers));
+                              kContainerIssueMinServers));
   }
   if (containers_.count(uuid) != 0) {
     return Status::error(Errc::already_exists, "container exists: " + uuid.to_string());
@@ -504,7 +510,7 @@ Result<std::pair<std::size_t, std::uint64_t>> Cluster::charge_capacity(std::size
   auto alloc = regions_[t.region]->allocate(bytes);
   if (!alloc.is_ok()) return alloc.status();
   // The field functions never free these (re-writes de-reference without
-  // deleting, Section 4); only an explicit purge reclaims them.
+  // deleting, Section 4); only Client::array_destroy reclaims them.
   return std::make_pair(t.region, alloc.value());
 }
 

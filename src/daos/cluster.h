@@ -44,10 +44,9 @@ struct FaultInjection {
   /// Paper 7: "our benchmarks with Field I/O in full mode, access pattern A
   /// with low contention failed using more than 8 server nodes."  When set,
   /// container creation starts failing (unavailable) once the pool spans
-  /// more than `container_issue_min_servers` server nodes and more than
-  /// `container_issue_threshold` containers exist.
+  /// more than 8 server nodes and more than `container_issue_threshold`
+  /// containers exist.
   bool container_create_issue = false;
-  std::size_t container_issue_min_servers = 8;
   std::size_t container_issue_threshold = 64;
 };
 
@@ -59,10 +58,9 @@ struct ClusterConfig {
   std::size_t client_sockets_in_use = 2;  // 1 for PSM2 single-rail runs
 
   net::ProviderProfile provider = net::tcp_provider();
-  double upi_capacity = gib_per_sec(20.0);
 
+  /// One DCPMM module; each socket's SCM region interleaves 6 of them.
   scm::DcpmmSpec dcpmm;
-  std::size_t dcpmm_per_socket = 6;  // AppDirect interleaved set (paper 6.1)
 
   ModelConfig model;
   FaultInjection faults;
@@ -182,7 +180,6 @@ class Cluster {
                                                                 bool is_write) const;
 
   // --- functional pool / container state --------------------------------------
-  [[nodiscard]] Uuid pool_uuid() const { return pool_uuid_; }
   [[nodiscard]] Bytes pool_capacity() const;
   [[nodiscard]] Bytes pool_used() const;
 
@@ -207,7 +204,7 @@ class Cluster {
   /// (region, allocation id) pair for later reclamation.
   Result<std::pair<std::size_t, std::uint64_t>> charge_capacity(std::size_t target_index, Bytes bytes);
 
-  /// Releases a previously charged allocation (purge).
+  /// Releases a previously charged allocation (array destroy).
   void release_capacity(std::size_t region_index, std::uint64_t allocation_id);
 
   [[nodiscard]] scm::ScmRegion& region(std::size_t i) { return *regions_.at(i); }
@@ -241,7 +238,6 @@ class Cluster {
   std::vector<net::LinkId> engine_read_links_;   // per engine
   std::vector<Target> targets_;
 
-  Uuid pool_uuid_;
   std::unordered_map<Uuid, std::unique_ptr<Container>, UuidHash> containers_;
   Container* main_container_ = nullptr;
   std::size_t containers_created_ = 0;

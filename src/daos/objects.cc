@@ -167,7 +167,7 @@ Bytes ArrayObject::writable_version(Epoch epoch, bool retain_superseded) {
   Version& newest = versions_.back();
   if (newest.epoch > epoch) {
     throw std::logic_error(
-        "ArrayObject: write/truncate at a stale epoch (writes go to the pending epoch)");
+        "ArrayObject: write at a stale epoch (writes go to the pending epoch)");
   }
   if (newest.epoch == epoch) return 0;
   if (!retain_superseded) {
@@ -219,24 +219,6 @@ Bytes ArrayObject::write(Bytes offset, const std::uint8_t* data, Bytes len, Epoc
     }
   }
   v.size = std::max(v.size, end);
-  return cow;
-}
-
-Bytes ArrayObject::truncate(Bytes new_size, Epoch epoch, bool retain_superseded) {
-  const Bytes cow = writable_version(epoch, retain_superseded);
-  Version& v = versions_.back();
-  if (v.size == new_size) return cow;
-  if (mode_ == PayloadMode::full) {
-    v.bytes.resize(new_size, 0);
-  } else if (new_size == 0) {
-    v.digest = kFnvBasis;
-    v.exact = true;
-  } else {
-    // The hash of the surviving prefix (shrink) or of appended zeros (grow)
-    // cannot be derived from the rolling digest.
-    v.exact = false;
-  }
-  v.size = new_size;
   return cow;
 }
 
@@ -343,13 +325,12 @@ KvObject& Container::kv(const ObjectId& oid) {
   return *it->second;
 }
 
-Result<ArrayObject*> Container::create_array(const ObjectId& oid, Bytes cell_size, Bytes chunk_size,
-                                             PayloadMode mode) {
+Result<ArrayObject*> Container::create_array(const ObjectId& oid, PayloadMode mode) {
   if (oid.type() != ObjectType::array) throw std::logic_error("create_array on non-array object id");
   if (has_object(oid)) {
     return Status::error(Errc::already_exists, "array already exists: " + oid.to_string());
   }
-  auto arr = std::make_unique<ArrayObject>(sched_, cell_size, chunk_size, mode, &epoch_stats_);
+  auto arr = std::make_unique<ArrayObject>(sched_, mode, &epoch_stats_);
   ArrayObject* ptr = arr.get();
   arrays_.emplace(oid, std::move(arr));
   return ptr;

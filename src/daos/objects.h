@@ -162,13 +162,9 @@ class KvObject {
 
 class ArrayObject {
  public:
-  ArrayObject(sim::Scheduler& sched, Bytes cell_size, Bytes chunk_size, PayloadMode mode,
-              EpochStats* stats = nullptr)
-      : cell_size_(cell_size), chunk_size_(chunk_size), mode_(mode), object_lock_(sched),
-        stats_(stats) {}
+  ArrayObject(sim::Scheduler& sched, PayloadMode mode, EpochStats* stats = nullptr)
+      : mode_(mode), object_lock_(sched), stats_(stats) {}
 
-  [[nodiscard]] Bytes cell_size() const { return cell_size_; }
-  [[nodiscard]] Bytes chunk_size() const { return chunk_size_; }
   [[nodiscard]] Bytes size(Epoch epoch = kEpochLatest) const;
 
   /// Whether any version of this object is visible at `epoch` (an array
@@ -192,15 +188,6 @@ class ArrayObject {
   /// version's checksum_exact() turns false.
   Bytes write(Bytes offset, const std::uint8_t* data, Bytes len, Epoch epoch = 1,
               bool retain_superseded = false);
-
-  /// Sets the `epoch` version's logical size to `new_size`
-  /// (daos_array_set_size): shrinking discards the tail, growing extends
-  /// with zeros.  Versioning follows write(): truncating past a retained
-  /// older version copies it first (the returned bytes), with retention off
-  /// the newest version is recycled in place.  In digest mode a truncate to
-  /// 0 yields a fresh exact digest; any other size change folds the version
-  /// inexact (the discarded/zero bytes are not recoverable from the hash).
-  Bytes truncate(Bytes new_size, Epoch epoch = 1, bool retain_superseded = false);
 
   /// Reads up to `len` bytes at `offset` of the `epoch` version into `out`
   /// (may be null in digest mode); returns the number of bytes read
@@ -229,8 +216,8 @@ class ArrayObject {
 
   sim::Mutex& object_lock() { return object_lock_; }
 
-  /// SCM allocations charged to this array (region index, allocation id) —
-  /// enables purge-time reclamation.
+  /// SCM allocations charged to this array (region index, allocation id),
+  /// released when the array is destroyed.
   void note_allocation(std::size_t region, std::uint64_t allocation_id) {
     allocations_.emplace_back(region, allocation_id);
   }
@@ -250,14 +237,12 @@ class ArrayObject {
   /// Newest version at or below `epoch`, or nullptr (object absent there).
   [[nodiscard]] const Version* version_at(Epoch epoch) const;
 
-  /// Makes versions_.back() the `epoch` version that a write or truncate
-  /// modifies: a first version, the newest one when it is at `epoch` or
-  /// nothing retains it, else a copy of it.  Throws at a stale epoch.
-  /// Returns the copy-on-write bytes charged.
+  /// Makes versions_.back() the `epoch` version that a write modifies: a
+  /// first version, the newest one when it is at `epoch` or nothing retains
+  /// it, else a copy of it.  Throws at a stale epoch.  Returns the
+  /// copy-on-write bytes charged.
   Bytes writable_version(Epoch epoch, bool retain_superseded);
 
-  Bytes cell_size_;
-  Bytes chunk_size_;
   PayloadMode mode_;
   std::vector<Version> versions_;
   std::vector<std::pair<std::size_t, std::uint64_t>> allocations_;
@@ -317,8 +302,7 @@ class Container {
   KvObject& kv(const ObjectId& oid);
 
   /// Creates an array object; fails with already_exists on id reuse.
-  Result<ArrayObject*> create_array(const ObjectId& oid, Bytes cell_size, Bytes chunk_size,
-                                    PayloadMode mode);
+  Result<ArrayObject*> create_array(const ObjectId& oid, PayloadMode mode);
 
   /// Opens an existing array object.
   Result<ArrayObject*> open_array(const ObjectId& oid);
@@ -326,7 +310,8 @@ class Container {
   /// Removes an array object, returning its state for final cleanup.
   Result<std::unique_ptr<ArrayObject>> destroy_array(const ObjectId& oid);
 
-  /// Object ids of every array in the container (catalogue / purge).
+  /// Object ids of every array in the container (pool-map rebuild
+  /// enumeration after a permanent target loss).
   [[nodiscard]] std::vector<ObjectId> list_arrays() const;
 
   /// Object ids of every KV object in the container, sorted (pool-map

@@ -38,11 +38,9 @@ void DfsStats::fold_into(obs::MetricsSnapshot& into) const {
   add("dfs.opens", opens);
   add("dfs.reads", reads);
   add("dfs.writes", writes);
-  add("dfs.truncates", truncates);
   add("dfs.renames", renames);
   add("dfs.readdirs", readdirs);
   add("dfs.unlinks", unlinks);
-  add("dfs.stat_ops", stat_ops);
   add("dfs.bytes_read", bytes_read);
   add("dfs.bytes_written", bytes_written);
   add("dfs.retries", retries);
@@ -55,11 +53,9 @@ DfsStats& operator+=(DfsStats& a, const DfsStats& b) {
   a.opens += b.opens;
   a.reads += b.reads;
   a.writes += b.writes;
-  a.truncates += b.truncates;
   a.renames += b.renames;
   a.readdirs += b.readdirs;
   a.unlinks += b.unlinks;
-  a.stat_ops += b.stat_ops;
   a.bytes_read += b.bytes_read;
   a.bytes_written += b.bytes_written;
   a.retries += b.retries;
@@ -130,7 +126,7 @@ sim::Task<Status> Dfs::mount(const std::string& name) {
   auto opened =
       co_await retrier_.run_result<daos::ContHandle>([&] { return client_.cont_open(uuid); });
   if (!opened.is_ok()) co_return opened.status();
-  live_cont_ = cont_ = opened.value();
+  cont_ = opened.value();
 
   // The superblock oid must NOT depend on config_.dir_class: it is how a
   // remount discovers the formatted dir_class, so every mount — right or
@@ -300,9 +296,8 @@ sim::Task<Result<File>> Dfs::create(const std::string& path, bool exclusive) {
   // The name is ours; materialise the file's Array.  already_exists here can
   // only be a retried create whose first attempt landed.
   const daos::ObjectId oid = e.oid;
-  const Bytes chunk = e.chunk_size;
   auto arr = co_await retrier_.run_result<daos::ArrayHandle>(
-      [&] { return client_.array_create(cont_, oid, 1, chunk); });
+      [&] { return client_.array_create(cont_, oid); });
   if (!arr.is_ok() && arr.status().code() == Errc::already_exists) {
     arr = co_await retrier_.run_result<daos::ArrayHandle>(
         [&] { return client_.array_open(cont_, oid); });
@@ -351,15 +346,6 @@ sim::Task<Result<Bytes>> Dfs::read(File& file, Bytes offset, std::uint8_t* out, 
     stats_.bytes_read += n.value();
   }
   co_return n;
-}
-
-sim::Task<Status> Dfs::truncate(File& file, Bytes size) {
-  obs::Span span("dfs.truncate", "dfs", client_.trace_actor());
-  if (!file.valid()) co_return Status::error(Errc::invalid, "truncate on a closed dfs file");
-  const Status st =
-      co_await retrier_.run([&] { return client_.array_set_size(file.array, size); });
-  if (st.is_ok()) ++stats_.truncates;
-  co_return st;
 }
 
 sim::Task<Status> Dfs::rename(const std::string& from, const std::string& to) {
@@ -476,54 +462,12 @@ sim::Task<Status> Dfs::unlink(const std::string& path) {
   co_return Status::ok();
 }
 
-sim::Task<Result<FileInfo>> Dfs::stat(const std::string& path) {
-  obs::Span span("dfs.stat", "dfs", client_.trace_actor());
-  auto norm = normalize_path(path);
-  if (!norm.is_ok()) co_return norm.status();
-  auto entry = co_await lookup(norm.value());
-  if (!entry.is_ok()) co_return entry.status();
-  FileInfo info;
-  info.type = entry.value().type;
-  info.oid = entry.value().oid;
-  info.chunk_size = entry.value().chunk_size;
-  if (entry.value().type == EntryType::file) {
-    const daos::ObjectId oid = entry.value().oid;
-    auto arr = co_await retrier_.run_result<daos::ArrayHandle>(
-        [&] { return client_.array_open(cont_, oid); });
-    if (!arr.is_ok()) co_return arr.status();
-    daos::ArrayHandle handle = arr.value();
-    info.size = co_await client_.array_get_size(handle);
-    co_await client_.array_close(handle);
-  }
-  ++stats_.stat_ops;
-  co_return info;
-}
-
 sim::Task<void> Dfs::close(File& file) { co_await client_.array_close(file.array); }
 
 sim::Task<Result<daos::Epoch>> Dfs::commit() {
   if (!mounted_) co_return Status::error(Errc::invalid, "dfs not mounted");
   co_return co_await retrier_.run_result<daos::Epoch>(
-      [&] { return client_.cont_commit(live_cont_); });
-}
-
-sim::Task<Result<daos::Epoch>> Dfs::pin_snapshot(daos::Epoch epoch) {
-  if (!mounted_) co_return Status::error(Errc::invalid, "dfs not mounted");
-  if (pinned()) co_return Status::error(Errc::invalid, "dfs already pinned");
-  auto snap = co_await retrier_.run_result<daos::ContHandle>(
-      [&] { return client_.cont_snapshot(live_cont_, epoch); });
-  if (!snap.is_ok()) co_return snap.status();
-  cont_ = snap.value();
-  dir_kvs_.clear();  // cached handles carry the old epoch
-  co_return cont_.epoch;
-}
-
-sim::Task<Status> Dfs::unpin_snapshot() {
-  if (!pinned()) co_return Status::error(Errc::invalid, "dfs not pinned");
-  const Status st = co_await client_.snapshot_close(cont_);
-  cont_ = live_cont_;
-  dir_kvs_.clear();
-  co_return st;
+      [&] { return client_.cont_commit(cont_); });
 }
 
 }  // namespace nws::dfs

@@ -17,9 +17,8 @@
 //
 // The namespace composes with the rest of the daos model: every operation
 // retries transient faults under a daos::RetryPolicy, file data placed with
-// an RP/EC object class survives permanent target loss, and commit() /
-// pin_snapshot() expose the container epoch model — a pinned Dfs observes
-// exactly one committed namespace state while a live writer mutates on.
+// an RP/EC object class survives permanent target loss, and commit()
+// publishes the container's pending epoch (docs/EPOCHS.md).
 #pragma once
 
 #include <cstdint>
@@ -38,8 +37,9 @@ namespace nws::dfs {
 enum class EntryType : std::uint8_t { file, directory };
 
 struct DfsConfig {
-  /// Chunk size of file-data Arrays.  Stored in the superblock at format
-  /// time; a remount adopts the stored value.
+  /// Chunk size recorded in the superblock at format time (a remount adopts
+  /// the stored value) and in each file's entry record, as libdfs lays them
+  /// out.  File data stripes by ModelConfig::array_chunk_size.
   Bytes chunk_size = 1_MiB;
   /// Object class of file-data Arrays (RP/EC classes make file contents
   /// survive permanent target loss).
@@ -58,11 +58,9 @@ struct DfsStats {
   std::uint64_t opens = 0;
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
-  std::uint64_t truncates = 0;
   std::uint64_t renames = 0;
   std::uint64_t readdirs = 0;
   std::uint64_t unlinks = 0;
-  std::uint64_t stat_ops = 0;
   Bytes bytes_read = 0;
   Bytes bytes_written = 0;
   /// Retry attempts driven by the mount's RetryPolicy (fault injection).
@@ -74,14 +72,6 @@ struct DfsStats {
 };
 
 DfsStats& operator+=(DfsStats& a, const DfsStats& b);
-
-/// Stat result.
-struct FileInfo {
-  EntryType type = EntryType::file;
-  Bytes size = 0;  // 0 for directories
-  daos::ObjectId oid;
-  Bytes chunk_size = 0;  // 0 for directories
-};
 
 /// An open regular file: a thin wrapper over the Array handle.
 struct File {
@@ -111,7 +101,6 @@ class Dfs {
   sim::Task<Result<File>> open(const std::string& path);
   sim::Task<Status> write(File& file, Bytes offset, const std::uint8_t* data, Bytes len);
   sim::Task<Result<Bytes>> read(File& file, Bytes offset, std::uint8_t* out, Bytes len);
-  sim::Task<Status> truncate(File& file, Bytes size);
   /// Moves the entry `from` to `to` (across directories too).  An existing
   /// regular file at `to` is replaced (its Array punched, freeing its
   /// space); an existing directory at `to` is an error, as is
@@ -123,20 +112,12 @@ class Dfs {
   /// Removes a regular file (punching its Array, which frees its space) or
   /// an empty directory.
   sim::Task<Status> unlink(const std::string& path);
-  sim::Task<Result<FileInfo>> stat(const std::string& path);
   sim::Task<void> close(File& file);
 
   // --- epochs (docs/EPOCHS.md) ----------------------------------------------
   /// Publishes the namespace's pending epoch (directory entries and file
   /// data commit together — one container holds both).
   sim::Task<Result<daos::Epoch>> commit();
-  /// Pins this mount at a committed epoch: subsequent lookups, reads,
-  /// readdirs and stats observe exactly that namespace state; mutations
-  /// through a pinned mount fail with Errc::invalid.
-  sim::Task<Result<daos::Epoch>> pin_snapshot(daos::Epoch epoch = daos::kEpochLatest);
-  /// Releases the pin, returning the mount to the live head.
-  sim::Task<Status> unpin_snapshot();
-  [[nodiscard]] bool pinned() const { return cont_.pinned(); }
 
   [[nodiscard]] const DfsStats& stats() const { return stats_; }
   [[nodiscard]] const DfsConfig& config() const { return config_; }
@@ -158,7 +139,7 @@ class Dfs {
     daos::KvHandle* parent_kv = nullptr;
   };
 
-  /// Cached open of a directory KV (epoch inherited from the mount view).
+  /// Cached open of a directory KV.
   sim::Task<Result<daos::KvHandle*>> dir_kv(const daos::ObjectId& oid);
   /// Walks `normalized` from the root; returns its entry record.
   sim::Task<Result<Entry>> lookup(const std::string& normalized);
@@ -181,8 +162,7 @@ class Dfs {
 
   bool mounted_ = false;
   daos::PoolHandle pool_;
-  daos::ContHandle cont_;       // current view: live, or pinned by pin_snapshot
-  daos::ContHandle live_cont_;  // the live head, kept across pin/unpin
+  daos::ContHandle cont_;
   daos::ObjectId root_oid_;
   std::unordered_map<daos::ObjectId, daos::KvHandle, daos::ObjectIdHash> dir_kvs_;
   DfsStats stats_;

@@ -62,14 +62,6 @@ sim::Task<Result<int>> PosixFs::open(const std::string& path, OpenFlags flags) {
   } else {
     file = co_await dfs_.open(path);
   }
-  if (file.is_ok() && flags.truncate) {
-    const Status st = co_await dfs_.truncate(file.value(), 0);
-    if (!st.is_ok()) {
-      co_await dfs_.close(file.value());
-      meta_exit();
-      co_return st;
-    }
-  }
   meta_exit();
   if (!file.is_ok()) co_return file.status();
   const int fd = next_fd_++;
@@ -105,13 +97,6 @@ sim::Task<Status> PosixFs::unlink(const std::string& path) {
   const Status st = co_await dfs_.unlink(path);
   meta_exit();
   co_return st;
-}
-
-sim::Task<Result<FileInfo>> PosixFs::stat(const std::string& path) {
-  co_await meta_enter();
-  auto info = co_await dfs_.stat(path);
-  meta_exit();
-  co_return info;
 }
 
 sim::Task<Result<std::vector<std::string>>> PosixFs::readdir(const std::string& path) {
@@ -163,12 +148,6 @@ sim::Task<Result<Bytes>> PosixFs::pread(int fd, Bytes offset, std::uint8_t* out,
   auto file = file_for(fd);
   if (!file.is_ok()) co_return file.status();
   co_return co_await dfs_.read(*file.value(), offset, out, len);
-}
-
-sim::Task<Status> PosixFs::ftruncate(int fd, Bytes size) {
-  auto file = file_for(fd);
-  if (!file.is_ok()) co_return file.status();
-  co_return co_await dfs_.truncate(*file.value(), size);
 }
 
 }  // namespace nws::dfs

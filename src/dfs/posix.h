@@ -56,7 +56,6 @@ PosixStats& operator+=(PosixStats& a, const PosixStats& b);
 struct OpenFlags {
   bool create = false;     // O_CREAT
   bool exclusive = false;  // O_EXCL (with create)
-  bool truncate = false;   // O_TRUNC
 };
 
 /// One emulated POSIX mount over a dfs namespace.  Each simulated process
@@ -76,12 +75,10 @@ class PosixFs {
   sim::Task<Status> mkdir(const std::string& path);
   sim::Task<Status> rename(const std::string& from, const std::string& to);
   sim::Task<Status> unlink(const std::string& path);
-  sim::Task<Result<FileInfo>> stat(const std::string& path);
   sim::Task<Result<std::vector<std::string>>> readdir(const std::string& path);
 
   sim::Task<Status> pwrite(int fd, Bytes offset, const std::uint8_t* data, Bytes len);
   sim::Task<Result<Bytes>> pread(int fd, Bytes offset, std::uint8_t* out, Bytes len);
-  sim::Task<Status> ftruncate(int fd, Bytes size);
 
   [[nodiscard]] const PosixStats& stats() const { return stats_; }
   [[nodiscard]] Dfs& dfs() { return dfs_; }

@@ -136,9 +136,6 @@ class FaultPlan {
   [[nodiscard]] const FaultStats& stats() const { return stats_; }
   [[nodiscard]] const std::vector<TargetWindow>& target_windows() const { return target_windows_; }
   [[nodiscard]] const std::vector<LinkWindow>& link_windows() const { return link_windows_; }
-  [[nodiscard]] const std::vector<PermanentFailure>& permanent_failures() const {
-    return permanent_failures_;
-  }
 
   /// Registers the pool-membership callback invoked when a permanent failure
   /// fires (daos::Cluster excludes the target and starts rebuild).  Must be

@@ -35,7 +35,7 @@ class Catalogue {
   sim::Task<Status> init();
 
   /// Retry attempts the catalogue's operations needed (fault injection);
-  /// mirrors FieldIoStats::retries.  Listing and purge run under FieldIo's
+  /// mirrors FieldIoStats::retries.  Listing runs under FieldIo's
   /// RetryPolicy, the default one, so administrative sweeps survive
   /// injected target outages too.
   [[nodiscard]] std::uint64_t retries() const { return retries_; }
@@ -45,31 +45,6 @@ class Catalogue {
 
   /// Fields of one forecast (by most-significant key part).
   sim::Task<Result<std::vector<FieldEntry>>> list_fields(const std::string& forecast_key);
-
-  /// Fields of one forecast as of committed publication `epoch`
-  /// (kEpochLatest: newest committed).  Snapshot handles are held for the
-  /// duration of the listing — index pinned before store, mirroring
-  /// FieldIo::pin_snapshot — so concurrent re-writes never tear the view;
-  /// a de-referenced-then-pruned array degrades to a not_found error, not a
-  /// stale size.  Requires the container's retention policy to allow
-  /// snapshots (ModelConfig::epoch_retention_depth > 0).
-  sim::Task<Result<std::vector<FieldEntry>>> list_fields_at(const std::string& forecast_key,
-                                                            daos::Epoch epoch = daos::kEpochLatest);
-
-  /// Total bytes currently referenced by live field entries (de-referenced
-  /// arrays from re-writes are excluded — they are garbage the store keeps
-  /// by design, paper Section 4).
-  sim::Task<Result<Bytes>> referenced_bytes();
-
-  struct PurgeReport {
-    std::size_t arrays_destroyed = 0;
-    Bytes bytes_reclaimed = 0;
-  };
-
-  /// Destroys the de-referenced arrays of one forecast (the orphans
-  /// re-writes leave behind), reclaiming their pool capacity — the
-  /// operational complement of the store's no-delete write path.
-  sim::Task<Result<PurgeReport>> purge(const std::string& forecast_key);
 
  private:
   struct ForecastContainers {

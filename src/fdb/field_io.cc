@@ -185,9 +185,8 @@ sim::Task<Status> FieldIo::write(const FieldKey& key, const std::uint8_t* data, 
     if (cached != arrays_.end()) {
       handle = cached->second;
     } else {
-      auto arr = co_await retrier_.run_result<daos::ArrayHandle>([&] {
-        return client_.array_create(main_cont_, oid, 1, client_.cluster().model().array_chunk_size);
-      });
+      auto arr = co_await retrier_.run_result<daos::ArrayHandle>(
+          [&] { return client_.array_create(main_cont_, oid); });
       if (arr.is_ok()) {
         handle = arr.value();
       } else if (arr.status().code() == Errc::already_exists) {
@@ -214,9 +213,8 @@ sim::Task<Status> FieldIo::write(const FieldKey& key, const std::uint8_t* data, 
 
   // Write the field into a new Array in the forecast store container...
   const daos::ObjectId oid = next_array_oid();
-  auto arr = co_await retrier_.run_result<daos::ArrayHandle>([&] {
-    return client_.array_create(handles.store_cont, oid, 1, client_.cluster().model().array_chunk_size);
-  });
+  auto arr = co_await retrier_.run_result<daos::ArrayHandle>(
+      [&] { return client_.array_create(handles.store_cont, oid); });
   if (!arr.is_ok()) co_return arr.status();
   auto handle = arr.value();
   const Status written =
@@ -258,19 +256,6 @@ sim::Task<Result<daos::Epoch>> FieldIo::commit(const FieldKey& key) {
       [&] { return client_.cont_commit(handles.index_cont); });
   if (index.is_ok()) ++stats_.commits;
   co_return index;
-}
-
-sim::Task<Result<daos::Epoch>> FieldIo::committed_epoch(const FieldKey& key) {
-  if (!initialised_) throw std::logic_error("FieldIo::committed_epoch before init()");
-
-  if (config_.mode == Mode::no_index || config_.mode == Mode::no_containers) {
-    co_return co_await retrier_.run_result<daos::Epoch>(
-        [&] { return client_.cont_committed_epoch(main_cont_); });
-  }
-  auto forecast = co_await resolve_forecast_for_read(key.most_significant());
-  if (!forecast.is_ok()) co_return forecast.status();
-  co_return co_await retrier_.run_result<daos::Epoch>(
-      [&] { return client_.cont_committed_epoch(forecast.value()->index_cont); });
 }
 
 sim::Task<Result<daos::Epoch>> FieldIo::pin_snapshot(const FieldKey& key, daos::Epoch epoch) {

@@ -140,10 +140,6 @@ class FieldIo {
   /// the forecast's new committed (publication) epoch.
   sim::Task<Result<daos::Epoch>> commit(const FieldKey& key);
 
-  /// The forecast's highest committed publication epoch (0 before any
-  /// commit; not_found for a forecast never written in full mode).
-  sim::Task<Result<daos::Epoch>> committed_epoch(const FieldKey& key);
-
   /// Pins `key`'s forecast at `epoch` (kEpochLatest: newest committed) for
   /// subsequent read()s.  In full mode the index is pinned first, then the
   /// store, so a pinned index entry's array is committed at or before the

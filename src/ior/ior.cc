@@ -70,7 +70,7 @@ sim::Task<void> ior_process(daos::Cluster& cluster, const IorParams params, RunS
       daos::ArrayHandle handle;
       if (is_write) {
         // c) create the object sized t*s.
-        auto created = co_await client.array_create(cont, oid, 1, cluster.model().array_chunk_size);
+        auto created = co_await client.array_create(cont, oid);
         if (created.is_ok()) {
           handle = created.value();
           // d) the transfer(s): one full-size transfer in single_shot, one

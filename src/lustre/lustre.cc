@@ -6,13 +6,31 @@
 #include "sim/when_all.h"
 
 namespace nws::lustre {
+namespace {
+
+/// Each OST is an array of 10 spinning disks of 2 TiB (Section 1.2).
+constexpr std::size_t kDisksPerOst = 10;
+constexpr Bytes kDiskCapacity = 2_TiB;
+/// Streaming bandwidth per spinning disk (~56 MiB/s): 10 disks x 300 OSTs
+/// = 165 GiB/s aggregate, matching the paper's IOR figure.
+constexpr double kDiskStreamBandwidth = gib_per_sec(0.055);
+/// Extra OST service consumed per byte when the OST is serving mixed
+/// read/write traffic (head seeks): calibrated so sustained mixed
+/// bandwidth lands near 50/165 of streaming (Section 1.2).
+constexpr double kMixedSeekOverhead = 2.3;
+/// Fixed latency of each MDS metadata operation.
+constexpr sim::Duration kMdsLatency = sim::microseconds(250);
+/// Layout of a file created without an explicit stripe size/count.
+constexpr Bytes kDefaultStripeSize = 1_MiB;
+constexpr unsigned kDefaultStripeCount = 1;
+
+}  // namespace
 
 LustreSystem::LustreSystem(sim::Scheduler& sched, LustreConfig config)
     : sched_(sched), config_(std::move(config)), flows_(sched), rng_(config_.seed) {
   if (config_.osts == 0) throw std::invalid_argument("Lustre needs at least one OST");
   if (config_.client_nodes == 0) throw std::invalid_argument("Lustre needs at least one client node");
   if (config_.provider.name.empty()) config_.provider = net::tcp_provider();
-  if (config_.default_stripe_count == 0) config_.default_stripe_count = 1;
 
   net::TopologyConfig tcfg;
   tcfg.nodes = config_.client_nodes;
@@ -37,26 +55,28 @@ LustreSystem::LustreSystem(sim::Scheduler& sched, LustreConfig config)
   mds_link_ = flows_.add_link(std::move(mds));
 }
 
+Bytes LustreSystem::capacity() const { return config_.osts * kDisksPerOst * kDiskCapacity; }
+
+double LustreSystem::ost_stream_bandwidth() const {
+  return static_cast<double>(kDisksPerOst) * kDiskStreamBandwidth;
+}
+
 LustreSystem::FileState* LustreSystem::find(std::uint64_t inode) {
   const auto it = files_.find(inode);
   return it == files_.end() ? nullptr : &it->second;
 }
 
 sim::Task<void> LustreSystem::mds_op(net::Endpoint /*client*/) {
-  co_await sched_.delay(config_.mds_latency);
+  co_await sched_.delay(kMdsLatency);
   std::vector<net::LinkId> path{mds_link_};
   co_await flows_.transfer(std::move(path), 1);
 }
 
 double LustreSystem::ost_begin_io(std::size_t ost, bool is_write) {
   OstState& state = osts_.at(ost);
-  const sim::TimePoint now = sched_.now();
-  const std::size_t other_active = is_write ? state.active_reads : state.active_writes;
-  const sim::TimePoint other_last = is_write ? state.last_read : state.last_write;
-  const bool mixed = other_active > 0 || (config_.mixed_window > 0 && other_last >= 0 &&
-                                          now - other_last < config_.mixed_window);
+  const bool mixed = (is_write ? state.active_reads : state.active_writes) > 0;
   ++(is_write ? state.active_writes : state.active_reads);
-  return mixed ? 1.0 + config_.mixed_seek_overhead : 1.0;
+  return mixed ? 1.0 + kMixedSeekOverhead : 1.0;
 }
 
 void LustreSystem::ost_end_io(std::size_t ost, bool is_write) {
@@ -64,7 +84,6 @@ void LustreSystem::ost_end_io(std::size_t ost, bool is_write) {
   auto& active = is_write ? state.active_writes : state.active_reads;
   if (active == 0) throw std::logic_error("LustreSystem::ost_end_io underflow");
   --active;
-  (is_write ? state.last_write : state.last_read) = sched_.now();
 }
 
 LustreClient::LustreClient(LustreSystem& system, net::Endpoint endpoint, std::uint64_t salt)
@@ -79,8 +98,8 @@ sim::Task<Result<FileHandle>> LustreClient::create(const std::string& path, unsi
   LustreSystem::FileState file;
   file.inode = system_.next_inode_++;
   file.path = path;
-  file.stripe_count = stripe_count != 0 ? stripe_count : system_.config_.default_stripe_count;
-  file.stripe_size = stripe_size != 0 ? stripe_size : system_.config_.default_stripe_size;
+  file.stripe_count = stripe_count != 0 ? stripe_count : kDefaultStripeCount;
+  file.stripe_size = stripe_size != 0 ? stripe_size : kDefaultStripeSize;
   file.stripe_count =
       static_cast<unsigned>(std::min<std::size_t>(file.stripe_count, system_.config_.osts));
   // Lustre's allocator assigns stripes round-robin across OSTs, keeping

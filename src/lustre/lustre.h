@@ -37,27 +37,14 @@
 
 namespace nws::lustre {
 
+/// The per-OST disk array, the mixed-seek overhead, the MDS latency and the
+/// default stripe layout are constants in lustre.cc.
 struct LustreConfig {
   std::size_t osts = 300;
-  std::size_t disks_per_ost = 10;
-  Bytes disk_capacity = 2_TiB;
-  /// Streaming bandwidth per spinning disk (~56 MiB/s): 10 disks x 300 OSTs
-  /// = 165 GiB/s aggregate, matching the paper's IOR figure.
-  double disk_stream_bandwidth = gib_per_sec(0.055);
-  /// Extra OST service consumed per byte when the OST is serving mixed
-  /// read/write traffic (head seeks): calibrated so sustained mixed
-  /// bandwidth lands near 50/165 of streaming (Section 1.2).
-  double mixed_seek_overhead = 2.3;
-  /// Window after other-direction activity in which an op still counts as
-  /// mixed (0: only concurrently-active opposite ops count).
-  sim::Duration mixed_window = 0;
 
-  /// MDS metadata service: bounded operation rate plus per-op latency.
+  /// MDS metadata service: bounded operation rate (plus a fixed per-op
+  /// latency).
   double mds_ops_per_second = 40000.0;
-  sim::Duration mds_latency = sim::microseconds(250);
-
-  Bytes default_stripe_size = 1_MiB;
-  unsigned default_stripe_count = 1;
 
   std::size_t client_nodes = 16;
   net::ProviderProfile provider;  // defaulted to tcp in the constructor
@@ -114,12 +101,8 @@ class LustreSystem {
   [[nodiscard]] net::FlowScheduler& flows() { return flows_; }
 
   [[nodiscard]] std::size_t ost_count() const { return config_.osts; }
-  [[nodiscard]] Bytes capacity() const {
-    return config_.osts * config_.disks_per_ost * config_.disk_capacity;
-  }
-  [[nodiscard]] double ost_stream_bandwidth() const {
-    return static_cast<double>(config_.disks_per_ost) * config_.disk_stream_bandwidth;
-  }
+  [[nodiscard]] Bytes capacity() const;
+  [[nodiscard]] double ost_stream_bandwidth() const;
 
   [[nodiscard]] net::Endpoint client_endpoint(std::size_t node, std::size_t proc) const {
     return net::Endpoint{node, proc % 2};
@@ -134,8 +117,6 @@ class LustreSystem {
     net::LinkId link = net::kInvalidLink;
     std::size_t active_reads = 0;
     std::size_t active_writes = 0;
-    sim::TimePoint last_read = -1;
-    sim::TimePoint last_write = -1;
   };
 
   struct FileState {
@@ -153,8 +134,8 @@ class LustreSystem {
   sim::Task<void> mds_op(net::Endpoint client);
 
   /// Marks an I/O as active on the OST and returns the mixed-seek service
-  /// multiplier for it (1.0 when streaming, 1 + mixed_seek_overhead when the
-  /// other direction is active or recent).
+  /// multiplier for it (1.0 when streaming, 1 + kMixedSeekOverhead when the
+  /// other direction is active).
   double ost_begin_io(std::size_t ost, bool is_write);
   void ost_end_io(std::size_t ost, bool is_write);
 

@@ -3,6 +3,12 @@
 #include "common/table.h"
 
 namespace nws::net {
+namespace {
+
+constexpr double kNicRawCapacity = gib_per_sec(12.5);  // OmniPath adapter (paper 6.1)
+constexpr double kUpiCapacity = gib_per_sec(20.0);     // node-internal cross-socket fabric
+
+}  // namespace
 
 Topology::Topology(FlowScheduler& flows, TopologyConfig config) : config_(std::move(config)) {
   if (config_.nodes == 0) throw std::invalid_argument("topology needs at least one node");
@@ -13,21 +19,21 @@ Topology::Topology(FlowScheduler& flows, TopologyConfig config) : config_(std::m
       Link tx;
       tx.name = strf("node%zu.sock%zu.nic.tx", n, s);
       tx.kind = LinkKind::nic_tx;
-      tx.raw_capacity = config_.nic_raw_capacity;
+      tx.raw_capacity = kNicRawCapacity;
       tx.efficiency = config_.provider.nic_curve;
       nic_tx_.push_back(flows.add_link(std::move(tx)));
 
       Link rx;
       rx.name = strf("node%zu.sock%zu.nic.rx", n, s);
       rx.kind = LinkKind::nic_rx;
-      rx.raw_capacity = config_.nic_raw_capacity;
+      rx.raw_capacity = kNicRawCapacity;
       rx.efficiency = config_.provider.nic_curve;
       nic_rx_.push_back(flows.add_link(std::move(rx)));
     }
     Link upi;
     upi.name = strf("node%zu.upi", n);
     upi.kind = LinkKind::upi;
-    upi.raw_capacity = config_.upi_capacity;
+    upi.raw_capacity = kUpiCapacity;
     upi_.push_back(flows.add_link(std::move(upi)));
   }
 }

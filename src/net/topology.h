@@ -24,9 +24,7 @@ namespace nws::net {
 struct TopologyConfig {
   std::size_t nodes = 0;
   std::size_t sockets_per_node = 2;
-  double nic_raw_capacity = gib_per_sec(12.5);  // OmniPath adapter (paper 6.1)
-  double upi_capacity = gib_per_sec(20.0);      // node-internal cross-socket fabric
-  ProviderProfile provider;                     // sets NIC efficiency curves + latency
+  ProviderProfile provider;  // sets NIC efficiency curves + latency
 };
 
 /// Address of a network endpoint: a socket on a node.

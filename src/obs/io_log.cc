@@ -4,22 +4,6 @@
 
 namespace nws::bench {
 
-const char* event_kind_name(EventKind kind) {
-  switch (kind) {
-    case EventKind::execution_start: return "execution start";
-    case EventKind::io_start: return "I/O start";
-    case EventKind::open_start: return "object open start";
-    case EventKind::open_end: return "object open end";
-    case EventKind::transfer_start: return "data transfer start";
-    case EventKind::transfer_end: return "data transfer end";
-    case EventKind::close_start: return "object close start";
-    case EventKind::close_end: return "object close end";
-    case EventKind::io_end: return "I/O end";
-    case EventKind::execution_end: return "execution end";
-  }
-  return "?";
-}
-
 void IoLog::record(std::uint32_t node, std::uint32_t proc, std::uint32_t iteration,
                    sim::TimePoint io_start, sim::TimePoint io_end, Bytes size,
                    std::uint32_t retries) {

@@ -33,22 +33,6 @@
 
 namespace nws::bench {
 
-/// The event kinds of paper Section 5.5.
-enum class EventKind : std::uint8_t {
-  execution_start,
-  io_start,
-  open_start,
-  open_end,
-  transfer_start,
-  transfer_end,
-  close_start,
-  close_end,
-  io_end,
-  execution_end,
-};
-
-const char* event_kind_name(EventKind kind);
-
 struct IoRecord {
   std::uint32_t node = 0;
   std::uint32_t proc = 0;

@@ -45,7 +45,6 @@ class SchemaRegistry {
   /// nullptr if the metric is unknown.
   [[nodiscard]] const std::string* metric_kind(const std::string& name) const;
 
-  [[nodiscard]] const std::set<std::string>& categories() const { return categories_; }
   [[nodiscard]] const std::map<std::string, std::string>& spans() const { return spans_; }
   [[nodiscard]] const std::map<std::string, std::string>& metrics() const { return metrics_; }
   [[nodiscard]] bool empty() const {

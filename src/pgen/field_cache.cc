@@ -4,14 +4,6 @@
 
 namespace nws::pgen {
 
-const char* eviction_policy_name(EvictionPolicy policy) {
-  switch (policy) {
-    case EvictionPolicy::lru: return "lru";
-    case EvictionPolicy::size_lru: return "size-lru";
-  }
-  return "?";
-}
-
 EvictionPolicy eviction_policy_by_name(const std::string& name) {
   if (name == "lru") return EvictionPolicy::lru;
   if (name == "size-lru" || name == "size_lru") return EvictionPolicy::size_lru;

@@ -36,7 +36,6 @@ enum class EvictionPolicy {
   size_lru,  // bound the resident bytes (size-aware LRU)
 };
 
-const char* eviction_policy_name(EvictionPolicy policy);
 EvictionPolicy eviction_policy_by_name(const std::string& name);
 
 struct CacheConfig {

@@ -87,7 +87,6 @@ class PartitionedScheduler {
   ~PartitionedScheduler();
 
   [[nodiscard]] std::size_t partitions() const { return parts_.size(); }
-  [[nodiscard]] Duration lookahead() const { return config_.lookahead; }
 
   /// The partition's own scheduler: spawn processes, schedule callbacks,
   /// read its clock.  Only touch partition p from p's worker thread while

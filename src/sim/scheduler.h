@@ -224,9 +224,6 @@ class Scheduler {
     return Awaiter{*this, d};
   }
 
-  /// Awaitable: yields to other events scheduled at the current time.
-  auto yield() { return delay(0); }
-
   /// Runs until the event queue is empty.  Throws DeadlockError if live
   /// processes remain, or rethrows the first unhandled process exception.
   void run();

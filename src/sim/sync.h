@@ -65,27 +65,6 @@ class Mutex {
   std::deque<std::coroutine_handle<>> waiters_;
 };
 
-/// RAII helper: `auto guard = co_await ScopedLock::acquire(mutex);`
-class ScopedLock {
- public:
-  static Task<ScopedLock> acquire(Mutex& m) {
-    co_await m.lock();
-    co_return ScopedLock{&m};
-  }
-
-  ScopedLock(ScopedLock&& other) noexcept : mutex_(other.mutex_) { other.mutex_ = nullptr; }
-  ScopedLock& operator=(ScopedLock&&) = delete;
-  ScopedLock(const ScopedLock&) = delete;
-  ScopedLock& operator=(const ScopedLock&) = delete;
-  ~ScopedLock() {
-    if (mutex_ != nullptr) mutex_->unlock();
-  }
-
- private:
-  explicit ScopedLock(Mutex* m) : mutex_(m) {}
-  Mutex* mutex_;
-};
-
 class Semaphore {
  public:
   Semaphore(Scheduler& sched, std::size_t permits) : sched_(sched), permits_(permits) {}
@@ -158,8 +137,6 @@ class Barrier {
     return Awaiter{*this};
   }
 
-  [[nodiscard]] std::size_t parties() const { return parties_; }
-
  private:
   Scheduler& sched_;
   std::size_t parties_;
@@ -191,7 +168,6 @@ class Gate {
   }
 
   void close() { open_ = false; }
-  [[nodiscard]] bool is_open() const { return open_; }
 
  private:
   Scheduler& sched_;
@@ -225,8 +201,6 @@ class CountDownLatch {
     };
     return Awaiter{*this};
   }
-
-  [[nodiscard]] std::size_t remaining() const { return remaining_; }
 
  private:
   Scheduler& sched_;

@@ -26,7 +26,6 @@ inline constexpr Duration milliseconds(double ms) { return static_cast<Duration>
 inline constexpr Duration seconds(double s) { return static_cast<Duration>(s * 1e9 + 0.5); }
 
 inline constexpr double to_seconds(Duration d) { return static_cast<double>(d) * 1e-9; }
-inline constexpr double to_microseconds(Duration d) { return static_cast<double>(d) * 1e-3; }
 
 /// Duration to move `bytes` at `bytes_per_second`, rounded up to a whole
 /// nanosecond so a transfer never completes in zero simulated time.

@@ -77,7 +77,7 @@ TEST_P(CatalogueModes, ListsForecastsAndFields) {
       }
       total += f.total_bytes;
     }
-    EXPECT_EQ((co_await catalogue.referenced_bytes()).value(), total);
+    EXPECT_EQ(total, 7_MiB);
 
     auto fields = co_await catalogue.list_fields(forecasts.value()[0].forecast_key);
     EXPECT_TRUE(fields.is_ok());
@@ -88,9 +88,9 @@ TEST_P(CatalogueModes, ListsForecastsAndFields) {
   });
 }
 
-TEST_P(CatalogueModes, RewriteKeepsReferencedBytesStable) {
-  // Re-writes orphan the old array: pool usage grows, but the catalogue's
-  // referenced bytes stay constant (Section 4's no-delete design).
+TEST_P(CatalogueModes, RewriteKeepsListedBytesStable) {
+  // Re-writes orphan the old array: pool usage grows, but the catalogue
+  // lists only the live generation (Section 4's no-delete design).
   const Mode mode = GetParam();
   Fixture fx;
   fx.run([mode, &fx](daos::Client& client) -> sim::Task<void> {
@@ -103,7 +103,11 @@ TEST_P(CatalogueModes, RewriteKeepsReferencedBytesStable) {
     }
     Catalogue catalogue(client, cfg);
     (co_await catalogue.init()).expect_ok("catalogue init");
-    EXPECT_EQ((co_await catalogue.referenced_bytes()).value(), 1_MiB);
+    const auto forecasts = co_await catalogue.list_forecasts();
+    EXPECT_TRUE(forecasts.is_ok());
+    EXPECT_EQ(forecasts.value().size(), 1u);
+    EXPECT_EQ(forecasts.value()[0].field_count, 1u);
+    EXPECT_EQ(forecasts.value()[0].total_bytes, 1_MiB);
     EXPECT_EQ(fx.cluster->pool_used(), 3_MiB);  // two orphaned generations
   });
 }
@@ -135,53 +139,7 @@ TEST(CatalogueTest, UnknownForecastFails) {
   });
 }
 
-TEST(PurgeTest, ReclaimsOrphanedGenerations) {
-  Fixture fx;
-  fx.run([&fx](daos::Client& client) -> sim::Task<void> {
-    FieldIoConfig cfg;  // full mode
-    FieldIo io(client, cfg, 0);
-    (co_await io.init()).expect_ok("init");
-
-    FieldKey key;
-    key.set("class", "od").set("date", "20260705").set("param", "t").set("step", "0");
-    for (int generation = 0; generation < 4; ++generation) {
-      (co_await io.write(key, nullptr, 1_MiB)).expect_ok("write");
-    }
-    EXPECT_EQ(fx.cluster->pool_used(), 4_MiB);  // 3 orphans + 1 live
-
-    Catalogue catalogue(client, cfg);
-    (co_await catalogue.init()).expect_ok("catalogue");
-    const auto report = (co_await catalogue.purge(key.most_significant())).value();
-    EXPECT_EQ(report.arrays_destroyed, 3u);
-    EXPECT_EQ(report.bytes_reclaimed, 3_MiB);
-    EXPECT_EQ(fx.cluster->pool_used(), 1_MiB);
-
-    // The live field survives the purge.
-    const auto n = co_await io.read(key, nullptr, 1_MiB);
-    EXPECT_EQ(n.value(), 1_MiB);
-    // A second purge is a no-op.
-    EXPECT_EQ((co_await catalogue.purge(key.most_significant())).value().arrays_destroyed, 0u);
-  });
-}
-
-TEST(PurgeTest, UnsupportedOutsideFullMode) {
-  Fixture fx;
-  fx.run([](daos::Client& client) -> sim::Task<void> {
-    FieldIoConfig cfg;
-    cfg.mode = Mode::no_containers;
-    FieldIo io(client, cfg, 0);
-    (co_await io.init()).expect_ok("init");
-    FieldKey key;
-    key.set("class", "od").set("date", "20260705").set("param", "t");
-    (co_await io.write(key, nullptr, 1_MiB)).expect_ok("write");
-
-    Catalogue catalogue(client, cfg);
-    (co_await catalogue.init()).expect_ok("catalogue");
-    EXPECT_EQ((co_await catalogue.purge(key.most_significant())).status().code(), Errc::unsupported);
-  });
-}
-
-TEST(CatalogueChaosTest, ListingAndPurgeSurviveInjectedFaults) {
+TEST(CatalogueChaosTest, ListingSurvivesInjectedFaults) {
   // Catalogue operations run under the same retry policy as FieldIo, so
   // administrative sweeps complete despite dropped RPCs, transient errors
   // and target outage/slowdown windows (all seeded, hence reproducible).
@@ -196,7 +154,7 @@ TEST(CatalogueChaosTest, ListingAndPurgeSurviveInjectedFaults) {
   daos::Cluster cluster(sched, cfg);
   sched.spawn([](daos::Cluster& cl) -> sim::Task<void> {
     daos::Client client(cl, cl.client_endpoint(0, 0), 0);
-    const FieldIoConfig io_cfg;  // full mode: purge supported
+    const FieldIoConfig io_cfg;  // full mode
     FieldIo io(client, io_cfg, 0);
     (co_await io.init()).expect_ok("init");
     // Forecast 1: three fields, each written twice (one orphan per field).
@@ -235,18 +193,6 @@ TEST(CatalogueChaosTest, ListingAndPurgeSurviveInjectedFaults) {
       EXPECT_EQ(fields.value().size(), 3u);
     }
 
-    // Purge reclaims exactly the orphaned generations, faults notwithstanding.
-    const auto purged = co_await catalogue.purge(rewritten);
-    EXPECT_TRUE(purged.is_ok()) << purged.status().to_string();
-    if (!purged.is_ok()) co_return;
-    EXPECT_EQ(purged.value().arrays_destroyed, 3u);
-    EXPECT_EQ(purged.value().bytes_reclaimed, 3_MiB);
-    // Idempotent: a second purge finds nothing left to destroy.
-    const auto again = co_await catalogue.purge(rewritten);
-    EXPECT_TRUE(again.is_ok()) << again.status().to_string();
-    if (again.is_ok()) {
-      EXPECT_EQ(again.value().arrays_destroyed, 0u);
-    }
 
     // The chaos actually bit: operations were re-driven by the retry layer.
     EXPECT_GT(client.stats().op_retries, 0u);

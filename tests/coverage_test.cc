@@ -72,7 +72,7 @@ TEST(ClientEpochSurfaceTest, SnapshotHandlesAreStrictlyReadOnly) {
     EXPECT_EQ((co_await c.kv_put(pinned, "k", "x")).code(), Errc::invalid);
     EXPECT_EQ((co_await c.kv_remove(pinned, "k")).code(), Errc::invalid);
     const ObjectId array_oid = ObjectId::generate(8, 2, ObjectType::array, ObjectClass::S1);
-    EXPECT_EQ((co_await c.array_create(snap, array_oid, 1, 1_MiB)).status().code(), Errc::invalid);
+    EXPECT_EQ((co_await c.array_create(snap, array_oid)).status().code(), Errc::invalid);
     EXPECT_EQ((co_await c.array_destroy(snap, array_oid)).code(), Errc::invalid);
     // Epoch ops on the wrong handle kind: commit needs a live handle, close
     // needs a pinned one.
@@ -88,7 +88,7 @@ TEST(ClientEpochSurfaceTest, SnapshotHandlesAreStrictlyReadOnly) {
 
     // An array created after the pin does not exist in the snapshot.
     [[maybe_unused]] const auto created =
-        (co_await c.array_create(cont, array_oid, 1, 1_MiB)).value();
+        (co_await c.array_create(cont, array_oid)).value();
     EXPECT_EQ((co_await c.array_open(snap, array_oid)).status().code(), Errc::not_found);
     (co_await c.snapshot_close(snap)).expect_ok("close");
     co_return;
@@ -121,7 +121,7 @@ TEST(ArrayConflictTest, ConcurrentOpsOnOneObjectSerialise) {
       daos::ContHandle cont = co_await client.main_cont_open();
       const ObjectId oid = ObjectId::generate(9, shared ? 1 : static_cast<std::uint64_t>(rank + 1),
                                               ObjectType::array, ObjectClass::S1);
-      auto created = co_await client.array_create(cont, oid, 1, 1_MiB);
+      auto created = co_await client.array_create(cont, oid);
       daos::ArrayHandle handle;
       if (created.is_ok()) {
         handle = created.value();
@@ -222,7 +222,7 @@ TEST(FaultInjectionTest, PartialFailureRateDegradesGracefully) {
     for (std::uint64_t i = 0; i < 60; ++i) {
       // Both the create and the write consult the fault plan.
       const ObjectId oid = ObjectId::generate(3, i, ObjectType::array, ObjectClass::S1);
-      auto arr = co_await client.array_create(cont, oid, 1, 1_MiB);
+      auto arr = co_await client.array_create(cont, oid);
       if (!arr.is_ok()) {
         ++*fail_count;
         continue;

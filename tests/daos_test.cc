@@ -258,7 +258,7 @@ TEST(KvObjectTest, PutGetRemoveList) {
 
 TEST(ArrayObjectTest, FullModeRoundTrip) {
   sim::Scheduler sched;
-  ArrayObject arr(sched, 1, 1_MiB, PayloadMode::full);
+  ArrayObject arr(sched, PayloadMode::full);
   std::vector<std::uint8_t> data(300);
   std::iota(data.begin(), data.end(), 0);
   arr.write(0, data.data(), data.size());
@@ -276,8 +276,8 @@ TEST(ArrayObjectTest, FullModeRoundTrip) {
 TEST(ArrayObjectTest, DigestModeTracksChecksumWithoutBytes) {
   sim::Scheduler sched;
   std::vector<std::uint8_t> data(4096, 0x5a);
-  ArrayObject full(sched, 1, 1_MiB, PayloadMode::full);
-  ArrayObject digest(sched, 1, 1_MiB, PayloadMode::digest);
+  ArrayObject full(sched, PayloadMode::full);
+  ArrayObject digest(sched, PayloadMode::digest);
   full.write(0, data.data(), data.size());
   digest.write(0, data.data(), data.size());
   EXPECT_EQ(full.checksum(), digest.checksum());
@@ -288,7 +288,7 @@ TEST(ArrayObjectTest, DigestModeTracksChecksumWithoutBytes) {
 
 TEST(ArrayObjectTest, SparseWriteExtendsSize) {
   sim::Scheduler sched;
-  ArrayObject arr(sched, 1, 1_MiB, PayloadMode::full);
+  ArrayObject arr(sched, PayloadMode::full);
   std::vector<std::uint8_t> data(10, 0xff);
   arr.write(1000, data.data(), data.size());
   EXPECT_EQ(arr.size(), 1010u);
@@ -299,7 +299,7 @@ TEST(ArrayObjectTest, SparseWriteExtendsSize) {
 
 TEST(ArrayObjectTest, ShorterWholeVersionRewriteKeepsTheTail) {
   sim::Scheduler sched;
-  ArrayObject arr(sched, 1, 1_MiB, PayloadMode::full);
+  ArrayObject arr(sched, PayloadMode::full);
   std::vector<std::uint8_t> data(300);
   std::iota(data.begin(), data.end(), 0);
   arr.write(0, data.data(), data.size());
@@ -343,7 +343,7 @@ TEST(ArrayObjectTest, ShorterWholeVersionRewriteKeepsTheTail) {
 
 TEST(ArrayObjectTest, WritePastTheEndLeavesAZeroHole) {
   sim::Scheduler sched;
-  ArrayObject arr(sched, 1, 1_MiB, PayloadMode::full);
+  ArrayObject arr(sched, PayloadMode::full);
   const std::vector<std::uint8_t> first(100, 0x11);
   const std::vector<std::uint8_t> far(10, 0x22);
   arr.write(0, first.data(), first.size());
@@ -467,7 +467,7 @@ TEST(ClientTest, ArrayWriteReadThroughApi) {
   run_client(cluster, [](Client& c) -> sim::Task<void> {
     ContHandle main = co_await c.main_cont_open();
     const ObjectId oid = ObjectId::generate(0, 2, ObjectType::array, ObjectClass::S1);
-    auto arr = co_await c.array_create(main, oid, 1, 1_MiB);
+    auto arr = co_await c.array_create(main, oid);
     ArrayHandle handle = arr.value();  // throws if creation failed
 
     std::vector<std::uint8_t> data(256_KiB);
@@ -496,8 +496,8 @@ TEST(ClientTest, ArrayCreateTwiceFails) {
   run_client(cluster, [](Client& c) -> sim::Task<void> {
     ContHandle main = co_await c.main_cont_open();
     const ObjectId oid = ObjectId::generate(0, 3, ObjectType::array, ObjectClass::S1);
-    EXPECT_TRUE((co_await c.array_create(main, oid, 1, 1_MiB)).is_ok());
-    const auto second = co_await c.array_create(main, oid, 1, 1_MiB);
+    EXPECT_TRUE((co_await c.array_create(main, oid)).is_ok());
+    const auto second = co_await c.array_create(main, oid);
     EXPECT_EQ(second.status().code(), Errc::already_exists);
     const auto absent =
         co_await c.array_open(main, ObjectId::generate(0, 99, ObjectType::array, ObjectClass::S1));
@@ -513,7 +513,7 @@ TEST(ClientTest, WritesConsumePoolCapacity) {
   run_client(cluster, [](Client& c) -> sim::Task<void> {
     ContHandle main = co_await c.main_cont_open();
     const ObjectId oid = ObjectId::generate(0, 4, ObjectType::array, ObjectClass::S1);
-    auto arr = co_await c.array_create(main, oid, 1, 1_MiB);
+    auto arr = co_await c.array_create(main, oid);
     auto handle = arr.value();
     (co_await c.array_write(handle, 0, nullptr, 8_MiB)).expect_ok("write");
     EXPECT_EQ(c.cluster().pool_used(), 8_MiB);
@@ -533,7 +533,7 @@ TEST(ArrayDestroyTest, ReleasesCapacity) {
   run_client(cluster, [](Client& c) -> sim::Task<void> {
     const ObjectId oid = ObjectId::generate(5, 50, ObjectType::array, ObjectClass::S1);
     ContHandle cont = co_await c.main_cont_open();
-    auto arr = (co_await c.array_create(cont, oid, 1, 1_MiB)).value();
+    auto arr = (co_await c.array_create(cont, oid)).value();
     (co_await c.array_write(arr, 0, nullptr, 4_MiB)).expect_ok("write");
     EXPECT_EQ(c.cluster().pool_used(), 4_MiB);
     co_await c.array_close(arr);
@@ -556,7 +556,7 @@ TEST(ClientTest, PoolExhaustionReturnsNoSpace) {
     Status last = Status::ok();
     for (std::size_t i = 0; i < 40 && last.is_ok(); ++i) {
       const ObjectId oid = ObjectId::generate(1, i, ObjectType::array, ObjectClass::S1);
-      auto arr = co_await c.array_create(main, oid, 1, 1_MiB);
+      auto arr = co_await c.array_create(main, oid);
       auto handle = arr.value();
       last = co_await c.array_write(handle, 0, nullptr, 1_MiB);
     }
@@ -573,7 +573,7 @@ TEST(ClientTest, IoFailureInjection) {
   run_client(cluster, [](Client& c) -> sim::Task<void> {
     ContHandle main = co_await c.main_cont_open();
     const ObjectId oid = ObjectId::generate(0, 5, ObjectType::array, ObjectClass::S1);
-    EXPECT_EQ((co_await c.array_create(main, oid, 1, 1_MiB)).status().code(), Errc::io_error);
+    EXPECT_EQ((co_await c.array_create(main, oid)).status().code(), Errc::io_error);
     KvHandle kv = co_await c.kv_open(main, ObjectId::generate(0, 6, ObjectType::key_value, ObjectClass::S1));
     EXPECT_EQ((co_await c.kv_put(kv, "k", "v")).code(), Errc::io_error);
     EXPECT_EQ((co_await c.kv_get(kv, "k")).status().code(), Errc::io_error);
@@ -592,7 +592,7 @@ TEST(ClientTest, LargerTransfersAreMoreEfficient) {
     const sim::TimePoint t = run_client(cluster, [&](Client& c) -> sim::Task<void> {
       ContHandle main = co_await c.main_cont_open();
       const ObjectId oid = ObjectId::generate(0, 7, ObjectType::array, ObjectClass::S1);
-      auto arr = co_await c.array_create(main, oid, 1, 1_MiB);
+      auto arr = co_await c.array_create(main, oid);
       auto handle = arr.value();
       start_write = c.cluster().scheduler().now();
       (co_await c.array_write(handle, 0, nullptr, size)).expect_ok("write");
@@ -636,7 +636,7 @@ TEST_P(StripingProperty, RoundTripAcrossClassesAndSizes) {
   run_client(cluster, [oclass = oclass, size = size](Client& c) -> sim::Task<void> {
     ContHandle main = co_await c.main_cont_open();
     const ObjectId oid = ObjectId::generate(2, 11, ObjectType::array, oclass);
-    auto arr = co_await c.array_create(main, oid, 1, 1_MiB);
+    auto arr = co_await c.array_create(main, oid);
     auto handle = arr.value();
 
     std::vector<std::uint8_t> data(size);
@@ -713,7 +713,7 @@ TEST(DeterminismTest, RepeatedRunsBitIdentical) {
         const ObjectId oid =
             ObjectId::generate(static_cast<std::uint32_t>(node * 10 + rank), i, ObjectType::array,
                                ObjectClass::S1);
-        auto arr = co_await client.array_create(main, oid, 1, 1_MiB);
+        auto arr = co_await client.array_create(main, oid);
         auto handle = arr.value();
         (co_await client.array_write(handle, 0, nullptr, 1_MiB)).expect_ok("write");
         co_await client.array_close(handle);

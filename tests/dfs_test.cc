@@ -1,6 +1,6 @@
 // Tests for the dfs namespace (docs/DFS.md): path handling, mount/format/
-// remount semantics, operation semantics and error paths, snapshot pinning,
-// the POSIX-emulation adapter, the file-per-forecast mapping, and a seeded
+// remount semantics, operation semantics and error paths, the
+// POSIX-emulation adapter, the file-per-forecast mapping, and a seeded
 // randomized property sweep against an in-memory reference file system —
 // clean, under transient fault injection, and across a permanent target
 // loss with replicated object classes (zero divergence, zero lost files).
@@ -86,17 +86,18 @@ sim::Task<Status> put_file(Dfs& fs, const std::string& path, const std::string& 
   co_return st;
 }
 
-/// Reads the whole file at `path`, sized via stat.
+/// Reads the whole file at `path` into a buffer larger than any test file;
+/// a read that fills the buffer could have cut the file short.
 sim::Task<Result<std::string>> get_file(Dfs& fs, const std::string& path) {
-  auto info = co_await fs.stat(path);
-  if (!info.is_ok()) co_return info.status();
+  constexpr Bytes kCapacity = 64_KiB;
   auto file = co_await fs.open(path);
   if (!file.is_ok()) co_return file.status();
-  std::string out(static_cast<std::size_t>(info.value().size), '\0');
+  std::string out(static_cast<std::size_t>(kCapacity), '\0');
   auto n = co_await fs.read(file.value(), 0, reinterpret_cast<std::uint8_t*>(out.data()),
-                            info.value().size);
+                            kCapacity);
   co_await fs.close(file.value());
   if (!n.is_ok()) co_return n.status();
+  EXPECT_LT(n.value(), kCapacity) << path << " may be larger than the read buffer";
   out.resize(static_cast<std::size_t>(n.value()));
   co_return out;
 }
@@ -255,18 +256,16 @@ TEST(DfsOpsTest, MkdirCreateWriteReadRoundTrip) {
     CO_ASSERT_TRUE((co_await put_file(fs, "/a/b/f", "hello dfs")).is_ok());
     EXPECT_EQ((co_await get_file(fs, "/a/b/f")).value(), "hello dfs");
 
-    auto info = co_await fs.stat("/a/b/f");
-    CO_ASSERT_TRUE(info.is_ok());
-    EXPECT_EQ(info.value().type, EntryType::file);
-    EXPECT_EQ(info.value().size, 9u);
-    auto dir_info = co_await fs.stat("/a");
-    CO_ASSERT_TRUE(dir_info.is_ok());
-    EXPECT_EQ(dir_info.value().type, EntryType::directory);
-
+    // Types and absence: a file opens, a directory is invalid to open but
+    // lists, a missing path is not_found.
+    auto file = co_await fs.open("/a/b/f");
+    CO_ASSERT_TRUE(file.is_ok());
+    co_await fs.close(file.value());
+    EXPECT_EQ((co_await fs.open("/a")).status().code(), Errc::invalid);
     auto names = co_await fs.readdir("/a");
     CO_ASSERT_TRUE(names.is_ok());
     EXPECT_EQ(names.value(), (std::vector<std::string>{"b"}));
-    EXPECT_EQ((co_await fs.stat("/missing")).status().code(), Errc::not_found);
+    EXPECT_EQ((co_await fs.open("/missing")).status().code(), Errc::not_found);
 
     const DfsStats& st = fs.stats();
     EXPECT_EQ(st.mkdirs, 2u);
@@ -294,6 +293,7 @@ TEST(DfsOpsTest, ExclusiveCreateAndDirectoryErrors) {
     auto again = co_await fs.create("/f", /*exclusive=*/false);
     CO_ASSERT_TRUE(again.is_ok());
     co_await fs.close(again.value());
+    EXPECT_EQ((co_await fs.write(again.value(), 0, nullptr, 0)).code(), Errc::invalid);
     EXPECT_EQ((co_await get_file(fs, "/f")).value(), "v1");
 
     CO_ASSERT_TRUE((co_await fs.mkdir("/d")).is_ok());
@@ -303,24 +303,6 @@ TEST(DfsOpsTest, ExclusiveCreateAndDirectoryErrors) {
     EXPECT_EQ((co_await fs.open("/d")).status().code(), Errc::invalid);
     EXPECT_EQ((co_await fs.mkdir("/nope/child")).code(), Errc::not_found);
     EXPECT_EQ((co_await fs.readdir("/f")).status().code(), Errc::invalid);
-  });
-}
-
-TEST(DfsOpsTest, TruncateShrinksAndExtendsWithZeros) {
-  sim::Scheduler sched;
-  daos::Cluster cluster(sched, test_config());
-  run_client(cluster, [](daos::Client& client) -> sim::Task<void> {
-    Dfs fs(client, {}, 1);
-    CO_ASSERT_TRUE((co_await fs.mount("trunc")).is_ok());
-    CO_ASSERT_TRUE((co_await put_file(fs, "/f", "0123456789")).is_ok());
-    auto file = co_await fs.open("/f");
-    CO_ASSERT_TRUE(file.is_ok());
-    CO_ASSERT_TRUE((co_await fs.truncate(file.value(), 4)).is_ok());
-    EXPECT_EQ((co_await get_file(fs, "/f")).value(), "0123");
-    CO_ASSERT_TRUE((co_await fs.truncate(file.value(), 6)).is_ok());
-    EXPECT_EQ((co_await get_file(fs, "/f")).value(), std::string("0123\0\0", 6));
-    co_await fs.close(file.value());
-    EXPECT_EQ((co_await fs.write(file.value(), 0, nullptr, 0)).code(), Errc::invalid);
   });
 }
 
@@ -337,14 +319,14 @@ TEST(DfsOpsTest, RenameMovesReplacesAndGuardsSubtrees) {
     // Directory rename moves the whole subtree (entry move, children intact).
     CO_ASSERT_TRUE((co_await fs.rename("/a/b", "/c")).is_ok());
     EXPECT_EQ((co_await get_file(fs, "/c/f")).value(), "payload");
-    EXPECT_EQ((co_await fs.stat("/a/b")).status().code(), Errc::not_found);
+    EXPECT_EQ((co_await fs.readdir("/a/b")).status().code(), Errc::not_found);
 
     // File rename replaces an existing destination file.
     CO_ASSERT_TRUE((co_await put_file(fs, "/old", "new-bytes")).is_ok());
     CO_ASSERT_TRUE((co_await put_file(fs, "/victim", "victim-bytes")).is_ok());
     CO_ASSERT_TRUE((co_await fs.rename("/old", "/victim")).is_ok());
     EXPECT_EQ((co_await get_file(fs, "/victim")).value(), "new-bytes");
-    EXPECT_EQ((co_await fs.stat("/old")).status().code(), Errc::not_found);
+    EXPECT_EQ((co_await fs.open("/old")).status().code(), Errc::not_found);
 
     // Guards: roots, own subtree, directory destinations, missing source.
     EXPECT_EQ((co_await fs.rename("/", "/x")).code(), Errc::invalid);
@@ -371,50 +353,11 @@ TEST(DfsOpsTest, UnlinkFilesAndEmptyDirectoriesOnly) {
     EXPECT_EQ((co_await fs.unlink("/")).code(), Errc::invalid);
     EXPECT_EQ((co_await fs.unlink("/ghost")).code(), Errc::not_found);
     CO_ASSERT_TRUE((co_await fs.unlink("/d/f")).is_ok());
-    EXPECT_EQ((co_await fs.stat("/d/f")).status().code(), Errc::not_found);
+    EXPECT_EQ((co_await fs.open("/d/f")).status().code(), Errc::not_found);
     CO_ASSERT_TRUE((co_await fs.unlink("/d")).is_ok());
     auto names = co_await fs.readdir("/");
     CO_ASSERT_TRUE(names.is_ok());
     EXPECT_TRUE(names.value().empty());
-  });
-}
-
-// ---- snapshot pinning -------------------------------------------------------
-
-TEST(DfsSnapshotTest, PinnedMountObservesOneCommittedNamespace) {
-  sim::Scheduler sched;
-  daos::Cluster cluster(sched, test_config());
-  run_client(cluster, [](daos::Client& client) -> sim::Task<void> {
-    Dfs fs(client, {}, 1);
-    CO_ASSERT_TRUE((co_await fs.mount("snap")).is_ok());
-    CO_ASSERT_TRUE((co_await fs.mkdir("/d")).is_ok());
-    CO_ASSERT_TRUE((co_await put_file(fs, "/d/f1", "one")).is_ok());
-    auto e1 = co_await fs.commit();
-    CO_ASSERT_TRUE(e1.is_ok());
-
-    // Mutate past the commit: new file, and overwrite f1 in place.
-    CO_ASSERT_TRUE((co_await put_file(fs, "/d/f2", "two")).is_ok());
-    CO_ASSERT_TRUE((co_await put_file(fs, "/d/f1", "ONE")).is_ok());
-
-    CO_ASSERT_TRUE((co_await fs.pin_snapshot(e1.value())).is_ok());
-    EXPECT_TRUE(fs.pinned());
-    EXPECT_EQ((co_await fs.pin_snapshot(e1.value())).status().code(), Errc::invalid);
-    auto names = co_await fs.readdir("/d");
-    CO_ASSERT_TRUE(names.is_ok());
-    EXPECT_EQ(names.value(), (std::vector<std::string>{"f1"}));
-    EXPECT_EQ((co_await get_file(fs, "/d/f1")).value(), "one");
-    EXPECT_EQ((co_await fs.stat("/d/f2")).status().code(), Errc::not_found);
-    // Mutations through the pinned view are rejected.
-    EXPECT_FALSE((co_await fs.mkdir("/frozen")).is_ok());
-    EXPECT_FALSE((co_await put_file(fs, "/d/f3", "x")).is_ok());
-
-    CO_ASSERT_TRUE((co_await fs.unpin_snapshot()).is_ok());
-    EXPECT_FALSE(fs.pinned());
-    EXPECT_EQ((co_await fs.unpin_snapshot()).code(), Errc::invalid);
-    auto live = co_await fs.readdir("/d");
-    CO_ASSERT_TRUE(live.is_ok());
-    EXPECT_EQ(live.value(), (std::vector<std::string>{"f1", "f2"}));
-    EXPECT_EQ((co_await get_file(fs, "/d/f1")).value(), "ONE");
   });
 }
 
@@ -464,9 +407,9 @@ TEST(PosixFsTest, AlignedWritesPassThrough) {
     CO_ASSERT_TRUE(fd2.is_ok());
     CO_ASSERT_TRUE((co_await pfs.pwrite(fd2.value(), 0, page.data(), 1000)).is_ok());
     EXPECT_EQ(pfs.stats().alignment_bytes, 0u);
-    auto info = co_await pfs.stat("/g");
-    CO_ASSERT_TRUE(info.is_ok());
-    EXPECT_EQ(info.value().size, 1000u);
+    // A read past the end clamps to the file size.
+    std::vector<std::uint8_t> got(page.size());
+    EXPECT_EQ((co_await pfs.pread(fd2.value(), 0, got.data(), got.size())).value(), 1000u);
   });
 }
 
@@ -490,19 +433,16 @@ TEST(PosixFsTest, UnalignedOverwritePaysReadModifyWrite) {
     EXPECT_EQ(pfs.stats().rmw_reads, 2u);
     EXPECT_EQ(pfs.stats().alignment_bytes, 4096u - 1000u);
 
-    std::vector<std::uint8_t> got(8192);
+    // A read past the end clamps to the file size: the widened write did
+    // not grow the file.
+    std::vector<std::uint8_t> got(2 * base.size());
     auto n = co_await pfs.pread(fd.value(), 0, got.data(), got.size());
     CO_ASSERT_TRUE(n.is_ok());
-    CO_ASSERT_TRUE(n.value() == got.size());
+    CO_ASSERT_TRUE(n.value() == base.size());
+    got.resize(base.size());
     std::vector<std::uint8_t> want = base;
     std::fill(want.begin() + 100, want.begin() + 1100, 0xEE);
     EXPECT_EQ(got, want);
-
-    // ftruncate through the adapter, then verify via stat.
-    CO_ASSERT_TRUE((co_await pfs.ftruncate(fd.value(), 64)).is_ok());
-    auto info = co_await pfs.stat("/f");
-    CO_ASSERT_TRUE(info.is_ok());
-    EXPECT_EQ(info.value().size, 64u);
   });
 }
 
@@ -670,7 +610,7 @@ void run_property_case(std::uint64_t seed, const PropertyCaseConfig& pc) {
     CO_ASSERT_TRUE((co_await fs.mount("prop")).is_ok());
     for (std::size_t i = 0; i < pc.ops; ++i) {
       SCOPED_TRACE("op " + std::to_string(i));
-      const std::uint64_t kind = rng.next_below(100);
+      const std::uint64_t kind = rng.next_below(90);
       if (kind < 20) {  // mkdir
         const std::string p = random_ref_path(rng);
         const bool ref_ok = !ref.exists(p) && ref.parent_is_dir(p);
@@ -699,18 +639,7 @@ void run_property_case(std::uint64_t seed, const PropertyCaseConfig& pc) {
           co_await fs.close(file.value());
           ref.write_at(p, offset, data);
         }
-      } else if (kind < 70) {  // truncate
-        const std::string p = random_existing_file(rng, ref);
-        const bool ref_ok = ref.is_file(p);
-        auto file = co_await fs.open(p);
-        EXPECT_EQ(file.is_ok(), ref_ok) << "open-for-truncate " << p;
-        if (file.is_ok()) {
-          const std::size_t size = rng.next_below(ref.files[p].size() + 30);
-          EXPECT_TRUE((co_await fs.truncate(file.value(), size)).is_ok());
-          co_await fs.close(file.value());
-          ref.files[p].resize(size, '\0');
-        }
-      } else if (kind < 80) {  // rename a file
+      } else if (kind < 70) {  // rename a file
         const std::string from = random_existing_file(rng, ref);
         const std::string to = random_ref_path(rng);
         // Directory renames have their own unit tests; the sweep only models
@@ -725,7 +654,7 @@ void run_property_case(std::uint64_t seed, const PropertyCaseConfig& pc) {
           ref.files[to] = ref.files[from];
           ref.files.erase(from);
         }
-      } else if (kind < 90) {  // unlink
+      } else if (kind < 80) {  // unlink
         std::string p = random_ref_path(rng);
         if (rng.next_below(2) == 0) p = random_existing_file(rng, ref);
         const bool ref_ok =

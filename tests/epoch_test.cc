@@ -12,8 +12,8 @@
 //
 // Deterministic companions cover the error surface (uncommitted / aggregated
 // / retention-0 snapshots), the digest-exactness regression versioning fixed,
-// the client-level epoch API, FieldIo commit/pin round-trips in every mode
-// and epoch-filtered catalogue listing.
+// the client-level epoch API and FieldIo commit/pin round-trips in every
+// mode.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -25,7 +25,6 @@
 #include "daos/client.h"
 #include "daos/cluster.h"
 #include "daos/objects.h"
-#include "fdb/catalogue.h"
 #include "fdb/field_io.h"
 #include "harness/experiment.h"
 #include "harness/field_bench.h"
@@ -77,7 +76,7 @@ struct ScheduleHarness {
       : cont(sched, daos::Uuid{seed, 0x45504f43ull}, false, 4, retention_depth), rng(seed),
         retention(retention_depth) {
     kv = &cont.kv(ObjectId::generate(1, 1, ObjectType::key_value, ObjectClass::SX));
-    arr = cont.create_array(ObjectId::generate(1, 2, ObjectType::array, ObjectClass::S1), 1, 1_KiB,
+    arr = cont.create_array(ObjectId::generate(1, 2, ObjectType::array, ObjectClass::S1),
                             daos::PayloadMode::full)
               .value();
   }
@@ -269,7 +268,7 @@ TEST(EpochContainerTest, RetentionZeroRecyclesInPlace) {
   Container cont(sched, daos::Uuid{1, 3}, false, 4, 0);
   EXPECT_EQ(cont.snapshot_open(kEpochLatest).status().code(), Errc::unsupported);
   daos::ArrayObject* arr =
-      cont.create_array(ObjectId::generate(1, 1, ObjectType::array, ObjectClass::S1), 1, 1_KiB,
+      cont.create_array(ObjectId::generate(1, 1, ObjectType::array, ObjectClass::S1),
                         daos::PayloadMode::full)
           .value();
   std::vector<std::uint8_t> payload(512, 0xab);
@@ -312,7 +311,7 @@ TEST(EpochDigestTest, CommittedDigestStaysExactAcrossPartialRewrite) {
   sim::Scheduler sched;
   Container cont(sched, daos::Uuid{1, 5}, false, 4, 2);
   daos::ArrayObject* arr =
-      cont.create_array(ObjectId::generate(1, 1, ObjectType::array, ObjectClass::S1), 1, 1_KiB,
+      cont.create_array(ObjectId::generate(1, 1, ObjectType::array, ObjectClass::S1),
                         daos::PayloadMode::digest)
           .value();
   // Whole-object write, committed: digest is exact.
@@ -340,11 +339,9 @@ struct ClientFixture {
   sim::Scheduler sched;
   std::unique_ptr<daos::Cluster> cluster;
 
-  explicit ClientFixture(daos::PayloadMode mode = daos::PayloadMode::full,
-                         std::size_t retention = 2) {
+  explicit ClientFixture(daos::PayloadMode mode = daos::PayloadMode::full) {
     daos::ClusterConfig cfg = bench::testbed_config(1, 1);
     cfg.payload_mode = mode;
-    cfg.model.epoch_retention_depth = retention;
     cluster = std::make_unique<daos::Cluster>(sched, cfg);
   }
 
@@ -368,7 +365,7 @@ TEST(ClientEpochTest, CommitSnapshotReadRoundtrip) {
     (co_await c.kv_put(kv, "state", "first")).expect_ok("put");
     const Epoch e1 = (co_await c.cont_commit(cont)).value();
     EXPECT_EQ(e1, 1u);
-    EXPECT_EQ((co_await c.cont_committed_epoch(cont)).value(), e1);
+    EXPECT_EQ(cont.container->committed_epoch(), e1);
 
     daos::ContHandle snap = (co_await c.cont_snapshot(cont)).value();
     EXPECT_TRUE(snap.pinned());
@@ -394,7 +391,7 @@ TEST(ClientEpochTest, PinnedArrayReadsSeeTheirEpochOnly) {
   fx.run([](daos::Client& c) -> sim::Task<void> {
     daos::ContHandle cont = co_await c.main_cont_open();
     const ObjectId oid = ObjectId::generate(7, 2, ObjectType::array, ObjectClass::S1);
-    daos::ArrayHandle arr = (co_await c.array_create(cont, oid, 1, 1_MiB)).value();
+    daos::ArrayHandle arr = (co_await c.array_create(cont, oid)).value();
     std::vector<std::uint8_t> v1(4096, 0x11), v2(4096, 0x22);
     (co_await c.array_write(arr, 0, v1.data(), v1.size())).expect_ok("write v1");
     const Epoch e1 = (co_await c.cont_commit(cont)).value();
@@ -445,7 +442,6 @@ TEST_P(FieldIoEpochModes, CommitPinReadRoundtrip) {
 
     (co_await io.write(key, v1.data(), size)).expect_ok("write v1");
     const Epoch e1 = (co_await io.commit(key)).value();
-    EXPECT_EQ((co_await io.committed_epoch(key)).value(), e1);
 
     EXPECT_EQ((co_await io.pin_snapshot(key)).value(), e1);
     EXPECT_TRUE(io.pinned(key));
@@ -488,54 +484,6 @@ TEST(FieldIoEpochTest, PinRequiresACommittedForecast) {
     (co_await io.init()).expect_ok("init");
     // Unknown forecast: nothing to pin.
     EXPECT_FALSE((co_await io.pin_snapshot(field_key(0))).is_ok());
-    EXPECT_FALSE((co_await io.committed_epoch(field_key(0))).is_ok());
-    co_return;
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Epoch-filtered catalogue listing.
-// ---------------------------------------------------------------------------
-
-TEST(CatalogueEpochTest, ListFieldsAtSeesOnlyPublishedFields) {
-  ClientFixture fx(daos::PayloadMode::digest);
-  fx.run([](daos::Client& client) -> sim::Task<void> {
-    fdb::FieldIoConfig cfg;  // full mode
-    fdb::FieldIo io(client, cfg, 0);
-    (co_await io.init()).expect_ok("init");
-    (co_await io.write(field_key(0), nullptr, 1_MiB)).expect_ok("write step 0");
-    const Epoch e1 = (co_await io.commit(field_key(0))).value();
-    (co_await io.write(field_key(1), nullptr, 1_MiB)).expect_ok("write step 1");
-    const Epoch e2 = (co_await io.commit(field_key(1))).value();
-    (co_await io.write(field_key(2), nullptr, 1_MiB)).expect_ok("write step 2");  // unpublished
-
-    fdb::Catalogue catalogue(client, cfg);
-    (co_await catalogue.init()).expect_ok("catalogue init");
-    const std::string forecast = field_key(0).most_significant();
-    EXPECT_EQ((co_await catalogue.list_fields(forecast)).value().size(), 3u);
-    EXPECT_EQ((co_await catalogue.list_fields_at(forecast, e1)).value().size(), 1u);
-    EXPECT_EQ((co_await catalogue.list_fields_at(forecast, e2)).value().size(), 2u);
-    // kEpochLatest: the newest *committed* publication — step 2 is invisible.
-    EXPECT_EQ((co_await catalogue.list_fields_at(forecast)).value().size(), 2u);
-    EXPECT_EQ((co_await catalogue.list_fields_at("'class': 'xx'")).status().code(),
-              Errc::not_found);
-    co_return;
-  });
-}
-
-TEST(CatalogueEpochTest, ListFieldsAtUnsupportedWithoutRetention) {
-  ClientFixture fx(daos::PayloadMode::digest, /*retention=*/0);
-  fx.run([](daos::Client& client) -> sim::Task<void> {
-    fdb::FieldIoConfig cfg;
-    cfg.mode = fdb::Mode::no_containers;
-    fdb::FieldIo io(client, cfg, 0);
-    (co_await io.init()).expect_ok("init");
-    (co_await io.write(field_key(0), nullptr, 1_MiB)).expect_ok("write");
-    EXPECT_TRUE((co_await io.commit(field_key(0))).is_ok());
-    fdb::Catalogue catalogue(client, cfg);
-    (co_await catalogue.init()).expect_ok("catalogue init");
-    EXPECT_EQ((co_await catalogue.list_fields_at(field_key(0).most_significant())).status().code(),
-              Errc::unsupported);
     co_return;
   });
 }

@@ -110,11 +110,6 @@ TEST(IoLogTest, DetailBufferBounded) {
   EXPECT_EQ(log.operations(), 5u);
 }
 
-TEST(EventKindTest, NamesMatchPaperList) {
-  EXPECT_STREQ(event_kind_name(EventKind::io_start), "I/O start");
-  EXPECT_STREQ(event_kind_name(EventKind::close_end), "object close end");
-}
-
 TEST(IorTest, SmallRunProducesConsistentLogs) {
   sim::Scheduler sched;
   daos::ClusterConfig cfg = testbed_config(1, 1);

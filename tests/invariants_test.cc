@@ -113,7 +113,7 @@ TEST_P(ConservationProperty, FlowAndCapacityAccountingBalance) {
       const auto oid = daos::ObjectId::generate(static_cast<std::uint32_t>(rank),
                                                 static_cast<std::uint64_t>(i), daos::ObjectType::array,
                                                 daos::ObjectClass::S1);
-      auto arr = (co_await client.array_create(cont, oid, 1, 1_MiB)).value();
+      auto arr = (co_await client.array_create(cont, oid)).value();
       (co_await client.array_write(arr, 0, nullptr, size)).expect_ok("write");
       auto n_read = co_await client.array_read(arr, 0, nullptr, size);
       EXPECT_EQ(n_read.value(), size);
@@ -147,7 +147,7 @@ TEST(ClockSanity, MoreWorkTakesMoreSimulatedTime) {
       for (int i = 0; i < n; ++i) {
         const auto oid = daos::ObjectId::generate(9, static_cast<std::uint64_t>(i),
                                                   daos::ObjectType::array, daos::ObjectClass::S1);
-        auto arr = (co_await client.array_create(cont, oid, 1, 1_MiB)).value();
+        auto arr = (co_await client.array_create(cont, oid)).value();
         (co_await client.array_write(arr, 0, nullptr, 1_MiB)).expect_ok("write");
         co_await client.array_close(arr);
       }
@@ -178,7 +178,7 @@ TEST(SnapshotIsolation, PinnedReaderNeverSeesTornBytes) {
   auto writer = [](daos::Cluster& cl, daos::ObjectId id, Bytes n) -> Task<void> {
     daos::Client client(cl, cl.client_endpoint(0, 0), 0);
     daos::ContHandle cont = co_await client.main_cont_open();
-    auto arr = (co_await client.array_create(cont, id, 1, 1_MiB)).value();
+    auto arr = (co_await client.array_create(cont, id)).value();
     for (std::uint8_t epoch = 1; epoch <= 10; ++epoch) {
       std::vector<std::uint8_t> fill(n, epoch);
       (co_await client.array_write(arr, 0, fill.data(), n)).expect_ok("write");
@@ -193,7 +193,7 @@ TEST(SnapshotIsolation, PinnedReaderNeverSeesTornBytes) {
                    std::uint64_t* reads) -> Task<void> {
     daos::Client client(cl, cl.client_endpoint(0, 1), 1);
     daos::ContHandle cont = co_await client.main_cont_open();
-    while ((co_await client.cont_committed_epoch(cont)).value() == 0) {
+    while (cont.container->committed_epoch() == 0) {
       co_await cl.scheduler().delay(sim::microseconds(100.0));
     }
     std::vector<std::uint8_t> buffer(n);
@@ -265,7 +265,7 @@ TEST(SeedInvariance, FunctionalResultsIdenticalAcrossSeeds) {
       daos::ContHandle cont = co_await client.main_cont_open();
       const auto oid =
           daos::ObjectId::generate(1, 1, daos::ObjectType::array, daos::ObjectClass::S2);
-      auto arr = (co_await client.array_create(cont, oid, 1, 1_MiB)).value();
+      auto arr = (co_await client.array_create(cont, oid)).value();
       std::vector<std::uint8_t> data(123456);
       for (std::size_t i = 0; i < data.size(); ++i) data[i] = static_cast<std::uint8_t>(i);
       (co_await client.array_write(arr, 0, data.data(), data.size())).expect_ok("write");

@@ -86,8 +86,7 @@ TEST(DaosEdge, KvOpenOnArrayIdIsLogicError) {
   // And the reverse: creating an array with a KV-typed id.
   const auto kv_id =
       daos::ObjectId::generate(0, 2, daos::ObjectType::key_value, daos::ObjectClass::S1);
-  EXPECT_THROW((void)cluster.main_container().create_array(kv_id, 1, 1_MiB,
-                                                           daos::PayloadMode::digest),
+  EXPECT_THROW((void)cluster.main_container().create_array(kv_id, daos::PayloadMode::digest),
                std::logic_error);
 }
 

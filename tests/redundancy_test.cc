@@ -234,7 +234,7 @@ TEST(RedundancyDegradedReadTest, ReplicatedReadServesFromSurvivorWhileRebuilding
   auto body = [&]() -> sim::Task<void> {
     daos::Client client(cluster, cluster.client_endpoint(0, 0), 0);
     auto cont = co_await client.main_cont_open();
-    auto handle = co_await client.array_create(cont, oid, 1, 64_KiB);
+    auto handle = co_await client.array_create(cont, oid);
     (co_await client.array_write(handle.value(), 0, data.data(), 64_KiB)).expect_ok("write");
 
     // Kill the primary replica and read at the SAME sim instant: the rebuild
@@ -275,7 +275,7 @@ TEST(RedundancyDegradedReadTest, ErasureCodedReadDecodesFromParityWhileRebuildin
   auto body = [&]() -> sim::Task<void> {
     daos::Client client(cluster, cluster.client_endpoint(0, 0), 0);
     auto cont = co_await client.main_cont_open();
-    auto handle = co_await client.array_create(cont, oid, 1, 64_KiB);
+    auto handle = co_await client.array_create(cont, oid);
     (co_await client.array_write(handle.value(), 0, data.data(), 64_KiB)).expect_ok("write");
 
     // Kill data member 0: the read must reassign its chunks to the parity
@@ -312,7 +312,7 @@ TEST(RedundancyLossTest, SingleCopyShardOnLostTargetReportsDataLoss) {
   auto body = [&]() -> sim::Task<void> {
     daos::Client client(cluster, cluster.client_endpoint(0, 0), 0);
     auto cont = co_await client.main_cont_open();
-    auto handle = co_await client.array_create(cont, oid, 1, 1_KiB);
+    auto handle = co_await client.array_create(cont, oid);
     std::vector<std::uint8_t> data(static_cast<std::size_t>(4_KiB), 0x5a);
     write_status = co_await client.array_write(handle.value(), 0, data.data(), 4_KiB);
 

@@ -277,22 +277,6 @@ TEST(Mutex, UnlockWhileUnlockedThrows) {
   EXPECT_THROW(mutex.unlock(), std::logic_error);
 }
 
-TEST(ScopedLockTest, ReleasesOnScopeExit) {
-  Scheduler sched;
-  Mutex mutex(sched);
-  int entered = 0;
-  auto proc = [](Scheduler& s, Mutex& m, int& count) -> Task<void> {
-    auto guard = co_await ScopedLock::acquire(m);
-    ++count;
-    co_await s.delay(seconds(1));
-  };
-  sched.spawn(proc(sched, mutex, entered));
-  sched.spawn(proc(sched, mutex, entered));
-  sched.run();
-  EXPECT_EQ(entered, 2);
-  EXPECT_FALSE(mutex.locked());
-}
-
 TEST(SemaphoreTest, BoundsConcurrency) {
   Scheduler sched;
   Semaphore sem(sched, 2);
