@@ -29,12 +29,16 @@ constexpr std::uint32_t kGossipRounds = 8;
 /// per kGossipInterval.  Tokens ride the campaign fabric and arrive one
 /// cross-shard latency after sending — at or past the window horizon by
 /// construction (latency >= lookahead), so the conservative protocol never
-/// sees them early.
+/// sees them early.  The only cross-shard sender, it promises its shard's
+/// next send time before each wait and "never" after the last round, so
+/// windows run from one gossip tick to the next and the tail of the
+/// campaign runs in one window.
 sim::Task<void> gossip_proc(sim::PartitionedScheduler& psched, std::size_t self,
                             const std::vector<std::vector<sim::Duration>>& latency,
                             std::vector<GossipState>& states) {
   sim::Scheduler& sched = psched.partition(self);
   for (std::uint32_t round = 0; round < kGossipRounds; ++round) {
+    psched.promise(self, sched.now() + kGossipInterval);
     co_await sched.delay(kGossipInterval);
     for (std::size_t peer = 0; peer < states.size(); ++peer) {
       if (peer == self) continue;
@@ -44,6 +48,7 @@ sim::Task<void> gossip_proc(sim::PartitionedScheduler& psched, std::size_t self,
     }
     ++states[self].rounds_sent;
   }
+  psched.promise(self, sim::Scheduler::kNoEventTime);
 }
 
 std::uint64_t shard_seed(std::uint64_t seed, std::size_t shard) {

@@ -26,12 +26,24 @@ void PartitionedScheduler::check_post(std::size_t from, std::size_t to, TimePoin
     throw std::out_of_range("cross-partition post: bad partition index");
   }
   if (from == to) throw std::logic_error("cross-partition post to own partition");
+  if (windowed_ && parts_[from]->sched.now() < parts_[from]->promise) {
+    // The window bound trusted this promise: another partition may already
+    // run past now + lookahead.
+    throw std::logic_error("cross-partition post before its partition's promise");
+  }
   if (windowed_ && t < horizon_) {
     // Delivering below the horizon would mean another partition may already
     // have executed past t — the conservative invariant is broken, which
     // points at a lookahead smaller than the real cross-partition latency.
     throw std::logic_error("cross-partition post below window horizon: lookahead violated");
   }
+}
+
+void PartitionedScheduler::promise(std::size_t p, TimePoint t) {
+  if (p >= parts_.size()) throw std::out_of_range("cross-partition promise: bad partition index");
+  Part& part = *parts_[p];
+  if (t < part.promise) throw std::logic_error("cross-partition promise lowered");
+  part.promise = t;
 }
 
 void PartitionedScheduler::exec_slice(std::size_t p, TimePoint horizon) {
@@ -63,14 +75,19 @@ void PartitionedScheduler::deliver_cross_events() {
   }
 }
 
-TimePoint PartitionedScheduler::compute_next_horizon() {
+bool PartitionedScheduler::open_next_window() {
   TimePoint w = Scheduler::kNoEventTime;
+  bool pending = false;
   for (const auto& part : parts_) {
-    w = std::min(w, part->sched.next_event_time());
-    if (part->error) return Scheduler::kNoEventTime;  // terminate: run() rethrows
+    const TimePoint next = part->sched.next_event_time();
+    if (part->error) return false;  // terminate: run() rethrows
+    pending = pending || next != Scheduler::kNoEventTime;
+    w = std::min(w, std::max(next, part->promise));
   }
-  if (w == Scheduler::kNoEventTime) return Scheduler::kNoEventTime;
-  return w + config_.lookahead;
+  // Saturate: when every partition promises never, the window is unbounded.
+  horizon_ = w > Scheduler::kNoEventTime - config_.lookahead ? Scheduler::kNoEventTime
+                                                             : w + config_.lookahead;
+  return pending;
 }
 
 void PartitionedScheduler::run_serial_merged() {
@@ -106,8 +123,7 @@ void PartitionedScheduler::run_serial_merged() {
 void PartitionedScheduler::run_windowed() {
   const std::size_t workers = stats_.workers_used;
   windowed_ = true;
-  horizon_ = compute_next_horizon();
-  bool done = horizon_ == Scheduler::kNoEventTime;
+  bool done = !open_next_window();
 
   // Completion step: runs on exactly one thread after all workers arrive, and
   // its effects happen-before every worker's release from the barrier — so
@@ -116,8 +132,7 @@ void PartitionedScheduler::run_windowed() {
   auto on_window_complete = [&]() noexcept {
     deliver_cross_events();
     ++stats_.windows;
-    horizon_ = compute_next_horizon();
-    done = horizon_ == Scheduler::kNoEventTime;
+    done = !open_next_window();
   };
   std::barrier barrier(static_cast<std::ptrdiff_t>(workers), on_window_complete);
 

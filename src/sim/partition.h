@@ -3,25 +3,35 @@
 // A PartitionedScheduler hosts K independent sim::Scheduler instances
 // ("partitions", one per node group) and advances them in lock-step windows
 // following the classic Chandy–Misra–Bryant conservative protocol, using a
-// global lookahead L instead of per-link null messages:
+// global lookahead L and a per-partition send-time promise S_p instead of
+// per-link null messages:
 //
-//   window n:   W_n     = min over partitions of next_event_time()
-//               horizon = W_n + L
+//   window n:   W_n     = min over partitions of max(next_event_time(), S_p)
+//               horizon = W_n + L   (saturating: never stays never)
 //               every partition executes all its events with t < horizon
 //   barrier:    cross-partition outboxes are drained in canonical order
 //               (destination asc, source asc, send order) and their events
 //               scheduled into the destination queues; the next W is
 //               computed; repeat until every queue is empty.
 //
-// Safety: a cross-partition event sent while executing window n is stamped
-// at send_time + link_latency >= W_n + L = horizon, so it can never land
-// inside the window currently executing — each partition's intra-window run
-// is an ordinary single-threaded DES replay.  Determinism: window bounds
-// depend only on event timestamps (not on thread interleaving) and the
-// barrier drain order is canonical, so the whole execution — clocks,
-// sequence numbers, every callback order — is identical for any worker
-// count, including 1.  That is the property the determinism test suite
-// diffs nws-report-v1 output over.
+// S_p (promise()) is partition p's guarantee that it posts no
+// cross-partition event before S_p, whatever it receives: the earliest
+// output time a CMB null message carries.  It defaults to 0, where
+// max(next_event_time(), 0) is the plain next-event bound, and only rises.
+//
+// Safety: while executing window n, partition p sends only at clock times
+// >= max(next_event_time_p, S_p) >= W_n (it runs no earlier event, and
+// post() throws below S_p), and every send is stamped at send_time +
+// link_latency >= W_n + L = horizon, so it can never land inside the
+// window currently executing — each partition's intra-window run is an
+// ordinary single-threaded DES replay.  A dishonest promise or lookahead
+// can only make post() throw, never reorder.
+// Determinism: window bounds depend only on event timestamps and promises
+// (both simulated state, not thread interleaving) and the barrier drain
+// order is canonical, so the whole execution — clocks, sequence numbers,
+// every callback order — is identical for any worker count, including 1.
+// That is the property the determinism test suite diffs nws-report-v1
+// output over.
 //
 // Lookahead comes from net::make_partition_map (minimum cross-group link
 // latency in the Topology).  A topology with zero cross-partition latency
@@ -93,11 +103,19 @@ class PartitionedScheduler {
   /// run() is live (i.e. from code executing inside that partition).
   [[nodiscard]] Scheduler& partition(std::size_t p) { return parts_[p]->sched; }
 
+  /// Promises that partition `p` posts no cross-partition event before `t`;
+  /// Scheduler::kNoEventTime means never again.  Same calling rule as
+  /// post(from = p): code executing inside `p`, or set-up before run().
+  /// Promises only rise (lowering one throws std::logic_error); the default
+  /// 0 bounds windows by next-event times alone.
+  void promise(std::size_t p, TimePoint t);
+
   /// Sends a cross-partition event: run `cb` on partition `to` at absolute
   /// time `t`.  Must be called from code executing inside partition `from`.
-  /// During windowed execution `t` must be at or past the current window
-  /// horizon (guaranteed when t = now + latency with latency >= lookahead);
-  /// violating that throws, because delivering it would break conservatism.
+  /// During windowed execution `from`'s clock must be at or past its
+  /// promise, and `t` at or past the current window horizon (guaranteed
+  /// when t = now + latency with latency >= lookahead); violating either
+  /// throws, because delivering it would break conservatism.
   template <typename F>
   void post(std::size_t from, std::size_t to, TimePoint t, F&& cb) {
     check_post(from, to, t);
@@ -129,6 +147,7 @@ class PartitionedScheduler {
 
   struct Part {
     Scheduler sched;
+    TimePoint promise = 0;  // no cross-partition post before this time
     std::uint64_t null_windows = 0;
     std::uint64_t direct_cross_events = 0;
     std::exception_ptr error;  // first failure seen on this partition
@@ -144,7 +163,9 @@ class PartitionedScheduler {
   void run_windowed();
   /// Barrier completion step: moves every outbox into its destination queue.
   void deliver_cross_events();
-  [[nodiscard]] TimePoint compute_next_horizon();
+  /// Sets horizon_ for the next window; false when the run is over (every
+  /// queue drained, or a partition failed).
+  [[nodiscard]] bool open_next_window();
   void exec_slice(std::size_t p, TimePoint horizon);
   void finish_run();
 

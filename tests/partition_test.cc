@@ -1,10 +1,14 @@
 // Tests for the conservative time-window partitioning stack: the
-// partitioned scheduler's window protocol and cross-partition delivery
-// order, lookahead derivation from the topology, and the --jobs determinism
-// gate over a registry of scenarios run through the harness's own runners.
+// partitioned scheduler's window protocol, send-time promises and
+// cross-partition delivery order, lookahead derivation from the topology,
+// the --jobs determinism gate over a registry of scenarios run through the
+// harness's own runners, and the campaign's speed on 4 workers against 1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -14,6 +18,7 @@
 #include "common/table.h"
 #include "fault/fault_plan.h"
 #include "harness/partitioned_bench.h"
+#include "harness/run_pool.h"
 #include "net/partition.h"
 #include "net/provider.h"
 #include "net/topology.h"
@@ -230,6 +235,164 @@ TEST(PartitionedSchedulerTest, CrossEventsFlowAcrossManyWindows) {
   }
 }
 
+/// Dense local work: ticks every 3-9 µs until `until`, folding each tick's
+/// time into `digest`.
+Task<void> tick_proc(Scheduler& sched, std::size_t self, TimePoint until, std::uint64_t* digest) {
+  std::uint64_t state = 0x9e3779b97f4a7c15ull * (self + 1);
+  while (sched.now() < until) {
+    co_await sched.delay(microseconds(3 + (state % 7)));
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    *digest ^= state + static_cast<std::uint64_t>(sched.now());
+  }
+}
+
+/// The partition's one cross-partition sender: posts to the next partition
+/// every millisecond, `sends` times.  With `promising` it declares each next
+/// send before waiting for it, and "never" after the last.
+Task<void> send_proc(PartitionedScheduler& psched, std::size_t self, int sends, bool promising,
+                     std::vector<std::vector<TimePoint>>* delivered) {
+  Scheduler& sched = psched.partition(self);
+  const std::size_t peer = (self + 1) % psched.partitions();
+  Scheduler* dst = &psched.partition(peer);
+  std::vector<TimePoint>* inbox = &(*delivered)[peer];
+  for (int i = 0; i < sends; ++i) {
+    if (promising) psched.promise(self, sched.now() + milliseconds(1));
+    co_await sched.delay(milliseconds(1));
+    psched.post(self, peer, sched.now() + microseconds(10),
+                [dst, inbox] { inbox->push_back(dst->now()); });
+  }
+  if (promising) psched.promise(self, Scheduler::kNoEventTime);
+}
+
+/// Promises let a window run from one send to the next instead of one
+/// lookahead past the next local event: 20 sends per partition over 50 ms
+/// of 3-9 µs ticks take sends + 2 windows instead of thousands, and move no
+/// delivery, clock or digest at any worker count.
+TEST(PartitionedSchedulerTest, PromisesWidenWindows) {
+  constexpr int kSends = 20;
+  struct Result {
+    std::vector<std::uint64_t> digests;
+    std::vector<std::vector<TimePoint>> delivered;
+    std::vector<TimePoint> clocks;
+    std::uint64_t windows, null_windows, cross_events;
+    bool operator==(const Result&) const = default;
+  };
+  const auto run_at = [](std::size_t workers, bool promising) {
+    PartitionConfig cfg;
+    cfg.partitions = 4;
+    cfg.lookahead = microseconds(10);
+    cfg.workers = workers;
+    PartitionedScheduler psched(cfg);
+    Result r;
+    r.digests.assign(4, 0);
+    r.delivered.resize(4);
+    for (std::size_t p = 0; p < 4; ++p) {
+      psched.partition(p).spawn(tick_proc(psched.partition(p), p, milliseconds(50), &r.digests[p]));
+      psched.partition(p).spawn(send_proc(psched, p, kSends, promising, &r.delivered));
+    }
+    psched.run();
+    for (std::size_t p = 0; p < 4; ++p) r.clocks.push_back(psched.partition(p).now());
+    r.windows = psched.stats().windows;
+    r.null_windows = psched.stats().null_windows;
+    r.cross_events = psched.stats().cross_events;
+    return r;
+  };
+  const Result promised = run_at(1, true);
+  const Result plain = run_at(1, false);
+  EXPECT_LE(promised.windows, static_cast<std::uint64_t>(kSends) + 2);
+  EXPECT_GE(plain.windows, 100 * promised.windows);
+  EXPECT_EQ(promised.cross_events, 4u * kSends);
+  for (std::size_t p = 0; p < 4; ++p) {
+    ASSERT_EQ(promised.delivered[p].size(), static_cast<std::size_t>(kSends)) << "partition " << p;
+    for (int i = 0; i < kSends; ++i) {
+      EXPECT_EQ(promised.delivered[p][i], milliseconds(i + 1) + microseconds(10));
+    }
+  }
+  EXPECT_EQ(promised.digests, plain.digests);
+  EXPECT_EQ(promised.delivered, plain.delivered);
+  EXPECT_EQ(promised.clocks, plain.clocks);
+  for (const std::size_t workers : {2u, 4u, 8u}) {
+    EXPECT_TRUE(run_at(workers, true) == promised) << "workers=" << workers;
+  }
+}
+
+/// Runs the scheduler and returns the message of the std::logic_error it
+/// throws, or "" when it completes.
+std::string run_logic_error(PartitionedScheduler& psched) {
+  try {
+    psched.run();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// A promise is checked where it could be broken: a post below the sender's
+/// promise throws even when it clears the window horizon, "never" holds
+/// whatever the partition receives, and a promise cannot be lowered.
+TEST(PartitionedSchedulerTest, PostBeforePromiseThrows) {
+  PartitionConfig cfg;
+  cfg.partitions = 2;
+  cfg.lookahead = microseconds(10);
+  {
+    // Posts at 0.5 ms for 5.5 ms, past the 1.01 ms horizon, but partition 0
+    // promised nothing before 1 ms.
+    PartitionedScheduler psched(cfg);
+    psched.promise(0, milliseconds(1));
+    TimePoint unused = 0;
+    psched.partition(0).spawn(
+        delayed_post(psched, 0, 1, microseconds(500), milliseconds(5), &unused));
+    EXPECT_NE(run_logic_error(psched).find("promise"), std::string::npos);
+  }
+  {
+    PartitionedScheduler psched(cfg);
+    psched.promise(1, Scheduler::kNoEventTime);
+    Scheduler* src = &psched.partition(0);
+    Scheduler* dst = &psched.partition(1);
+    src->schedule_callback(milliseconds(1), [&psched, src, dst] {
+      psched.post(0, 1, src->now() + milliseconds(1), [&psched, dst] {
+        psched.post(1, 0, dst->now() + milliseconds(1), [] {});
+      });
+    });
+    EXPECT_NE(run_logic_error(psched).find("promise"), std::string::npos);
+  }
+  {
+    PartitionedScheduler psched(cfg);
+    psched.promise(0, milliseconds(2));
+    EXPECT_NO_THROW(psched.promise(0, milliseconds(2)));
+    EXPECT_THROW(psched.promise(0, milliseconds(1)), std::logic_error);
+    EXPECT_THROW(psched.promise(2, milliseconds(3)), std::out_of_range);
+  }
+}
+
+/// When every partition promises never, the horizon saturates instead of
+/// overflowing and one window runs every partition to its last event.
+TEST(PartitionedSchedulerTest, NeverAgainPromiseRunsToTheEnd) {
+  for (const std::size_t workers : {1u, 3u}) {
+    PartitionConfig cfg;
+    cfg.partitions = 3;
+    cfg.lookahead = microseconds(10);
+    cfg.workers = workers;
+    PartitionedScheduler psched(cfg);
+    std::vector<std::uint64_t> digests(3, 0);
+    std::vector<TimePoint> last(3, 0);
+    for (std::size_t p = 0; p < 3; ++p) {
+      Scheduler& sched = psched.partition(p);
+      psched.promise(p, Scheduler::kNoEventTime);
+      sched.spawn(tick_proc(sched, p, milliseconds(p + 1), &digests[p]));
+      // The latest event of the partition: its tick process's end is earlier.
+      sched.schedule_callback(milliseconds(p + 2), [&sched, &last, p] { last[p] = sched.now(); });
+    }
+    psched.run();
+    EXPECT_EQ(psched.stats().windows, 1u) << "workers=" << workers;
+    EXPECT_EQ(psched.stats().null_windows, 0u) << "workers=" << workers;
+    for (std::size_t p = 0; p < 3; ++p) {
+      EXPECT_EQ(last[p], milliseconds(p + 2)) << "workers=" << workers;
+      EXPECT_EQ(psched.partition(p).now(), last[p]) << "workers=" << workers;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nws::sim
 
@@ -432,7 +595,10 @@ TEST(PartitionedBenchTest, StatsAndProtocolCountersSane) {
   ASSERT_FALSE(out.outcome.failed) << out.outcome.failure;
   EXPECT_EQ(out.stats.partitions, 4u);
   EXPECT_FALSE(out.stats.serial_fallback);
+  // The gossip processes promise their next round, so windows follow the 8
+  // rounds, not the lookahead.
   EXPECT_GT(out.stats.windows, 0u);
+  EXPECT_LE(out.stats.windows, 2u * 8 + 2);
   EXPECT_GT(out.stats.cross_events, 0u);  // gossip tokens crossed shards
   EXPECT_GT(out.stats.events_executed, 0u);
   // The folded per-shard event counters sum to the protocol's own count.
@@ -443,7 +609,42 @@ TEST(PartitionedBenchTest, StatsAndProtocolCountersSane) {
   EXPECT_GT(out.outcome.write_bw, 0.0);
   EXPECT_TRUE(out.outcome.metrics.has("sim.partition.windows"));
   EXPECT_TRUE(out.outcome.metrics.has("sim.partition.gossip_tokens"));
-  EXPECT_GT(out.outcome.metrics.value("sim.partition.gossip_tokens"), 0.0);
+  // 4 shards, 3 peers each, 8 rounds.
+  EXPECT_EQ(out.outcome.metrics.value("sim.partition.gossip_tokens"), 4.0 * 3 * 8);
+}
+
+/// The window protocol must pay for its threads: a 4-shard campaign is not
+/// slower on 4 workers than on one.  The takes interleave, so a busy
+/// stretch of the host hits both sides, and each side keeps its best of
+/// three.  The name stays outside the TSan stage's filter, which would time
+/// the sanitizer.
+TEST(PartitionSpeedTest, FourWorkersNotSlowerThanOne) {
+#ifndef NDEBUG
+  GTEST_SKIP() << "unoptimised build: wall time says nothing about the window protocol";
+#endif
+  if (hardware_jobs() < 4) GTEST_SKIP() << "needs at least 4 hardware threads";
+  PartitionedRunParams params;
+  params.field = standard_field_params(fdb::Mode::full, true);
+  params.field.ops_per_process = 50;
+  params.shards = 4;
+  const auto campaign_seconds = [&params](std::size_t jobs) {
+    // NWSLINT(allow:determinism): times the host running the campaign, not simulated time
+    using Clock = std::chrono::steady_clock;
+    params.jobs = jobs;
+    const auto t0 = Clock::now();
+    const PartitionedOutcome out = run_field_partitioned(testbed_config(1, 2), params, 1);
+    const double seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    EXPECT_FALSE(out.outcome.failed) << out.outcome.failure;
+    return seconds;
+  };
+  double one = std::numeric_limits<double>::infinity();
+  double four = one;
+  for (int take = 0; take < 3; ++take) {
+    one = std::min(one, campaign_seconds(1));
+    four = std::min(four, campaign_seconds(4));
+  }
+  EXPECT_LE(four, one) << "best campaign on 1 worker " << one << " s, on 4 workers " << four
+                       << " s";
 }
 
 /// A provider with no message latency yields zero lookahead; the campaign
