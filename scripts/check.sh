@@ -13,7 +13,10 @@
 # --jobs 1, and builds the nwsbench benchmark (benchmark/, into
 # build-bench/) and runs its --smoke self-check.  It also runs every
 # example with no arguments, and checks scripts/hostprof.py's folding of a
-# flat profile on a committed fixture.
+# flat profile on a committed fixture, and scripts/report_diff.py's listing
+# on two committed reports.  Its artifact checks include a fig_interfaces
+# run at 16 processes per node, which fails if racing first mounts of a dfs
+# namespace do.
 #
 # A coverage stage (--coverage-only, or part of the full run) rebuilds with
 # -DNWS_COVERAGE=ON, plus nwsbench into build-coverage/nwsbench/.  It first
@@ -111,6 +114,11 @@ check_artifacts() {
     --trace="$scratch/dfs.trace.json" --report="$scratch/dfs.report.json" >/dev/null
   "$build_dir"/bench/obs_lint --schema=scripts/obs_schema.txt \
     --trace="$scratch/dfs.trace.json" --report="$scratch/dfs.report.json"
+  # At 16 processes per node, 16 first mounts of each dfs namespace race
+  # (--quick pins ppn to 2, where they never did); the bench exits 1 on a
+  # failed row.
+  echo "==> dfs first-mount race guard ($build_dir, fig_interfaces --ppn=16)"
+  "$build_dir"/bench/fig_interfaces --reps=1 --ops=2 --ppn=16 >/dev/null
   rm -rf "$scratch"
 }
 
@@ -166,6 +174,9 @@ if [[ $run_plain -eq 1 ]]; then
   # known symbols land in their buckets (no profiling run, no timing gate).
   echo "==> hostprof --fold (scripts/testdata/hostprof_flat.txt)"
   python3 scripts/test_hostprof.py
+  # report_diff's listing and exit codes, on two committed reports.
+  echo "==> report_diff (scripts/testdata/report_diff_{a,b}.json)"
+  python3 scripts/test_report_diff.py
   check_artifacts build
   echo "==> report digests (build/): every bench's results identical at --jobs 1"
   scripts/report_digests.sh build

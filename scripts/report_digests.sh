@@ -12,7 +12,9 @@
 # Each bench also runs again at --jobs 1, and the script exits non-zero when
 # that report's tables or metrics differ from the default-jobs run's: a
 # sweep's results must not depend on how many threads ran it.  Only config,
-# which records the flag, may differ.  Takes several seconds.
+# which records the flag, may differ.  scripts/report_diff.py judges the
+# pair and, on a failure, names the differing cells and metrics.  Takes
+# several seconds.
 #
 # Usage: scripts/report_digests.sh [BUILD_DIR]   (default: the repo's build/)
 #        scripts/report_digests.sh --list        (the bench names, one a line;
@@ -43,8 +45,9 @@ for name in "${benches[@]}"; do
   "$build_dir/bench/$name" --quick --report=report.json >/dev/null
   echo "$(md5sum <report.json | cut -d' ' -f1) $name"
   "$build_dir/bench/$name" --quick --jobs=1 --report=serial.json >/dev/null
-  if ! python3 -c 'import json, sys; a, b = (json.load(open(f)) for f in sys.argv[1:]); sys.exit(any(json.dumps(a[k]) != json.dumps(b[k]) for k in ("tables", "metrics")))' report.json serial.json; then
-    echo "$name: tables or metrics at --jobs 1 differ from the default-jobs run" >&2
+  if ! listing="$(python3 "$repo/scripts/report_diff.py" report.json serial.json)"; then
+    echo "$name: tables or metrics at --jobs 1 differ from the default-jobs run:" >&2
+    echo "$listing" >&2
     status=1
   fi
 done

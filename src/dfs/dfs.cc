@@ -86,31 +86,22 @@ daos::ObjectId Dfs::next_oid(daos::ObjectType type, daos::ObjectClass oclass) {
 }
 
 std::string Dfs::serialize_entry(const Entry& e) {
-  return strf("%c|%llu|%llu|%llu", e.type == EntryType::directory ? 'd' : 'f',
-              static_cast<unsigned long long>(e.oid.hi), static_cast<unsigned long long>(e.oid.lo),
-              static_cast<unsigned long long>(e.chunk_size));
+  return strf("%c|%llu|%llu", e.type == EntryType::directory ? 'd' : 'f',
+              static_cast<unsigned long long>(e.oid.hi), static_cast<unsigned long long>(e.oid.lo));
 }
 
 Result<Dfs::Entry> Dfs::parse_entry(const std::string& value) {
-  Entry e;
-  if (value.size() < 2 || (value[0] != 'f' && value[0] != 'd') || value[1] != '|') {
-    return Status::error(Errc::invalid, "malformed dfs entry record: '" + value + "'");
-  }
-  e.type = value[0] == 'd' ? EntryType::directory : EntryType::file;
   const std::size_t second = value.find('|', 2);
-  const std::size_t third = second == std::string::npos ? second : value.find('|', second + 1);
-  if (third == std::string::npos) {
+  if (value.size() < 2 || (value[0] != 'f' && value[0] != 'd') || value[1] != '|' ||
+      second == std::string::npos) {
     return Status::error(Errc::invalid, "malformed dfs entry record: '" + value + "'");
   }
   const auto hi = parse_u64(std::string_view(value).substr(2, second - 2));
-  const auto lo = parse_u64(std::string_view(value).substr(second + 1, third - second - 1));
-  const auto chunk = parse_u64(std::string_view(value).substr(third + 1));
+  const auto lo = parse_u64(std::string_view(value).substr(second + 1));
   if (!hi.is_ok()) return hi.status();
   if (!lo.is_ok()) return lo.status();
-  if (!chunk.is_ok()) return chunk.status();
-  e.oid = daos::ObjectId{hi.value(), lo.value()};
-  e.chunk_size = chunk.value();
-  return e;
+  return Entry{value[0] == 'd' ? EntryType::directory : EntryType::file,
+               daos::ObjectId{hi.value(), lo.value()}};
 }
 
 sim::Task<Status> Dfs::mount(const std::string& name) {
@@ -137,52 +128,39 @@ sim::Task<Status> Dfs::mount(const std::string& name) {
                                        config_.dir_class);
   daos::KvHandle super = co_await client_.kv_open(cont_, super_oid);
 
-  // Keys hoisted to locals: Retrier task factories must not bind reference
-  // parameters to temporaries (daos/retry.h LIFETIME note).
-  const std::string k_magic = "magic";
-  const std::string k_chunk = "chunk_size";
-  const std::string k_class = "dir_class";
-  const std::string k_root = "root";
-
-  auto magic = co_await retrier_.run_result<std::string>(
-      [&] { return client_.kv_get(super, k_magic); });
-  if (magic.is_ok()) {
-    // Remount: adopt the stored layout parameters, reject incompatibilities.
-    if (magic.value() != kDfsMagic) {
-      co_return Status::error(Errc::invalid, "not a dfs container: bad magic '" + magic.value() + "'");
+  // The whole superblock is one record under one key, so a racing mount
+  // sees all of it or none of it.  The key is hoisted to a local: Retrier
+  // task factories must not bind reference parameters to temporaries
+  // (daos/retry.h LIFETIME note).
+  const std::string key = "superblock";
+  const std::string record =
+      std::string(kDfsMagic) + "|" + daos::object_class_name(config_.dir_class);
+  auto stored =
+      co_await retrier_.run_result<std::string>([&] { return client_.kv_get(super, key); });
+  if (stored.status().code() == Errc::not_found) {
+    // Format.  The conditional insert gives exactly one racer the formatter
+    // role; a loser reads back the winning record and validates it like any
+    // remount.
+    const Status fmt =
+        co_await retrier_.run([&] { return client_.kv_put_if_absent(super, key, record); });
+    if (fmt.is_ok()) {
+      stored = record;
+    } else if (fmt.code() == Errc::already_exists) {
+      stored =
+          co_await retrier_.run_result<std::string>([&] { return client_.kv_get(super, key); });
+    } else {
+      co_return fmt;
     }
-    auto dir_class = co_await retrier_.run_result<std::string>(
-        [&] { return client_.kv_get(super, k_class); });
-    if (!dir_class.is_ok()) co_return dir_class.status();
-    if (dir_class.value() != daos::object_class_name(config_.dir_class)) {
-      co_return Status::error(Errc::invalid, "dfs dir_class mismatch: formatted with " +
-                                                 dir_class.value());
+  }
+  if (!stored.is_ok()) co_return stored.status();
+  const std::string& found = stored.value();
+  if (found != record) {
+    const std::size_t bar = found.find('|');
+    if (found.substr(0, bar) != kDfsMagic) {
+      co_return Status::error(Errc::invalid, "not a dfs container: bad magic '" + found + "'");
     }
-    auto chunk = co_await retrier_.run_result<std::string>(
-        [&] { return client_.kv_get(super, k_chunk); });
-    if (!chunk.is_ok()) co_return chunk.status();
-    const auto parsed = parse_u64(chunk.value());
-    if (!parsed.is_ok()) co_return parsed.status();
-    config_.chunk_size = parsed.value();
-  } else if (magic.status().code() == Errc::not_found) {
-    // Format.  All values are pure functions of (name, config), so racing
-    // formatters write identical state; the conditional insert of the magic
-    // still gives exactly one mount the "formatter" role.
-    const std::string magic_value = kDfsMagic;
-    const Status fmt = co_await retrier_.run(
-        [&] { return client_.kv_put_if_absent(super, k_magic, magic_value); });
-    if (!fmt.is_ok() && fmt.code() != Errc::already_exists) co_return fmt;
-    const Status put_chunk = co_await retrier_.run(
-        [&] { return client_.kv_put(super, k_chunk, std::to_string(config_.chunk_size)); });
-    if (!put_chunk.is_ok()) co_return put_chunk;
-    const Status put_class = co_await retrier_.run(
-        [&] { return client_.kv_put(super, k_class, daos::object_class_name(config_.dir_class)); });
-    if (!put_class.is_ok()) co_return put_class;
-    const Status put_root = co_await retrier_.run(
-        [&] { return client_.kv_put(super, k_root, serialize_entry({EntryType::directory, root_oid_, 0})); });
-    if (!put_root.is_ok()) co_return put_root;
-  } else {
-    co_return magic.status();
+    co_return Status::error(Errc::invalid,
+                            "dfs dir_class mismatch: formatted with " + found.substr(bar + 1));
   }
 
   mounted_ = true;
@@ -206,7 +184,7 @@ sim::Task<Result<Dfs::Entry>> Dfs::dir_get(daos::KvHandle& kv, const std::string
 
 sim::Task<Result<Dfs::Entry>> Dfs::lookup(const std::string& normalized) {
   if (!mounted_) co_return Status::error(Errc::invalid, "dfs not mounted");
-  Entry current{EntryType::directory, root_oid_, 0};
+  Entry current{EntryType::directory, root_oid_};
   if (normalized == "/") co_return current;
   for (const std::string& component : split_path(normalized)) {
     if (current.type != EntryType::directory) {
@@ -258,7 +236,7 @@ sim::Task<Status> Dfs::mkdir(const std::string& path) {
   if (norm.value() == "/") co_return Status::error(Errc::already_exists, "the root exists");
   auto res = co_await resolve_parent(norm.value());
   if (!res.is_ok()) co_return res.status();
-  const Entry e{EntryType::directory, next_oid(daos::ObjectType::key_value, config_.dir_class), 0};
+  const Entry e{EntryType::directory, next_oid(daos::ObjectType::key_value, config_.dir_class)};
   const Status st = co_await insert_exclusive(*res.value().parent_kv, res.value().name, e);
   if (st.is_ok()) ++stats_.mkdirs;
   co_return st;
@@ -274,8 +252,7 @@ sim::Task<Result<File>> Dfs::create(const std::string& path, bool exclusive) {
   daos::KvHandle& parent_kv = *res.value().parent_kv;
   const std::string name = res.value().name;
 
-  const Entry e{EntryType::file, next_oid(daos::ObjectType::array, config_.file_class),
-                config_.chunk_size};
+  const Entry e{EntryType::file, next_oid(daos::ObjectType::array, config_.file_class)};
   const Status reserved = co_await insert_exclusive(parent_kv, name, e);
   if (reserved.code() == Errc::already_exists) {
     if (exclusive) co_return reserved;

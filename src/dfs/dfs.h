@@ -2,11 +2,14 @@
 // real libdfs layout (docs/DFS.md; "Exploring DAOS Interfaces", arXiv
 // 2311.18714):
 //
-//   container  ── superblock Key-Value (well-known oid): magic, chunk size,
-//                 directory object class, root directory oid
+//   container  ── superblock Key-Value (well-known oid): one record,
+//                 "nws-dfs-v1|<directory object class>"
 //              ── one Key-Value per directory: entry name -> serialized
-//                 record {type, object id, chunk size}
+//                 record {type, object id}
 //              ── one Array per regular file holding the file's bytes.
+//
+// The root directory's oid is derived, like the superblock's, so nothing
+// stores it.
 //
 // A path walk resolves one directory KV per component; mkdir/create reserve
 // their entry with a conditional insert (Client::kv_put_if_absent), so
@@ -37,10 +40,6 @@ namespace nws::dfs {
 enum class EntryType : std::uint8_t { file, directory };
 
 struct DfsConfig {
-  /// Chunk size recorded in the superblock at format time (a remount adopts
-  /// the stored value) and in each file's entry record, as libdfs lays them
-  /// out.  File data stripes by ModelConfig::array_chunk_size.
-  Bytes chunk_size = 1_MiB;
   /// Object class of file-data Arrays (RP/EC classes make file contents
   /// survive permanent target loss).
   daos::ObjectClass file_class = daos::ObjectClass::S1;
@@ -88,9 +87,11 @@ class Dfs {
   Dfs(daos::Client& client, DfsConfig config, std::uint32_t rank);
 
   /// Connects to the pool and opens (creating and formatting on first use)
-  /// the container named `name`.  Concurrent mounts of the same name are
-  /// safe: the container uuid and all formatting writes are pure functions
-  /// of (name, config), so racers collide on identical state.
+  /// the container named `name`.  The container uuid is a pure function of
+  /// `name`, and the superblock is one record inserted with
+  /// Client::kv_put_if_absent, so concurrent first mounts see it whole or
+  /// not at all: one of them formats, and every mount validates the stored
+  /// record against its own config.
   sim::Task<Status> mount(const std::string& name);
   [[nodiscard]] bool mounted() const { return mounted_; }
 
@@ -120,7 +121,6 @@ class Dfs {
   sim::Task<Result<daos::Epoch>> commit();
 
   [[nodiscard]] const DfsStats& stats() const { return stats_; }
-  [[nodiscard]] const DfsConfig& config() const { return config_; }
   [[nodiscard]] daos::Client& client() { return client_; }
 
  private:
@@ -128,7 +128,6 @@ class Dfs {
   struct Entry {
     EntryType type = EntryType::file;
     daos::ObjectId oid;
-    Bytes chunk_size = 0;
   };
   static std::string serialize_entry(const Entry& e);
   static Result<Entry> parse_entry(const std::string& value);

@@ -10,21 +10,18 @@ namespace nws::ioserver {
 
 namespace {
 
-/// One field being assembled on an I/O server.
+/// One field being assembled on its I/O server: complete once every model
+/// process has delivered its part.
 struct PendingField {
-  std::uint32_t step = 0;
-  std::uint32_t index = 0;  // field number within the step
-  std::size_t parts_expected = 0;
   std::size_t parts_received = 0;
   Bytes bytes = 0;
 };
 
 /// Per-server inbox: model processes deliver parts; the server coroutine
-/// assembles fields and stores complete ones.
+/// stores the fields they complete.
 struct ServerState {
   explicit ServerState(sim::Scheduler& sched) : wakeup(sched) {}
-  std::vector<PendingField> assembling;
-  std::deque<std::size_t> ready;  // indices into `assembling`
+  std::deque<std::size_t> ready;  // complete fields, indices into PipelineState::fields
   sim::Gate wakeup;
   bool producers_done = false;
   std::size_t outstanding = 0;  // fields not yet stored
@@ -38,6 +35,7 @@ struct PipelineState {
     }
   }
   std::vector<std::unique_ptr<ServerState>> server_states;
+  std::vector<PendingField> fields;  // indexed by step * fields_per_step + field
   std::vector<std::size_t> stored_per_step;  // commit_steps: fields landed per step
   sim::CountDownLatch producers_remaining;
   sim::CountDownLatch servers_remaining;
@@ -73,23 +71,13 @@ sim::Task<void> model_process(daos::Cluster& cluster, const PipelineConfig cfg, 
 
       // Deliver the part into the server's inbox.
       ServerState& inbox = *state.server_states[server_index];
-      PendingField* pending = nullptr;
-      for (auto& candidate : inbox.assembling) {
-        if (candidate.step == step && candidate.index == f) {
-          pending = &candidate;
-          break;
-        }
-      }
-      if (pending == nullptr) {
-        inbox.assembling.push_back(PendingField{step, f, cfg.model_processes, 0, 0});
-        pending = &inbox.assembling.back();
-        ++inbox.outstanding;
-      }
-      ++pending->parts_received;
-      pending->bytes += part;
+      const std::size_t slot = static_cast<std::size_t>(step) * cfg.fields_per_step + f;
+      PendingField& pending = state.fields[slot];
+      if (pending.parts_received++ == 0) ++inbox.outstanding;
+      pending.bytes += part;
       ++state.result.parts_received;
-      if (pending->parts_received == pending->parts_expected) {
-        inbox.ready.push_back(static_cast<std::size_t>(pending - inbox.assembling.data()));
+      if (pending.parts_received == cfg.model_processes) {
+        inbox.ready.push_back(slot);
         inbox.wakeup.open();
       }
     }
@@ -119,15 +107,17 @@ sim::Task<void> io_server(daos::Cluster& cluster, const PipelineConfig cfg, Pipe
     }
     const std::size_t slot = inbox.ready.front();
     inbox.ready.pop_front();
-    const PendingField field = inbox.assembling[slot];
+    const auto step = static_cast<std::uint32_t>(slot / cfg.fields_per_step);
+    const Bytes bytes = state.fields[slot].bytes;
 
     // GRIB encoding cost (CPU-bound on the server process).
     co_await cluster.scheduler().delay(
-        sim::transfer_time(static_cast<double>(field.bytes), cfg.encode_rate));
+        sim::transfer_time(static_cast<double>(bytes), cfg.encode_rate));
 
     const sim::TimePoint t0 = cluster.scheduler().now();
-    const fdb::FieldKey key = pipeline_key(field.step, field.index);
-    const Status stored = co_await io.write(key, nullptr, field.bytes);
+    const fdb::FieldKey key =
+        pipeline_key(step, static_cast<std::uint32_t>(slot % cfg.fields_per_step));
+    const Status stored = co_await io.write(key, nullptr, bytes);
     if (!stored.is_ok()) {
       if (!state.result.failed) {
         state.result.failed = true;
@@ -136,12 +126,12 @@ sim::Task<void> io_server(daos::Cluster& cluster, const PipelineConfig cfg, Pipe
       --inbox.outstanding;
       continue;
     }
-    state.result.store_log.record(0, static_cast<std::uint32_t>(index), field.step, t0,
-                                  cluster.scheduler().now(), field.bytes);
+    state.result.store_log.record(0, static_cast<std::uint32_t>(index), step, t0,
+                                  cluster.scheduler().now(), bytes);
     ++state.result.fields_stored;
     --inbox.outstanding;
-    if (cfg.on_field_stored) cfg.on_field_stored(key, field.bytes);
-    if (cfg.commit_steps && ++state.stored_per_step[field.step] == cfg.fields_per_step) {
+    if (cfg.on_field_stored) cfg.on_field_stored(key, bytes);
+    if (cfg.commit_steps && ++state.stored_per_step[step] == cfg.fields_per_step) {
       // This server stored the step's last field: publish the forecast so
       // consumers can pin everything up to and including this step.
       auto committed = co_await io.commit(key);
@@ -152,7 +142,7 @@ sim::Task<void> io_server(daos::Cluster& cluster, const PipelineConfig cfg, Pipe
         }
       } else {
         ++state.result.steps_committed;
-        if (cfg.on_step_committed) cfg.on_step_committed(field.step, committed.value());
+        if (cfg.on_step_committed) cfg.on_step_committed(step, committed.value());
       }
     }
   }
@@ -219,6 +209,7 @@ Status PipelineRun::spawn(std::function<void()> on_done) {
   daos::Cluster& cluster = impl_->cluster;
   PipelineState& state = impl_->state;
   state.stored_per_step.assign(config.steps, 0);
+  state.fields.assign(static_cast<std::size_t>(config.steps) * config.fields_per_step, {});
   state.on_done = std::move(on_done);
   state.start = cluster.scheduler().now();
   for (std::size_t s = 0; s < config.io_servers; ++s) {

@@ -63,7 +63,7 @@ struct ServingConfig {
 };
 
 struct ServingResult {
-  bench::IoLog read_log{4096};  // actual DAOS reads (cache hits excluded)
+  bench::IoLog read_log;  // actual DAOS reads (cache hits excluded)
   std::uint64_t fields_served = 0;  // consumer requests satisfied (incl. cache)
   Bytes bytes_served = 0;
   std::uint64_t polls = 0;

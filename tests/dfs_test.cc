@@ -158,25 +158,6 @@ TEST(DfsMountTest, OpsBeforeMountAndDoubleMountFail) {
   });
 }
 
-TEST(DfsMountTest, RemountAdoptsFormattedChunkSize) {
-  sim::Scheduler sched;
-  daos::Cluster cluster(sched, test_config());
-  run_client(cluster, [](daos::Client& client) -> sim::Task<void> {
-    DfsConfig first;
-    first.chunk_size = 64_KiB;
-    Dfs a(client, first, 1);
-    CO_ASSERT_TRUE((co_await a.mount("m1")).is_ok());
-    EXPECT_TRUE((co_await put_file(a, "/f", "persisted")).is_ok());
-
-    DfsConfig second;
-    second.chunk_size = 256_KiB;  // ignored: the superblock wins
-    Dfs b(client, second, 2);
-    CO_ASSERT_TRUE((co_await b.mount("m1")).is_ok());
-    EXPECT_EQ(b.config().chunk_size, 64_KiB);
-    EXPECT_EQ((co_await get_file(b, "/f")).value(), "persisted");
-  });
-}
-
 TEST(DfsMountTest, RemountWithMismatchedDirClassFails) {
   sim::Scheduler sched;
   daos::Cluster cluster(sched, test_config());
@@ -207,7 +188,7 @@ TEST(DfsMountTest, CorruptedMagicRejectsTheContainer) {
     const daos::ObjectId super_oid = daos::ObjectId::generate(
         0xFFFFFFFFu, 0, daos::ObjectType::key_value, daos::ObjectClass::SX);
     daos::KvHandle super = co_await client.kv_open(cont.value(), super_oid);
-    CO_ASSERT_TRUE((co_await client.kv_put(super, "magic", "not-a-dfs")).is_ok());
+    CO_ASSERT_TRUE((co_await client.kv_put(super, "superblock", "not-a-dfs|SX")).is_ok());
 
     Dfs fs(client, {}, 1);
     const Status st = co_await fs.mount("m3");
@@ -241,6 +222,101 @@ TEST(DfsMountTest, ConcurrentMountsCollideOnOneNamespace) {
     CO_ASSERT_TRUE(names.is_ok());
     EXPECT_EQ(names.value(), (std::vector<std::string>{"r0", "r1"}));
   });
+}
+
+/// What a race of first mounts left: each mount's status in spawn order, and
+/// the mounts' summed stats.
+struct MountRace {
+  std::vector<Status> mounts;
+  DfsStats stats;
+};
+
+/// Races one first mount of `name` per entry of `classes` (mount i with that
+/// dir_class), all spawned at t = 0, each with its own Client and rank.  A
+/// mount that succeeds writes the file "/r<i>".
+MountRace race_first_mounts(daos::Cluster& cluster, const std::string& name,
+                            const std::vector<daos::ObjectClass>& classes) {
+  MountRace race;
+  race.mounts.resize(classes.size(), Status::error(Errc::invalid, "mount never finished"));
+  auto proc = [](daos::Cluster& cl, const std::string& fs_name, daos::ObjectClass dir_class,
+                 std::uint32_t i, MountRace& out) -> sim::Task<void> {
+    daos::Client client(cl, cl.client_endpoint(0, i), i);
+    DfsConfig config;
+    config.dir_class = dir_class;
+    Dfs fs(client, config, i + 1);
+    const Status mounted = co_await fs.mount(fs_name);
+    if (mounted.is_ok()) {
+      EXPECT_TRUE((co_await put_file(fs, "/r" + std::to_string(i), "x")).is_ok()) << i;
+    }
+    out.mounts[i] = mounted;
+    out.stats += fs.stats();
+  };
+  for (std::uint32_t i = 0; i < classes.size(); ++i) {
+    cluster.scheduler().spawn(proc(cluster, name, classes[i], i, race));
+  }
+  cluster.scheduler().run();
+  return race;
+}
+
+/// The names "r0".."r<n-1>" in readdir's lexicographic order.
+std::vector<std::string> racer_files(std::uint32_t n) {
+  std::vector<std::string> names;
+  for (std::uint32_t i = 0; i < n; ++i) names.push_back(std::string("r") += std::to_string(i));
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// Mounts `name` once more and expects "/" to list exactly `want`.
+void expect_root_lists(daos::Cluster& cluster, const std::string& name,
+                       const std::vector<std::string>& want) {
+  run_client(cluster, [&name, &want](daos::Client& client) -> sim::Task<void> {
+    Dfs fs(client, {}, 99);
+    CO_ASSERT_TRUE((co_await fs.mount(name)).is_ok());
+    auto names = co_await fs.readdir("/");
+    CO_ASSERT_TRUE(names.is_ok());
+    EXPECT_EQ(names.value(), want);
+  });
+}
+
+TEST(DfsMountTest, RacingFirstMountsAllSucceed) {
+  // Sixteen first mounts of a fresh name: the superblock is one record, so
+  // a mount that lost the format race reads the whole record or nothing.
+  sim::Scheduler sched;
+  daos::Cluster cluster(sched, test_config());
+  const MountRace race =
+      race_first_mounts(cluster, "race", std::vector<daos::ObjectClass>(16, daos::ObjectClass::SX));
+  for (std::size_t i = 0; i < race.mounts.size(); ++i) {
+    EXPECT_TRUE(race.mounts[i].is_ok()) << "mount " << i << ": " << race.mounts[i].to_string();
+  }
+  expect_root_lists(cluster, "race", racer_files(16));
+}
+
+TEST(DfsMountTest, RacingFormattersAgreeOnOneDirClass) {
+  // SX and S1 first mounts interleaved: whichever record lands first is the
+  // namespace's, every mount of that class succeeds, and every mount of the
+  // other class is refused rather than formatting a second namespace.
+  sim::Scheduler sched;
+  daos::Cluster cluster(sched, test_config());
+  std::vector<daos::ObjectClass> classes;
+  for (int i = 0; i < 8; ++i) {
+    classes.push_back(daos::ObjectClass::SX);
+    classes.push_back(daos::ObjectClass::S1);
+  }
+  const MountRace race = race_first_mounts(cluster, "classes", classes);
+  const std::size_t first_ok = static_cast<std::size_t>(
+      std::find_if(race.mounts.begin(), race.mounts.end(), [](const Status& st) { return st.is_ok(); }) -
+      race.mounts.begin());
+  ASSERT_LT(first_ok, race.mounts.size()) << "no mount succeeded";
+  const daos::ObjectClass winner = classes[first_ok];
+  for (std::size_t i = 0; i < classes.size(); ++i) {
+    const Status& st = race.mounts[i];
+    if (classes[i] == winner) {
+      EXPECT_TRUE(st.is_ok()) << "mount " << i << ": " << st.to_string();
+    } else {
+      EXPECT_EQ(st.code(), Errc::invalid) << "mount " << i;
+      EXPECT_NE(st.to_string().find("dir_class mismatch"), std::string::npos) << st.to_string();
+    }
+  }
 }
 
 // ---- operation semantics ----------------------------------------------------
@@ -358,6 +434,83 @@ TEST(DfsOpsTest, UnlinkFilesAndEmptyDirectoriesOnly) {
     auto names = co_await fs.readdir("/");
     CO_ASSERT_TRUE(names.is_ok());
     EXPECT_TRUE(names.value().empty());
+  });
+}
+
+TEST(DfsOpsTest, SummedStatsAddAndFoldOnlyNonZeroCounters) {
+  sim::Scheduler sched;
+  daos::Cluster cluster(sched, test_config());
+  run_client(cluster, [](daos::Client& client) -> sim::Task<void> {
+    Dfs a(client, {}, 1);
+    Dfs b(client, {}, 2);
+    CO_ASSERT_TRUE((co_await a.mount("sum")).is_ok());
+    CO_ASSERT_TRUE((co_await b.mount("sum")).is_ok());
+    CO_ASSERT_TRUE((co_await a.mkdir("/d")).is_ok());
+    CO_ASSERT_TRUE((co_await put_file(a, "/d/f", "abc")).is_ok());
+    CO_ASSERT_TRUE((co_await put_file(b, "/g", "hello")).is_ok());
+    EXPECT_EQ((co_await get_file(b, "/d/f")).value(), "abc");
+    CO_ASSERT_TRUE((co_await b.rename("/g", "/h")).is_ok());
+    CO_ASSERT_TRUE((co_await b.readdir("/")).is_ok());
+    CO_ASSERT_TRUE((co_await b.unlink("/h")).is_ok());
+
+    DfsStats sum = a.stats();
+    sum += b.stats();
+    const DfsStats& x = a.stats();
+    const DfsStats& y = b.stats();
+    EXPECT_EQ(sum.lookups, x.lookups + y.lookups);
+    EXPECT_EQ(sum.mkdirs, 1u);
+    EXPECT_EQ(sum.creates, 2u);
+    EXPECT_EQ(sum.opens, 1u);
+    EXPECT_EQ(sum.reads, 1u);
+    EXPECT_EQ(sum.writes, 2u);
+    EXPECT_EQ(sum.renames, 1u);
+    EXPECT_EQ(sum.readdirs, 1u);
+    EXPECT_EQ(sum.unlinks, 1u);
+    EXPECT_EQ(sum.bytes_written, 8u);
+    EXPECT_EQ(sum.bytes_read, 3u);
+    EXPECT_EQ(sum.retries, 0u);
+
+    obs::MetricsSnapshot m;
+    sum.fold_into(m);
+    EXPECT_EQ(m.value("dfs.lookups"), static_cast<double>(x.lookups + y.lookups));
+    EXPECT_EQ(m.value("dfs.creates"), 2.0);
+    EXPECT_EQ(m.value("dfs.bytes_written"), 8.0);
+    EXPECT_EQ(m.value("dfs.bytes_read"), 3.0);
+    EXPECT_TRUE(m.has("dfs.renames"));
+    EXPECT_TRUE(m.has("dfs.unlinks"));
+    EXPECT_FALSE(m.has("dfs.retries"));  // zero in both mounts
+  });
+}
+
+TEST(DfsOpsTest, MalformedEntryRecordsReadBackInvalid) {
+  sim::Scheduler sched;
+  daos::Cluster cluster(sched, test_config());
+  run_client(cluster, [](daos::Client& client) -> sim::Task<void> {
+    Dfs fs(client, {}, 1);
+    CO_ASSERT_TRUE((co_await fs.mount("bad")).is_ok());
+    CO_ASSERT_TRUE((co_await put_file(fs, "/good", "ok")).is_ok());
+
+    // Scribble records straight into the root directory KV, whose oid is
+    // derived from the reserved namespace and the dir_class.
+    const daos::Uuid uuid = daos::Uuid::from_string_md5("dfs:bad");
+    auto cont = co_await client.cont_open(uuid);
+    CO_ASSERT_TRUE(cont.is_ok());
+    const daos::ObjectId root_oid = daos::ObjectId::generate(
+        0xFFFFFFFFu, 1, daos::ObjectType::key_value, daos::ObjectClass::SX);
+    daos::KvHandle root = co_await client.kv_open(cont.value(), root_oid);
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"empty", ""},           {"type", "x|1|2"},   {"no-oid", "f|"},
+        {"no-lo", "f|12"},       {"hi", "f|1x|2"},    {"lo", "d|1|"},
+        {"old-layout", "f|1|2|1048576"},
+    };
+    for (const auto& entry : bad) {
+      CO_ASSERT_TRUE((co_await client.kv_put(root, entry.first, entry.second)).is_ok());
+    }
+    for (const auto& entry : bad) {
+      EXPECT_EQ((co_await fs.open("/" + entry.first)).status().code(), Errc::invalid)
+          << entry.first << " = '" << entry.second << "'";
+    }
+    EXPECT_EQ((co_await get_file(fs, "/good")).value(), "ok");
   });
 }
 
@@ -766,6 +919,30 @@ TEST(DfsChaosTest, RetriesSurfaceInStats) {
     fs.stats().fold_into(m);
     EXPECT_TRUE(m.has("dfs.retries"));
   });
+}
+
+TEST(DfsChaosTest, RacingFirstMountsUnderFaults) {
+  // The 16-mount race with failed and dropped RPCs: every retried read or
+  // insert still sees the one record whole or not at all, so every mount
+  // succeeds.
+  static constexpr std::uint64_t kSeeds[] = {3, 11};
+  for (const std::uint64_t seed : kSeeds) {
+    SCOPED_TRACE("fault seed " + std::to_string(seed));
+    daos::ClusterConfig cfg = test_config();
+    cfg.seed = seed;
+    cfg.fault_spec.seed = seed;
+    cfg.fault_spec.transient_error_rate = 0.2;
+    cfg.fault_spec.rpc_drop_rate = 0.05;
+    sim::Scheduler sched;
+    daos::Cluster cluster(sched, cfg);
+    const MountRace race = race_first_mounts(
+        cluster, "chaos-race", std::vector<daos::ObjectClass>(16, daos::ObjectClass::SX));
+    for (std::size_t i = 0; i < race.mounts.size(); ++i) {
+      EXPECT_TRUE(race.mounts[i].is_ok()) << "mount " << i << ": " << race.mounts[i].to_string();
+    }
+    EXPECT_GT(race.stats.retries, 0u);
+    expect_root_lists(cluster, "chaos-race", racer_files(16));
+  }
 }
 
 }  // namespace
