@@ -72,7 +72,6 @@ sim::Task<Result<Epoch>> Client::cont_commit(ContHandle& handle) {
   if (handle.pinned()) co_return Status::error(Errc::invalid, "commit on a snapshot handle");
   co_await rpc(0, cluster_.model().epoch_commit_overhead);
   if (Status fault = co_await fault_check(0); !fault.is_ok()) co_return fault;
-  ++stats_.epoch_commits;
   co_return handle.container->commit();
 }
 
@@ -83,7 +82,6 @@ sim::Task<Result<ContHandle>> Client::cont_snapshot(ContHandle handle, Epoch epo
   if (Status fault = co_await fault_check(0); !fault.is_ok()) co_return fault;
   auto opened = handle.container->snapshot_open(epoch);
   if (!opened.is_ok()) co_return opened.status();
-  ++stats_.epoch_snapshots;
   co_return ContHandle{handle.container, opened.value()};
 }
 

@@ -70,10 +70,6 @@ struct ClientStats {
   std::uint64_t rpc_timeouts = 0;
   std::uint64_t transient_errors = 0;
   std::uint64_t op_retries = 0;
-  // Epoch/MVCC observability: commits published and snapshots opened by
-  // this client (container-side accounting lives in daos::EpochStats).
-  std::uint64_t epoch_commits = 0;
-  std::uint64_t epoch_snapshots = 0;
 };
 
 /// Accumulates one process's counters into a run-wide total (harness
@@ -88,8 +84,6 @@ inline ClientStats& operator+=(ClientStats& a, const ClientStats& b) {
   a.rpc_timeouts += b.rpc_timeouts;
   a.transient_errors += b.transient_errors;
   a.op_retries += b.op_retries;
-  a.epoch_commits += b.epoch_commits;
-  a.epoch_snapshots += b.epoch_snapshots;
   return a;
 }
 

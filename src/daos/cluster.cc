@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/log.h"
 #include "common/table.h"
 
 namespace nws::daos {

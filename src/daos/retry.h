@@ -3,10 +3,10 @@
 // fdb::FieldIo introduced the policy (fault injection: outage windows,
 // dropped RPCs, transient errors); the catalogue, the pgen serving tier and
 // the dfs namespace all need the identical semantics, so the driver lives
-// here at the daos layer: Retrier re-issues an operation factory under a
-// RetryPolicy, sleeping a jittered exponential backoff between attempts and
-// accounting every retry against the client (ClientStats::op_retries) and an
-// optional caller counter.
+// here at the daos layer: Retrier re-runs an operation factory under the
+// one retry policy below, sleeping a jittered exponential backoff between
+// attempts and accounting every retry against the client
+// (ClientStats::op_retries) and an optional caller counter.
 #pragma once
 
 #include <cstdint>
@@ -20,36 +20,26 @@
 
 namespace nws::daos {
 
-/// Exponential-backoff retry for transient DAOS failures (fault injection:
-/// outage windows, dropped RPCs, transient I/O errors).  Semantic statuses —
-/// not_found, already_exists — are never retried; they drive Algorithm 1/2
-/// control flow.
-struct RetryPolicy {
-  std::size_t max_attempts = 10;
-  sim::Duration initial_backoff = sim::microseconds(500.0);
-  double multiplier = 2.0;
-  sim::Duration max_backoff = sim::milliseconds(20.0);
-  /// Backoff is scaled by uniform([1 - jitter, 1 + jitter)) to de-correlate
-  /// concurrent retriers.
-  double jitter = 0.5;
+// The retry policy for transient DAOS failures (fault injection: outage
+// windows, dropped RPCs, transient I/O errors), shared by every caller.
+// Retry n (0-based) sleeps kRetryInitialBackoff * kRetryMultiplier^n, scaled
+// by uniform([1 - kRetryJitter, 1 + kRetryJitter)) to de-correlate
+// concurrent retriers and then capped at kRetryMaxBackoff.
+inline constexpr std::size_t kRetryMaxAttempts = 10;
+inline constexpr sim::Duration kRetryInitialBackoff = sim::microseconds(500.0);
+inline constexpr double kRetryMultiplier = 2.0;
+inline constexpr sim::Duration kRetryMaxBackoff = sim::milliseconds(20.0);
+inline constexpr double kRetryJitter = 0.5;
 
-  [[nodiscard]] static bool retriable(const Status& s) {
-    return s.code() == Errc::unavailable || s.code() == Errc::io_error || s.code() == Errc::timeout;
-  }
-};
-
-/// Drives a RetryPolicy over one client's operations.  `rng_seed` must be
+/// Drives the retry policy over one client's operations.  `rng_seed` must be
 /// derived from (cluster seed, caller identity) without drawing from the
 /// cluster's own streams, so enabling retries never perturbs unrelated
 /// jitter; `retry_counter` (optional) receives one increment per backoff,
 /// alongside the client's op_retries accounting.
 class Retrier {
  public:
-  Retrier(daos::Client& client, RetryPolicy policy, std::uint64_t rng_seed,
-          std::uint64_t* retry_counter = nullptr)
-      : client_(client), policy_(policy), rng_(rng_seed), retries_(retry_counter) {}
-
-  [[nodiscard]] const RetryPolicy& policy() const { return policy_; }
+  Retrier(daos::Client& client, std::uint64_t rng_seed, std::uint64_t* retry_counter = nullptr)
+      : client_(client), rng_(rng_seed), retries_(retry_counter) {}
 
   /// Runs `make()` (a factory producing a fresh Task<Status> per attempt)
   /// under the retry policy.
@@ -63,7 +53,7 @@ class Retrier {
   sim::Task<Status> run(MakeTask make) {
     for (std::size_t attempt = 0;; ++attempt) {
       Status st = co_await make();
-      if (st.is_ok() || !RetryPolicy::retriable(st) || attempt + 1 >= policy_.max_attempts) {
+      if (st.is_ok() || !retriable(st) || attempt + 1 >= kRetryMaxAttempts) {
         co_return st;
       }
       co_await backoff(attempt);
@@ -75,8 +65,7 @@ class Retrier {
   sim::Task<Result<T>> run_result(MakeTask make) {
     for (std::size_t attempt = 0;; ++attempt) {
       Result<T> r = co_await make();
-      if (r.is_ok() || !RetryPolicy::retriable(r.status()) ||
-          attempt + 1 >= policy_.max_attempts) {
+      if (r.is_ok() || !retriable(r.status()) || attempt + 1 >= kRetryMaxAttempts) {
         co_return r;
       }
       co_await backoff(attempt);
@@ -84,15 +73,15 @@ class Retrier {
   }
 
   /// Sleeps the exponential backoff for retry number `attempt` (0-based) and
-  /// accounts the retry.  `max_backoff` bounds the *observable* sleep: the
-  /// cap is applied after jitter, so no sleep ever exceeds the policy cap
-  /// (capping before jitter let sleeps overshoot by up to 1 + jitter).
+  /// accounts the retry.  kRetryMaxBackoff bounds the *observable* sleep:
+  /// the cap is applied after jitter, so no sleep ever exceeds it (capping
+  /// before jitter let sleeps overshoot by up to 1 + jitter).
   sim::Task<void> backoff(std::size_t attempt) {
     obs::Span span("retry_backoff", "retry", client_.trace_actor());
-    double backoff = static_cast<double>(policy_.initial_backoff);
-    for (std::size_t i = 0; i < attempt; ++i) backoff *= policy_.multiplier;
-    backoff *= rng_.uniform(1.0 - policy_.jitter, 1.0 + policy_.jitter);
-    const auto cap = static_cast<double>(policy_.max_backoff);
+    double backoff = static_cast<double>(kRetryInitialBackoff);
+    for (std::size_t i = 0; i < attempt; ++i) backoff *= kRetryMultiplier;
+    backoff *= rng_.uniform(1.0 - kRetryJitter, 1.0 + kRetryJitter);
+    const auto cap = static_cast<double>(kRetryMaxBackoff);
     if (backoff > cap) backoff = cap;
     if (retries_ != nullptr) ++*retries_;
     client_.note_retry();
@@ -100,8 +89,13 @@ class Retrier {
   }
 
  private:
+  /// Semantic statuses — not_found, already_exists — are never retried; they
+  /// drive Algorithm 1/2 control flow.
+  [[nodiscard]] static bool retriable(const Status& s) {
+    return s.code() == Errc::unavailable || s.code() == Errc::io_error || s.code() == Errc::timeout;
+  }
+
   daos::Client& client_;
-  RetryPolicy policy_;
   Rng rng_;  // backoff jitter stream (independent of the cluster's streams)
   std::uint64_t* retries_;
 };

@@ -68,7 +68,7 @@ Dfs::Dfs(daos::Client& client, DfsConfig config, std::uint32_t rank)
       rank_(rank),
       // Seeded from (cluster seed, rank) without drawing from the cluster's
       // own stream, so enabling retries never perturbs unrelated jitter.
-      retrier_(client, daos::RetryPolicy{}, mix64(client.cluster().config().seed ^ (0xdf50d100ull + rank)),
+      retrier_(client, mix64(client.cluster().config().seed ^ (0xdf50d100ull + rank)),
                &stats_.retries) {
   if (rank_ == kReservedUserHi) {
     throw std::invalid_argument("dfs rank collides with the reserved object-id namespace");
@@ -214,21 +214,6 @@ sim::Task<Result<Dfs::Resolved>> Dfs::resolve_parent(const std::string& normaliz
   co_return Resolved{name.value(), kv.value()};
 }
 
-sim::Task<Status> Dfs::insert_exclusive(daos::KvHandle& kv, const std::string& name,
-                                        const Entry& e) {
-  const std::string value = serialize_entry(e);
-  const Status st =
-      co_await retrier_.run([&] { return client_.kv_put_if_absent(kv, name, value); });
-  if (st.code() == Errc::already_exists) {
-    // A retried attempt whose first try landed reports a false conflict:
-    // read the entry back — our own oid means we won the race after all.
-    auto existing =
-        co_await retrier_.run_result<std::string>([&] { return client_.kv_get(kv, name); });
-    if (existing.is_ok() && existing.value() == value) co_return Status::ok();
-  }
-  co_return st;
-}
-
 sim::Task<Status> Dfs::mkdir(const std::string& path) {
   obs::Span span("dfs.mkdir", "dfs", client_.trace_actor());
   auto norm = normalize_path(path);
@@ -237,7 +222,9 @@ sim::Task<Status> Dfs::mkdir(const std::string& path) {
   auto res = co_await resolve_parent(norm.value());
   if (!res.is_ok()) co_return res.status();
   const Entry e{EntryType::directory, next_oid(daos::ObjectType::key_value, config_.dir_class)};
-  const Status st = co_await insert_exclusive(*res.value().parent_kv, res.value().name, e);
+  const std::string record = serialize_entry(e);
+  const Status st = co_await retrier_.run(
+      [&] { return client_.kv_put_if_absent(*res.value().parent_kv, res.value().name, record); });
   if (st.is_ok()) ++stats_.mkdirs;
   co_return st;
 }
@@ -253,7 +240,9 @@ sim::Task<Result<File>> Dfs::create(const std::string& path, bool exclusive) {
   const std::string name = res.value().name;
 
   const Entry e{EntryType::file, next_oid(daos::ObjectType::array, config_.file_class)};
-  const Status reserved = co_await insert_exclusive(parent_kv, name, e);
+  const std::string record = serialize_entry(e);
+  const Status reserved =
+      co_await retrier_.run([&] { return client_.kv_put_if_absent(parent_kv, name, record); });
   if (reserved.code() == Errc::already_exists) {
     if (exclusive) co_return reserved;
     auto existing = co_await dir_get(parent_kv, name);

@@ -13,14 +13,17 @@
 //
 // A path walk resolves one directory KV per component; mkdir/create reserve
 // their entry with a conditional insert (Client::kv_put_if_absent), so
-// concurrent creators of the same name see exactly one winner; readdir is
-// KV enumeration, ordered by the kv_list lexicographic contract; rename
-// moves the entry record between directory KVs (the file's Array is
-// untouched — dfs rename is a metadata operation, unlike object stores).
+// concurrent creators of the same name see exactly one winner.  An injected
+// fault fails the insert before it applies, so a retried insert never meets
+// its own earlier attempt: already_exists always names another creator's
+// entry.  readdir is KV enumeration, ordered by the kv_list lexicographic
+// contract; rename moves the entry record between directory KVs (the file's
+// Array is untouched — dfs rename is a metadata operation, unlike object
+// stores).
 //
 // The namespace composes with the rest of the daos model: every operation
-// retries transient faults under a daos::RetryPolicy, file data placed with
-// an RP/EC object class survives permanent target loss, and commit()
+// retries transient faults under the daos retry policy, file data placed
+// with an RP/EC object class survives permanent target loss, and commit()
 // publishes the container's pending epoch (docs/EPOCHS.md).
 #pragma once
 
@@ -62,7 +65,7 @@ struct DfsStats {
   std::uint64_t unlinks = 0;
   Bytes bytes_read = 0;
   Bytes bytes_written = 0;
-  /// Retry attempts driven by the mount's RetryPolicy (fault injection).
+  /// Retry attempts driven by the daos retry policy (fault injection).
   std::uint64_t retries = 0;
 
   /// Adds the counters to `into` under their `dfs.*` names (zero-valued
@@ -144,10 +147,6 @@ class Dfs {
   sim::Task<Result<Entry>> lookup(const std::string& normalized);
   /// Walks to the parent of `normalized` and returns its KV + the leaf name.
   sim::Task<Result<Resolved>> resolve_parent(const std::string& normalized);
-  /// Conditional insert of a directory entry; already_exists from a retried
-  /// attempt whose first try actually landed is resolved by reading the
-  /// entry back and comparing object ids (our oid: we won the race).
-  sim::Task<Status> insert_exclusive(daos::KvHandle& kv, const std::string& name, const Entry& e);
   /// Entry lookup in one directory KV.
   sim::Task<Result<Entry>> dir_get(daos::KvHandle& kv, const std::string& name);
 

@@ -7,7 +7,7 @@ Catalogue::Catalogue(daos::Client& client, FieldIoConfig config)
       config_(config),
       // Jitter stream seeded like FieldIo's, under a catalogue-specific salt,
       // so administrative retries never perturb workload backoff jitter.
-      retrier_(client, daos::RetryPolicy{}, mix64(client.cluster().config().seed ^ 0xca7a7106ull),
+      retrier_(client, mix64(client.cluster().config().seed ^ 0xca7a7106ull),
                &retries_) {}
 
 sim::Task<Status> Catalogue::init() {

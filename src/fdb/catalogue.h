@@ -35,9 +35,9 @@ class Catalogue {
   sim::Task<Status> init();
 
   /// Retry attempts the catalogue's operations needed (fault injection);
-  /// mirrors FieldIoStats::retries.  Listing runs under FieldIo's
-  /// RetryPolicy, the default one, so administrative sweeps survive
-  /// injected target outages too.
+  /// mirrors FieldIoStats::retries.  Listing runs under FieldIo's retry
+  /// policy (daos/retry.h), so administrative sweeps survive injected
+  /// target outages too.
   [[nodiscard]] std::uint64_t retries() const { return retries_; }
 
   /// Forecasts registered in the main index, with field counts and sizes.
@@ -60,7 +60,7 @@ class Catalogue {
 
   daos::Client& client_;
   FieldIoConfig config_;
-  /// Drives the default RetryPolicy over client_ (daos/retry.h); counts into
+  /// Drives the daos retry policy over client_ (daos/retry.h); counts into
   /// retries_.
   daos::Retrier retrier_;
   std::uint64_t retries_ = 0;

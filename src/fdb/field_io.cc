@@ -43,7 +43,7 @@ FieldIo::FieldIo(daos::Client& client, FieldIoConfig config, std::uint32_t rank)
       rank_(rank),
       // Seeded from (cluster seed, rank) without drawing from the cluster's
       // own stream, so enabling retries never perturbs unrelated jitter.
-      retrier_(client, daos::RetryPolicy{}, mix64(client.cluster().config().seed ^ (0xf1e1d100ull + rank)),
+      retrier_(client, mix64(client.cluster().config().seed ^ (0xf1e1d100ull + rank)),
                &stats_.retries) {
   // KV objects are replicated, never erasure coded: parity over a keyspace
   // has no defined chunking, and real DAOS likewise restricts EC to arrays.

@@ -200,7 +200,7 @@ class FieldIo {
   daos::Client& client_;
   FieldIoConfig config_;
   std::uint32_t rank_;
-  /// Drives the default RetryPolicy over client_ (see daos/retry.h for the
+  /// Drives the daos retry policy over client_ (see daos/retry.h for the
   /// LIFETIME rule its lambda factories must respect); counts into
   /// stats_.retries.
   daos::Retrier retrier_;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "net/topology.h"
 #include "obs/trace.h"
 
 namespace nws::bench {
@@ -18,7 +17,6 @@ namespace {
 /// collection time after the run.
 struct GossipState {
   std::uint64_t tokens_received = 0;
-  std::uint64_t rounds_sent = 0;
 };
 
 /// Cross-shard coordination cadence, in simulated time.
@@ -26,16 +24,15 @@ constexpr sim::Duration kGossipInterval = sim::milliseconds(50);
 constexpr std::uint32_t kGossipRounds = 8;
 
 /// Broadcasts kGossipRounds progress tokens to every peer shard, one batch
-/// per kGossipInterval.  Tokens ride the campaign fabric and arrive one
-/// cross-shard latency after sending — at or past the window horizon by
-/// construction (latency >= lookahead), so the conservative protocol never
-/// sees them early.  The only cross-shard sender, it promises its shard's
-/// next send time before each wait and "never" after the last round, so
-/// windows run from one gossip tick to the next and the tail of the
-/// campaign runs in one window.
+/// per kGossipInterval.  Tokens ride the campaign fabric and arrive
+/// `latency` (the lookahead) after sending — at or past the window horizon
+/// by construction, so the conservative protocol never sees them early.
+/// The only cross-shard sender, it promises its shard's next send time
+/// before each wait and "never" after the last round, so windows run from
+/// one gossip tick to the next and the tail of the campaign runs in one
+/// window.
 sim::Task<void> gossip_proc(sim::PartitionedScheduler& psched, std::size_t self,
-                            const std::vector<std::vector<sim::Duration>>& latency,
-                            std::vector<GossipState>& states) {
+                            sim::Duration latency, std::vector<GossipState>& states) {
   sim::Scheduler& sched = psched.partition(self);
   for (std::uint32_t round = 0; round < kGossipRounds; ++round) {
     psched.promise(self, sched.now() + kGossipInterval);
@@ -43,10 +40,8 @@ sim::Task<void> gossip_proc(sim::PartitionedScheduler& psched, std::size_t self,
     for (std::size_t peer = 0; peer < states.size(); ++peer) {
       if (peer == self) continue;
       GossipState* target = &states[peer];
-      psched.post(self, peer, sched.now() + latency[self][peer],
-                  [target] { ++target->tokens_received; });
+      psched.post(self, peer, sched.now() + latency, [target] { ++target->tokens_received; });
     }
-    ++states[self].rounds_sent;
   }
   psched.promise(self, sim::Scheduler::kNoEventTime);
 }
@@ -61,30 +56,10 @@ PartitionedOutcome run_field_partitioned(const daos::ClusterConfig& shard_cfg,
                                          const PartitionedRunParams& params, std::uint64_t seed) {
   if (params.shards == 0) throw std::invalid_argument("partitioned run needs >= 1 shard");
 
-  // Campaign fabric spanning every shard's nodes, built only to derive the
-  // partition map: the lookahead is the minimum cross-shard link latency,
-  // and the per-pair latencies price the gossip tokens.  Nothing is ever
-  // simulated on this scratch scheduler.
-  const std::size_t nodes_per_shard = shard_cfg.server_nodes + shard_cfg.client_nodes;
-  sim::Scheduler scratch;
-  net::FlowScheduler scratch_flows(scratch);
-  net::TopologyConfig campaign_cfg;
-  campaign_cfg.nodes = params.shards * nodes_per_shard;
-  campaign_cfg.provider = shard_cfg.provider;
-  const net::Topology campaign(scratch_flows, campaign_cfg);
-  const net::PartitionMap map = net::make_partition_map(campaign, params.shards);
-
-  std::vector<std::size_t> first_node(params.shards, 0);
-  for (std::size_t n = map.group_of_node.size(); n-- > 0;) first_node[map.group_of(n)] = n;
-  std::vector<std::vector<sim::Duration>> latency(
-      params.shards, std::vector<sim::Duration>(params.shards, 0));
-  for (std::size_t a = 0; a < params.shards; ++a) {
-    for (std::size_t b = 0; b < params.shards; ++b) {
-      if (a == b) continue;
-      latency[a][b] =
-          campaign.latency(net::Endpoint{first_node[a], 0}, net::Endpoint{first_node[b], 0});
-    }
-  }
+  // Shards own disjoint nodes, so every cross-shard message pays one fabric
+  // hop between two nodes: the provider's message latency, which is also
+  // the smallest such latency and so the window lookahead.
+  const sim::Duration latency = shard_cfg.provider.message_latency;
 
   // Per-partition trace recorders, only when the caller is tracing: each is
   // clock-bound to its partition and installed thread-locally around that
@@ -95,7 +70,7 @@ PartitionedOutcome run_field_partitioned(const daos::ClusterConfig& shard_cfg,
 
   sim::PartitionConfig pcfg;
   pcfg.partitions = params.shards;
-  pcfg.lookahead = map.lookahead;
+  pcfg.lookahead = latency;
   pcfg.workers = params.jobs;
   if (parent_trace != nullptr) {
     shard_traces.reserve(params.shards);
@@ -138,7 +113,7 @@ PartitionedOutcome run_field_partitioned(const daos::ClusterConfig& shard_cfg,
 
   PartitionedOutcome out;
   out.stats = psched.stats();
-  out.lookahead = map.lookahead;
+  out.lookahead = latency;
 
   // Shard-ordered fold: bandwidths sum (campaign aggregate), metrics fold
   // with the same counter-add/gauge-max rules repeat() uses.
@@ -171,7 +146,6 @@ PartitionedOutcome run_field_partitioned(const daos::ClusterConfig& shard_cfg,
   out.outcome.metrics.counter("sim.partition.cross_events",
                               static_cast<double>(out.stats.cross_events));
   out.outcome.metrics.counter("sim.partition.gossip_tokens", static_cast<double>(gossip_tokens));
-  if (out.stats.serial_fallback) out.outcome.metrics.gauge("sim.partition.serial_fallback", 1.0);
 
   // Tear down the shards (coroutine frames, Span handles) before merging the
   // per-partition trace timelines back into the caller's recorder.

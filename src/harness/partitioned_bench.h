@@ -7,8 +7,11 @@
 // workload, with shards coupled only through light cross-shard coordination
 // traffic on the campaign fabric.  That structure maps exactly onto
 // conservative PDES: one sim::PartitionedScheduler partition per shard, the
-// campaign fabric's minimum cross-shard link latency as the lookahead, and
-// the coordination messages as the cross-partition events.
+// coordination messages as the cross-partition events, and the provider's
+// message latency as the lookahead.  Shards own disjoint nodes, so every
+// coordination message crosses the fabric between two nodes, and the
+// fabric model (net::Topology::latency) charges no such pair less than
+// that latency.
 //
 // Determinism contract (the --jobs gate): the partition count is part of
 // the scenario, `jobs` only maps partitions onto worker threads, and every
@@ -19,7 +22,6 @@
 #include <cstdint>
 
 #include "harness/experiment.h"
-#include "net/partition.h"
 #include "sim/partition.h"
 
 namespace nws::bench {
@@ -45,10 +47,10 @@ struct PartitionedOutcome {
 
 /// Runs `shards` independent field-workload shards (each a fresh Cluster
 /// built from `shard_cfg` with a shard-specific seed) concurrently under
-/// the conservative window protocol.  Lookahead is derived from a campaign
-/// topology spanning all shards' nodes with shard_cfg's provider; a
-/// zero-latency provider triggers the serial-merged fallback inside the
-/// partitioned scheduler (stats.serial_fallback).
+/// the conservative window protocol.  The lookahead, and the latency of
+/// every coordination message, is shard_cfg.provider.message_latency; with
+/// more than one shard a provider without message latency throws
+/// std::invalid_argument (no window would be safe).
 PartitionedOutcome run_field_partitioned(const daos::ClusterConfig& shard_cfg,
                                          const PartitionedRunParams& params, std::uint64_t seed);
 

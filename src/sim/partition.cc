@@ -4,14 +4,17 @@
 #include <barrier>
 // NWSLINT(allow-file:determinism): steady_clock here only measures barrier-wait wall time for PartitionRunStats; it never feeds simulated time, seeds, or report output
 #include <chrono>
+#include <stdexcept>
 #include <thread>
-
-#include "common/log.h"
 
 namespace nws::sim {
 
 PartitionedScheduler::PartitionedScheduler(PartitionConfig config) : config_(std::move(config)) {
   if (config_.partitions == 0) throw std::invalid_argument("partitions must be >= 1");
+  if (config_.partitions > 1 && config_.lookahead <= 0) {
+    // No window is safe: a cross-partition event could land anywhere in it.
+    throw std::invalid_argument("more than one partition needs a positive lookahead");
+  }
   parts_.reserve(config_.partitions);
   for (std::size_t p = 0; p < config_.partitions; ++p) {
     parts_.push_back(std::make_unique<Part>());
@@ -26,12 +29,13 @@ void PartitionedScheduler::check_post(std::size_t from, std::size_t to, TimePoin
     throw std::out_of_range("cross-partition post: bad partition index");
   }
   if (from == to) throw std::logic_error("cross-partition post to own partition");
-  if (windowed_ && parts_[from]->sched.now() < parts_[from]->promise) {
+  if (!windowed_) throw std::logic_error("cross-partition post outside a running window");
+  if (parts_[from]->sched.now() < parts_[from]->promise) {
     // The window bound trusted this promise: another partition may already
     // run past now + lookahead.
     throw std::logic_error("cross-partition post before its partition's promise");
   }
-  if (windowed_ && t < horizon_) {
+  if (t < horizon_) {
     // Delivering below the horizon would mean another partition may already
     // have executed past t — the conservative invariant is broken, which
     // points at a lookahead smaller than the real cross-partition latency.
@@ -90,36 +94,6 @@ bool PartitionedScheduler::open_next_window() {
   return pending;
 }
 
-void PartitionedScheduler::run_serial_merged() {
-  // Zero lookahead admits no safe window: execute the global (t, partition,
-  // seq) merge order on one thread.  post() delivers directly (windowed_ is
-  // false), so conservatism is trivially preserved.
-  NWS_LOG(warn) << "sim: zero cross-partition lookahead, falling back to serial merged "
-                << "execution over " << parts_.size() << " partitions";
-  stats_.serial_fallback = true;
-  for (;;) {
-    std::size_t best = parts_.size();
-    TimePoint best_t = Scheduler::kNoEventTime;
-    for (std::size_t p = 0; p < parts_.size(); ++p) {
-      const TimePoint t = parts_[p]->sched.next_event_time();
-      if (t < best_t) {
-        best_t = t;
-        best = p;
-      }
-    }
-    if (best == parts_.size()) return;
-    Part& part = *parts_[best];
-    if (config_.slice_scope) config_.slice_scope(best, true);
-    try {
-      part.sched.step();
-    } catch (...) {
-      part.error = std::current_exception();
-    }
-    if (config_.slice_scope) config_.slice_scope(best, false);
-    if (part.error) return;
-  }
-}
-
 void PartitionedScheduler::run_windowed() {
   const std::size_t workers = stats_.workers_used;
   windowed_ = true;
@@ -166,7 +140,6 @@ void PartitionedScheduler::finish_run() {
   for (const auto& part : parts_) {
     stats_.events_executed += part->sched.events_executed();
     stats_.null_windows += part->null_windows;
-    stats_.cross_events += part->direct_cross_events;
   }
   for (const auto& part : parts_) {
     if (part->error) std::rethrow_exception(part->error);
@@ -191,9 +164,6 @@ void PartitionedScheduler::run() {
       part.error = std::current_exception();
     }
     if (config_.slice_scope) config_.slice_scope(0, false);
-  } else if (config_.lookahead <= 0) {
-    stats_.workers_used = 1;
-    run_serial_merged();
   } else {
     run_windowed();
   }

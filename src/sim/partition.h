@@ -33,10 +33,11 @@
 // That is the property the determinism test suite diffs nws-report-v1
 // output over.
 //
-// Lookahead comes from net::make_partition_map (minimum cross-group link
-// latency in the Topology).  A topology with zero cross-partition latency
-// has no safe window: run() falls back to a serial merged loop (one global
-// (t, partition, seq) order) and flags it in the stats.
+// The lookahead is a lower bound on every cross-partition event's latency;
+// the sharded field campaign (harness/partitioned_bench.h) uses its
+// provider's message latency.  With more than one partition a lookahead <= 0 admits
+// no safe window, so the constructor rejects it.  One partition has no
+// cross traffic and runs to completion without windows.
 #pragma once
 
 #include <cstddef>
@@ -54,8 +55,9 @@ struct PartitionConfig {
   /// Number of logical processes (node groups).  Fixed per scenario — it is
   /// part of the simulated system, not a tuning knob.
   std::size_t partitions = 1;
-  /// Conservative lookahead: minimum cross-partition event latency.  A
-  /// value <= 0 with more than one partition forces the serial fallback.
+  /// Conservative lookahead: minimum cross-partition event latency.  Must
+  /// be > 0 with more than one partition (the constructor throws
+  /// std::invalid_argument otherwise).
   Duration lookahead = 0;
   /// Worker threads mapping partitions to cores (partition p runs on worker
   /// p % workers).  This is what `--jobs` controls; it must not affect
@@ -78,15 +80,7 @@ struct PartitionRunStats {
   std::uint64_t events_executed = 0;
   std::size_t partitions = 0;
   std::size_t workers_used = 0;
-  bool serial_fallback = false;     // zero lookahead forced the merged loop
   double barrier_wait_seconds = 0;  // wall-clock, workers > 1 only
-
-  /// Fraction of partition-windows that advanced no events — the conservative
-  /// protocol's overhead measure (analogous to CMB null-message ratio).
-  [[nodiscard]] double null_window_ratio() const {
-    const std::uint64_t slices = windows * partitions;
-    return slices == 0 ? 0.0 : static_cast<double>(null_windows) / static_cast<double>(slices);
-  }
 };
 
 class PartitionedScheduler {
@@ -104,31 +98,25 @@ class PartitionedScheduler {
   [[nodiscard]] Scheduler& partition(std::size_t p) { return parts_[p]->sched; }
 
   /// Promises that partition `p` posts no cross-partition event before `t`;
-  /// Scheduler::kNoEventTime means never again.  Same calling rule as
-  /// post(from = p): code executing inside `p`, or set-up before run().
-  /// Promises only rise (lowering one throws std::logic_error); the default
-  /// 0 bounds windows by next-event times alone.
+  /// Scheduler::kNoEventTime means never again.  Call it from code executing
+  /// inside `p`, or during set-up before run().  Promises only rise
+  /// (lowering one throws std::logic_error); the default 0 bounds windows by
+  /// next-event times alone.
   void promise(std::size_t p, TimePoint t);
 
   /// Sends a cross-partition event: run `cb` on partition `to` at absolute
-  /// time `t`.  Must be called from code executing inside partition `from`.
-  /// During windowed execution `from`'s clock must be at or past its
+  /// time `t`.  Must be called from code executing inside partition `from`
+  /// while run() executes windows.  `from`'s clock must be at or past its
   /// promise, and `t` at or past the current window horizon (guaranteed
   /// when t = now + latency with latency >= lookahead); violating either
-  /// throws, because delivering it would break conservatism.
+  /// throws std::logic_error, because delivering it would break
+  /// conservatism, and so does a post outside a running window.
   template <typename F>
   void post(std::size_t from, std::size_t to, TimePoint t, F&& cb) {
     check_post(from, to, t);
-    Part& src = *parts_[from];
-    if (windowed_) {
-      InlineCallback callback;
-      callback.emplace(std::forward<F>(cb));
-      src.outbox[to].push_back(CrossEvent{t, std::move(callback)});
-    } else {
-      // Serial fallback / pre-run setup: deliver directly, same counters.
-      ++src.direct_cross_events;
-      parts_[to]->sched.schedule_callback(t, std::forward<F>(cb));
-    }
+    InlineCallback callback;
+    callback.emplace(std::forward<F>(cb));
+    parts_[from]->outbox[to].push_back(CrossEvent{t, std::move(callback)});
   }
 
   /// Runs every partition to completion under the window protocol.
@@ -149,7 +137,6 @@ class PartitionedScheduler {
     Scheduler sched;
     TimePoint promise = 0;  // no cross-partition post before this time
     std::uint64_t null_windows = 0;
-    std::uint64_t direct_cross_events = 0;
     std::exception_ptr error;  // first failure seen on this partition
     /// Events posted inside the current window, one vector per destination
     /// in send order.  Only this partition's worker appends to them, and
@@ -159,7 +146,6 @@ class PartitionedScheduler {
   };
 
   void check_post(std::size_t from, std::size_t to, TimePoint t) const;
-  void run_serial_merged();
   void run_windowed();
   /// Barrier completion step: moves every outbox into its destination queue.
   void deliver_cross_events();

@@ -382,6 +382,30 @@ TEST(DfsOpsTest, ExclusiveCreateAndDirectoryErrors) {
   });
 }
 
+TEST(DfsOpsTest, LostConditionalInsertReadsNothingBack) {
+  // An injected fault fails an insert before it applies, so already_exists
+  // always names another mount's entry: a mount that loses mkdir or an
+  // exclusive create pays the conditional insert alone, and no kv_get.
+  sim::Scheduler sched;
+  daos::Cluster cluster(sched, test_config());
+  run_client(cluster, [](daos::Client& client) -> sim::Task<void> {
+    Dfs fs(client, {}, 1);
+    CO_ASSERT_TRUE((co_await fs.mount("lost")).is_ok());
+    CO_ASSERT_TRUE((co_await fs.mkdir("/d")).is_ok());
+    CO_ASSERT_TRUE((co_await put_file(fs, "/f", "x")).is_ok());
+  });
+  run_client(cluster, [](daos::Client& client) -> sim::Task<void> {
+    Dfs fs(client, {}, 2);
+    CO_ASSERT_TRUE((co_await fs.mount("lost")).is_ok());
+    const std::uint64_t gets = client.stats().kv_gets;
+    EXPECT_EQ((co_await fs.mkdir("/d")).code(), Errc::already_exists);
+    EXPECT_EQ(client.stats().kv_gets, gets);
+    EXPECT_EQ((co_await fs.create("/f", /*exclusive=*/true)).status().code(),
+              Errc::already_exists);
+    EXPECT_EQ(client.stats().kv_gets, gets);
+  });
+}
+
 TEST(DfsOpsTest, RenameMovesReplacesAndGuardsSubtrees) {
   sim::Scheduler sched;
   daos::Cluster cluster(sched, test_config());

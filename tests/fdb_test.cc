@@ -373,14 +373,13 @@ TEST(FieldIoFaults, ContainerIssueSurfacesInFullMode) {
 
 TEST(RetrierTest, BackoffNeverExceedsPolicyCap) {
   // Regression: the cap used to be applied before jitter, so a maxed-out
-  // backoff jittered up to 1.5x past max_backoff.  The cap now bounds the
-  // observable sleep.
+  // backoff jittered up to 1.5x past kRetryMaxBackoff.  The cap now bounds
+  // the observable sleep.
   sim::Scheduler sched;
   daos::Cluster cluster(sched, daos::ClusterConfig{});
   daos::Client client(cluster, cluster.client_endpoint(0, 0), 0);
-  const daos::RetryPolicy policy;  // 20 ms cap, 0.5 jitter
-  daos::Retrier retrier(client, policy, 1234);
-  const auto cap = policy.max_backoff;
+  daos::Retrier retrier(client, 1234);
+  const sim::Duration cap = daos::kRetryMaxBackoff;  // 20 ms, jitter 0.5
   sim::Duration longest = 0;
   auto body = [&]() -> sim::Task<void> {
     for (int i = 0; i < 64; ++i) {

@@ -1,8 +1,9 @@
 // Tests for the conservative time-window partitioning stack: the
 // partitioned scheduler's window protocol, send-time promises and
-// cross-partition delivery order, lookahead derivation from the topology,
-// the --jobs determinism gate over a registry of scenarios run through the
-// harness's own runners, and the campaign's speed on 4 workers against 1.
+// cross-partition delivery order, the campaign's lookahead (its provider's
+// message latency), the --jobs determinism gate over a registry of
+// scenarios run through the harness's own runners, and the campaign's
+// speed on 4 workers against 1.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,8 +20,6 @@
 #include "fault/fault_plan.h"
 #include "harness/partitioned_bench.h"
 #include "harness/run_pool.h"
-#include "net/partition.h"
-#include "net/provider.h"
 #include "net/topology.h"
 #include "obs/report.h"
 #include "sim/partition.h"
@@ -49,7 +48,6 @@ TEST(PartitionedSchedulerTest, CrossEventDeliveredAtItsTimestamp) {
   EXPECT_EQ(delivered_at, milliseconds(1) + microseconds(10));
   EXPECT_EQ(psched.stats().cross_events, 1u);
   EXPECT_GT(psched.stats().windows, 0u);
-  EXPECT_FALSE(psched.stats().serial_fallback);
 }
 
 TEST(PartitionedSchedulerTest, PostValidation) {
@@ -59,6 +57,8 @@ TEST(PartitionedSchedulerTest, PostValidation) {
   PartitionedScheduler psched(cfg);
   EXPECT_THROW(psched.post(0, 0, 10, [] {}), std::logic_error);
   EXPECT_THROW(psched.post(0, 7, 10, [] {}), std::out_of_range);
+  // Before run() no window is open, so even a post to a peer throws.
+  EXPECT_THROW(psched.post(0, 1, 10, [] {}), std::logic_error);
   PartitionConfig bad;
   bad.partitions = 0;
   EXPECT_THROW(PartitionedScheduler{bad}, std::invalid_argument);
@@ -76,20 +76,26 @@ TEST(PartitionedSchedulerTest, LookaheadViolationThrows) {
   EXPECT_THROW(psched.run(), std::logic_error);
 }
 
-TEST(PartitionedSchedulerTest, ZeroLookaheadFallsBackToSerial) {
+/// More than one partition without a positive lookahead admits no safe
+/// window, so the scheduler refuses it; one partition has no cross traffic
+/// and runs without one.
+TEST(PartitionedSchedulerTest, ZeroLookaheadNeedsOnePartition) {
   PartitionConfig cfg;
   cfg.partitions = 2;
   cfg.lookahead = 0;
-  cfg.workers = 4;
+  EXPECT_THROW(PartitionedScheduler{cfg}, std::invalid_argument);
+  cfg.lookahead = -microseconds(1);
+  EXPECT_THROW(PartitionedScheduler{cfg}, std::invalid_argument);
+  cfg.partitions = 1;
+  cfg.lookahead = 0;
   PartitionedScheduler psched(cfg);
-  // In the merged fallback, cross events at any t >= now are legal.
-  TimePoint delivered_at = -1;
-  psched.partition(0).spawn(delayed_post(psched, 0, 1, microseconds(5), 0, &delivered_at));
+  TimePoint ran_at = -1;
+  Scheduler& sched = psched.partition(0);
+  sched.schedule_callback(microseconds(5), [&sched, &ran_at] { ran_at = sched.now(); });
   psched.run();
-  EXPECT_EQ(delivered_at, microseconds(5));
-  EXPECT_TRUE(psched.stats().serial_fallback);
+  EXPECT_EQ(ran_at, microseconds(5));
   EXPECT_EQ(psched.stats().windows, 0u);
-  EXPECT_EQ(psched.stats().workers_used, 1u);
+  EXPECT_EQ(psched.stats().events_executed, 1u);
 }
 
 Task<void> wait_forever(Scheduler& sched, Gate& gate) {
@@ -396,49 +402,6 @@ TEST(PartitionedSchedulerTest, NeverAgainPromiseRunsToTheEnd) {
 }  // namespace
 }  // namespace nws::sim
 
-namespace nws::net {
-namespace {
-
-TEST(PartitionMapTest, LookaheadIsMinimumCrossGroupLatency) {
-  sim::Scheduler sched;
-  FlowScheduler flows(sched);
-  TopologyConfig cfg;
-  cfg.nodes = 8;
-  cfg.provider = tcp_provider();
-  const Topology topo(flows, cfg);
-  const PartitionMap map = make_partition_map(topo, 4);
-  ASSERT_EQ(map.groups, 4u);
-  ASSERT_EQ(map.group_of_node.size(), 8u);
-  sim::Duration expect = std::numeric_limits<sim::Duration>::max();
-  for (std::size_t a = 0; a < 8; ++a) {
-    for (std::size_t b = 0; b < 8; ++b) {
-      if (map.group_of(a) == map.group_of(b)) continue;
-      for (std::size_t sa = 0; sa < cfg.sockets_per_node; ++sa) {
-        for (std::size_t sb = 0; sb < cfg.sockets_per_node; ++sb) {
-          expect = std::min(expect, topo.latency(Endpoint{a, sa}, Endpoint{b, sb}));
-        }
-      }
-    }
-  }
-  EXPECT_EQ(map.lookahead, expect);
-  EXPECT_GT(map.lookahead, 0);
-}
-
-TEST(PartitionMapTest, GroupCountClamps) {
-  sim::Scheduler sched;
-  FlowScheduler flows(sched);
-  TopologyConfig cfg;
-  cfg.nodes = 3;
-  cfg.provider = psm2_provider();
-  const Topology topo(flows, cfg);
-  EXPECT_EQ(make_partition_map(topo, 0).groups, 1u);
-  EXPECT_EQ(make_partition_map(topo, 99).groups, 3u);
-  EXPECT_EQ(make_partition_map(topo, 1).lookahead, 0);  // no cross-group links
-}
-
-}  // namespace
-}  // namespace nws::net
-
 namespace nws::bench {
 namespace {
 
@@ -471,7 +434,6 @@ std::string report_json(const std::string& scenario, std::uint64_t seed, const R
     table.add_row({"partition.windows", std::to_string(stats.windows)});
     table.add_row({"partition.null_windows", std::to_string(stats.null_windows)});
     table.add_row({"partition.cross_events", std::to_string(stats.cross_events)});
-    table.add_row({"partition.serial_fallback", stats.serial_fallback ? "1" : "0"});
   }
   report.add_table("deterministic outcome", table);
   report.merge_metrics(outcome.metrics);
@@ -594,7 +556,6 @@ TEST(PartitionedBenchTest, StatsAndProtocolCountersSane) {
   const PartitionedOutcome out = run_field_partitioned(testbed_config(1, 2), params, 1);
   ASSERT_FALSE(out.outcome.failed) << out.outcome.failure;
   EXPECT_EQ(out.stats.partitions, 4u);
-  EXPECT_FALSE(out.stats.serial_fallback);
   // The gossip processes promise their next round, so windows follow the 8
   // rounds, not the lookahead.
   EXPECT_GT(out.stats.windows, 0u);
@@ -604,7 +565,6 @@ TEST(PartitionedBenchTest, StatsAndProtocolCountersSane) {
   // The folded per-shard event counters sum to the protocol's own count.
   EXPECT_EQ(out.outcome.metrics.value("sim.events_executed"),
             static_cast<double>(out.stats.events_executed));
-  EXPECT_GT(out.lookahead, 0);
   EXPECT_GT(out.sim_seconds, 0.0);
   EXPECT_GT(out.outcome.write_bw, 0.0);
   EXPECT_TRUE(out.outcome.metrics.has("sim.partition.windows"));
@@ -647,9 +607,41 @@ TEST(PartitionSpeedTest, FourWorkersNotSlowerThanOne) {
                        << " s";
 }
 
-/// A provider with no message latency yields zero lookahead; the campaign
-/// must complete (serially merged) rather than deadlock or livelock.
-TEST(PartitionedBenchTest, ZeroLatencyProviderFallsBackToSerial) {
+/// The campaign's lookahead, and the latency of every gossip token, is its
+/// provider's message latency: the least the fabric model charges between
+/// two distinct nodes (a socket crossing adds to it), and shards own
+/// disjoint nodes.
+TEST(PartitionedBenchTest, LookaheadIsProviderMessageLatency) {
+  for (const char* provider : {"tcp", "psm2"}) {
+    const daos::ClusterConfig cfg = testbed_config(1, 2, provider);
+    PartitionedRunParams params;
+    params.field.ops_per_process = 2;
+    params.field.processes_per_node = 2;
+    params.shards = 2;
+    const PartitionedOutcome out = run_field_partitioned(cfg, params, 1);
+    ASSERT_FALSE(out.outcome.failed) << provider << ": " << out.outcome.failure;
+    EXPECT_GT(out.lookahead, 0) << provider;
+    EXPECT_EQ(out.lookahead, cfg.provider.message_latency) << provider;
+
+    sim::Scheduler sched;
+    net::FlowScheduler flows(sched);
+    net::TopologyConfig fabric;
+    fabric.nodes = 2;
+    fabric.provider = cfg.provider;
+    const net::Topology topo(flows, fabric);
+    sim::Duration least = std::numeric_limits<sim::Duration>::max();
+    for (std::size_t sa = 0; sa < fabric.sockets_per_node; ++sa) {
+      for (std::size_t sb = 0; sb < fabric.sockets_per_node; ++sb) {
+        least = std::min(least, topo.latency(net::Endpoint{0, sa}, net::Endpoint{1, sb}));
+      }
+    }
+    EXPECT_EQ(out.lookahead, least) << provider;
+  }
+}
+
+/// A provider without message latency leaves a multi-shard campaign no safe
+/// window, so it is refused before it runs; a single shard needs no window.
+TEST(PartitionedBenchTest, ZeroLatencyProviderIsRejected) {
   daos::ClusterConfig cfg = testbed_config(1, 2);
   cfg.provider.message_latency = 0;
   PartitionedRunParams params;
@@ -657,12 +649,11 @@ TEST(PartitionedBenchTest, ZeroLatencyProviderFallsBackToSerial) {
   params.field.processes_per_node = 2;
   params.shards = 2;
   params.jobs = 4;
+  EXPECT_THROW(run_field_partitioned(cfg, params, 1), std::invalid_argument);
+  params.shards = 1;
   const PartitionedOutcome out = run_field_partitioned(cfg, params, 1);
-  ASSERT_FALSE(out.outcome.failed) << out.outcome.failure;
-  EXPECT_TRUE(out.stats.serial_fallback);
-  EXPECT_EQ(out.stats.workers_used, 1u);
-  EXPECT_EQ(out.lookahead, 0);
-  EXPECT_TRUE(out.outcome.metrics.has("sim.partition.serial_fallback"));
+  EXPECT_FALSE(out.outcome.failed) << out.outcome.failure;
+  EXPECT_EQ(out.stats.windows, 0u);
 }
 
 }  // namespace
