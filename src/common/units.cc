@@ -1,9 +1,25 @@
 #include "common/units.h"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 
 namespace nws {
+
+std::vector<Bytes> stripe_split(Bytes offset, Bytes len, Bytes chunk, std::size_t width) {
+  std::vector<Bytes> per_member(width, 0);
+  Bytes pos = offset;
+  Bytes remaining = len;
+  while (remaining > 0) {
+    const Bytes chunk_index = pos / chunk;
+    const Bytes within = pos % chunk;
+    const Bytes take = std::min(remaining, chunk - within);
+    per_member[static_cast<std::size_t>(chunk_index % width)] += take;
+    pos += take;
+    remaining -= take;
+  }
+  return per_member;
+}
 
 std::string format_bytes(Bytes b) {
   static constexpr std::array<const char*, 5> suffix{"B", "KiB", "MiB", "GiB", "TiB"};

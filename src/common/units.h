@@ -6,8 +6,10 @@
 // explicit at call sites.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace nws {
 
@@ -30,6 +32,11 @@ using Bandwidth = double;
 /// paper's tables and figures).
 inline constexpr Bandwidth gib_per_sec(double v) { return v * kGiB; }
 inline constexpr double to_gib_per_sec(Bandwidth bw) { return bw / kGiB; }
+
+/// Bytes each of `width` members holds of [offset, offset+len) when the
+/// byte space is cut into `chunk`-byte chunks dealt round-robin (chunk i to
+/// member i % width): DAOS array striping and Lustre file striping alike.
+std::vector<Bytes> stripe_split(Bytes offset, Bytes len, Bytes chunk, std::size_t width);
 
 /// Human-readable byte count, e.g. "5 MiB", "1.5 GiB".
 std::string format_bytes(Bytes b);

@@ -307,24 +307,6 @@ sim::Task<Result<ArrayHandle>> Client::array_open(ContHandle cont, const ObjectI
   co_return ArrayHandle{cont.container, oid, opened.value(), lead, cont.epoch};
 }
 
-namespace {
-/// Chunk round-robin byte split of [offset, offset+len) over `width` members.
-std::vector<Bytes> member_split(Bytes offset, Bytes len, Bytes chunk, std::size_t width) {
-  std::vector<Bytes> per_member(width, 0);
-  Bytes pos = offset;
-  Bytes remaining = len;
-  while (remaining > 0) {
-    const Bytes chunk_index = pos / chunk;
-    const Bytes within = pos % chunk;
-    const Bytes take = std::min(remaining, chunk - within);
-    per_member[static_cast<std::size_t>(chunk_index % width)] += take;
-    pos += take;
-    remaining -= take;
-  }
-  return per_member;
-}
-}  // namespace
-
 Client::IoPlan Client::plan_array_io(const ObjectId& oid, Bytes offset, Bytes len, bool is_write,
                                      std::size_t default_lead) const {
   const ModelConfig& m = cluster_.model();
@@ -335,7 +317,7 @@ Client::IoPlan Client::plan_array_io(const ObjectId& oid, Bytes offset, Bytes le
   if (!is_redundant(oc) && cluster_.pool_map().version() == 1) {
     // Fast path (striping classes, no exclusions): the pre-redundancy fan-out.
     const auto stripe = cluster_.stripe_targets(oid);
-    const auto per_member = member_split(offset, len, m.array_chunk_size, stripe.size());
+    const auto per_member = stripe_split(offset, len, m.array_chunk_size, stripe.size());
     for (std::size_t i = 0; i < stripe.size(); ++i) {
       if (per_member[i] > 0) plan.extents.emplace_back(stripe[i], per_member[i]);
     }
@@ -378,7 +360,7 @@ Client::IoPlan Client::plan_array_io(const ObjectId& oid, Bytes offset, Bytes le
         return plan;
       }
     }
-    const auto per_member = member_split(offset, len, m.array_chunk_size, k);
+    const auto per_member = stripe_split(offset, len, m.array_chunk_size, k);
     if (is_write) {
       const Bytes parity_bytes = (len + k - 1) / k;
       for (std::size_t i = 0; i < k; ++i) {
@@ -411,7 +393,7 @@ Client::IoPlan Client::plan_array_io(const ObjectId& oid, Bytes offset, Bytes le
     // Striping classes after an exclusion: each member routes individually;
     // a shard whose single copy was on the excluded target is gone.
     const auto routes = cluster_.resolve_stripe(oid);
-    const auto per_member = member_split(offset, len, m.array_chunk_size, routes.size());
+    const auto per_member = stripe_split(offset, len, m.array_chunk_size, routes.size());
     for (std::size_t i = 0; i < routes.size(); ++i) {
       if (per_member[i] == 0) continue;
       const auto& route = routes[i];

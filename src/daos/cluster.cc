@@ -101,7 +101,6 @@ void Cluster::build_storage() {
     // server_node_io_cap).
     net::Link cap;
     cap.name = strf("server%zu.io_cap", n);
-    cap.kind = net::LinkKind::generic;
     cap.raw_capacity = node_io_cap;
     node_io_caps_.push_back(flows_.add_link(std::move(cap)));
 
@@ -112,12 +111,10 @@ void Cluster::build_storage() {
                                                           config_.dcpmm, kDcpmmPerSocket));
       net::Link scm_w;
       scm_w.name = regions_.back()->name() + ".write";
-      scm_w.kind = net::LinkKind::scm;
       scm_w.raw_capacity = regions_.back()->write_bandwidth();
       region_write_links_.push_back(flows_.add_link(std::move(scm_w)));
       net::Link scm_r;
       scm_r.name = regions_.back()->name() + ".read";
-      scm_r.kind = net::LinkKind::scm;
       scm_r.raw_capacity = regions_.back()->read_bandwidth();
       region_read_links_.push_back(flows_.add_link(std::move(scm_r)));
 
@@ -127,12 +124,10 @@ void Cluster::build_storage() {
       // Engine-level aggregate service (the hard ceiling)...
       net::Link ew;
       ew.name = strf("engine%zu.write", engine_index);
-      ew.kind = net::LinkKind::target_svc;
       ew.raw_capacity = write_rate * n_targets;
       engine_write_links_.push_back(flows_.add_link(std::move(ew)));
       net::Link er;
       er.name = strf("engine%zu.read", engine_index);
-      er.kind = net::LinkKind::target_svc;
       er.raw_capacity = read_rate * n_targets;
       engine_read_links_.push_back(flows_.add_link(std::move(er)));
 
@@ -147,13 +142,11 @@ void Cluster::build_storage() {
 
         net::Link w;
         w.name = strf("engine%zu.tgt%zu.write", engine_index, t);
-        w.kind = net::LinkKind::target_svc;
         w.raw_capacity = write_rate * m.target_burst_factor;
         target.write_link = flows_.add_link(std::move(w));
 
         net::Link r;
         r.name = strf("engine%zu.tgt%zu.read", engine_index, t);
-        r.kind = net::LinkKind::target_svc;
         r.raw_capacity = read_rate * m.target_burst_factor;
         target.read_link = flows_.add_link(std::move(r));
 

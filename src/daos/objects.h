@@ -267,8 +267,6 @@ class Container {
   [[nodiscard]] Epoch committed_epoch() const { return committed_; }
   /// The pending epoch new writes land at.
   [[nodiscard]] Epoch write_epoch() const { return committed_ + 1; }
-  /// Committed epochs retained behind the head (0: recycle in place).
-  [[nodiscard]] std::size_t retention() const { return retention_; }
 
   /// Publishes the pending epoch and aggregates versions that fell out of
   /// the retention window (and are not pinned).  Returns the new committed
@@ -353,7 +351,7 @@ class Container {
   Uuid id_;
   bool is_main_;
   std::size_t kv_get_concurrency_;
-  std::size_t retention_;
+  std::size_t retention_;  // committed epochs retained behind the head (0: recycle in place)
   Epoch committed_ = 0;
   Epoch prune_floor_ = 0;  // versions superseded at/below this are gone
   std::map<Epoch, std::size_t> snapshot_refs_;  // ordered: begin() is oldest

@@ -8,7 +8,7 @@
 namespace nws::daos {
 
 PoolMap::PoolMap(sim::Scheduler& sched, net::FlowScheduler& flows, std::size_t target_count)
-    : sched_(sched), flows_(flows), alive_(target_count, true), alive_count_(target_count) {
+    : sched_(sched), flows_(flows), alive_(target_count, true) {
   if (target_count == 0) throw std::invalid_argument("PoolMap over an empty pool");
 }
 
@@ -20,7 +20,6 @@ void PoolMap::set_rebuild_model(std::size_t concurrency, double rate_cap) {
 void PoolMap::exclude(std::size_t target) {
   if (!alive_.at(target)) return;
   alive_[target] = false;
-  --alive_count_;
   ++version_;
   ++stats_.targets_excluded;
   if (stats_.first_excluded_at < 0) stats_.first_excluded_at = sched_.now();

@@ -92,7 +92,6 @@ class PoolMap {
   // --- membership -----------------------------------------------------------
   [[nodiscard]] std::size_t target_count() const { return alive_.size(); }
   [[nodiscard]] bool alive(std::size_t target) const { return alive_.at(target); }
-  [[nodiscard]] std::size_t alive_count() const { return alive_count_; }
   /// Bumps on every exclusion (DAOS pool map version).
   [[nodiscard]] std::uint32_t version() const { return version_; }
 
@@ -125,7 +124,6 @@ class PoolMap {
   sim::Scheduler& sched_;
   net::FlowScheduler& flows_;
   std::vector<bool> alive_;
-  std::size_t alive_count_;
   std::uint32_t version_ = 1;
   std::size_t concurrency_ = 2;
   double rate_cap_ = 0.0;  // 0: unthrottled

@@ -107,7 +107,7 @@ Result<Dfs::Entry> Dfs::parse_entry(const std::string& value) {
 sim::Task<Status> Dfs::mount(const std::string& name) {
   obs::Span span("dfs.mount", "dfs", client_.trace_actor());
   if (mounted_) co_return Status::error(Errc::invalid, "dfs already mounted");
-  pool_ = co_await client_.pool_connect();
+  co_await client_.pool_connect();
 
   // The container uuid is a pure function of the mount name, so concurrent
   // mounters collide on the same container instead of orphaning one.
@@ -229,7 +229,7 @@ sim::Task<Status> Dfs::mkdir(const std::string& path) {
   co_return st;
 }
 
-sim::Task<Result<File>> Dfs::create(const std::string& path, bool exclusive) {
+sim::Task<Result<File>> Dfs::create(const std::string& path) {
   obs::Span span("dfs.create", "dfs", client_.trace_actor());
   auto norm = normalize_path(path);
   if (!norm.is_ok()) co_return norm.status();
@@ -243,31 +243,13 @@ sim::Task<Result<File>> Dfs::create(const std::string& path, bool exclusive) {
   const std::string record = serialize_entry(e);
   const Status reserved =
       co_await retrier_.run([&] { return client_.kv_put_if_absent(parent_kv, name, record); });
-  if (reserved.code() == Errc::already_exists) {
-    if (exclusive) co_return reserved;
-    auto existing = co_await dir_get(parent_kv, name);
-    if (!existing.is_ok()) co_return existing.status();
-    if (existing.value().type != EntryType::file) {
-      co_return Status::error(Errc::invalid, "exists as a directory: " + norm.value());
-    }
-    const daos::ObjectId oid = existing.value().oid;
-    auto arr = co_await retrier_.run_result<daos::ArrayHandle>(
-        [&] { return client_.array_open(cont_, oid); });
-    if (!arr.is_ok()) co_return arr.status();
-    ++stats_.opens;
-    co_return File{arr.value()};
-  }
   if (!reserved.is_ok()) co_return reserved;
 
-  // The name is ours; materialise the file's Array.  already_exists here can
-  // only be a retried create whose first attempt landed.
+  // The name is ours; materialise the file's Array.  The oid is fresh, so
+  // already_exists here means another mount shares this rank.
   const daos::ObjectId oid = e.oid;
   auto arr = co_await retrier_.run_result<daos::ArrayHandle>(
       [&] { return client_.array_create(cont_, oid); });
-  if (!arr.is_ok() && arr.status().code() == Errc::already_exists) {
-    arr = co_await retrier_.run_result<daos::ArrayHandle>(
-        [&] { return client_.array_open(cont_, oid); });
-  }
   if (!arr.is_ok()) co_return arr.status();
   ++stats_.creates;
   co_return File{arr.value()};

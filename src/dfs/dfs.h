@@ -84,7 +84,8 @@ struct File {
 /// One mounted dfs namespace per simulated process (mirrors dfs_mount): pool
 /// and container connections, the superblock, and a cache of open directory
 /// KV handles.  `rank` must be unique across all processes of a workload —
-/// it namespaces the object ids this mount allocates.
+/// it namespaces the object ids this mount allocates, and a mount sharing
+/// another's rank fails its creates (see create).
 class Dfs {
  public:
   Dfs(daos::Client& client, DfsConfig config, std::uint32_t rank);
@@ -99,9 +100,12 @@ class Dfs {
   [[nodiscard]] bool mounted() const { return mounted_; }
 
   sim::Task<Status> mkdir(const std::string& path);
-  /// Creates a regular file.  `exclusive` (O_EXCL) fails with already_exists
-  /// when the name is taken; otherwise an existing regular file is opened.
-  sim::Task<Result<File>> create(const std::string& path, bool exclusive = true);
+  /// Creates a regular file, exclusively (O_CREAT|O_EXCL): fails with
+  /// already_exists when the name is taken.  It also fails with
+  /// already_exists when the file's fresh Array id is taken, which happens
+  /// only if another mount shares this mount's rank.  The name then stays
+  /// reserved with that id, so open() of it reaches the other mount's file.
+  sim::Task<Result<File>> create(const std::string& path);
   sim::Task<Result<File>> open(const std::string& path);
   sim::Task<Status> write(File& file, Bytes offset, const std::uint8_t* data, Bytes len);
   sim::Task<Result<Bytes>> read(File& file, Bytes offset, std::uint8_t* out, Bytes len);
@@ -159,7 +163,6 @@ class Dfs {
   std::uint64_t oid_counter_ = 0;
 
   bool mounted_ = false;
-  daos::PoolHandle pool_;
   daos::ContHandle cont_;
   daos::ObjectId root_oid_;
   std::unordered_map<daos::ObjectId, daos::KvHandle, daos::ObjectIdHash> dir_kvs_;

@@ -45,7 +45,7 @@ sim::Task<Status> ForecastFiles::write_field(const std::string& forecast_key,
       final_path + strf(".tmp.%llu", static_cast<unsigned long long>(tmp_counter_++));
 
   if (posix_ != nullptr) {
-    auto fd = co_await posix_->open(tmp_path, {.create = true, .exclusive = true});
+    auto fd = co_await posix_->open(tmp_path, {.create = true});
     if (!fd.is_ok()) co_return fd.status();
     const Status written = co_await posix_->pwrite(fd.value(), 0, data, len);
     const Status closed = co_await posix_->close(fd.value());
@@ -54,7 +54,7 @@ sim::Task<Status> ForecastFiles::write_field(const std::string& forecast_key,
     co_return co_await posix_->rename(tmp_path, final_path);
   }
 
-  auto file = co_await dfs_->create(tmp_path, true);
+  auto file = co_await dfs_->create(tmp_path);
   if (!file.is_ok()) co_return file.status();
   const Status written = co_await dfs_->write(file.value(), 0, data, len);
   co_await dfs_->close(file.value());

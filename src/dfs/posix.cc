@@ -58,7 +58,7 @@ sim::Task<Result<int>> PosixFs::open(const std::string& path, OpenFlags flags) {
   // miscompiles under GCC (the branch temporary is torn across the suspend).
   Result<File> file = Status::error(Errc::invalid, "unreachable");
   if (flags.create) {
-    file = co_await dfs_.create(path, flags.exclusive);
+    file = co_await dfs_.create(path);
   } else {
     file = co_await dfs_.open(path);
   }

@@ -54,8 +54,7 @@ PosixStats& operator+=(PosixStats& a, const PosixStats& b);
 
 /// Flags for PosixFs::open, mirroring the O_* subset the campaign uses.
 struct OpenFlags {
-  bool create = false;     // O_CREAT
-  bool exclusive = false;  // O_EXCL (with create)
+  bool create = false;  // O_CREAT, always exclusive (O_CREAT|O_EXCL)
 };
 
 /// One emulated POSIX mount over a dfs namespace.  Each simulated process
@@ -68,7 +67,8 @@ class PosixFs {
  public:
   PosixFs(Dfs& dfs, PosixConfig config = {}, sim::Mutex* shared_meta_lock = nullptr);
 
-  /// Opens `path`, returning a file descriptor (>= 3).
+  /// Opens `path`, or with flags.create creates it (already_exists if the
+  /// name is taken), returning a file descriptor (>= 3).
   sim::Task<Result<int>> open(const std::string& path, OpenFlags flags = {});
   sim::Task<Status> close(int fd);
 

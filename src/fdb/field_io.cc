@@ -55,7 +55,7 @@ FieldIo::FieldIo(daos::Client& client, FieldIoConfig config, std::uint32_t rank)
 
 sim::Task<Status> FieldIo::init() {
   if (initialised_) co_return Status::ok();
-  pool_ = co_await client_.pool_connect();
+  co_await client_.pool_connect();
   main_cont_ = co_await client_.main_cont_open();
   if (config_.mode != Mode::no_index) {
     main_kv_ = co_await client_.kv_open(main_cont_, main_index_oid(config_.kv_class));
@@ -178,8 +178,7 @@ sim::Task<Status> FieldIo::write(const FieldKey& key, const std::uint8_t* data, 
     // overwrite the same Array (contention moves to the Array level).  The
     // handle is cached after the first create/open, so a re-write skips the
     // round-trips entirely.
-    const daos::ObjectId oid =
-        daos::ObjectId::from_digest(md5(key.canonical()), daos::ObjectType::array, config_.array_class);
+    const daos::ObjectId oid = no_index_oid(key);
     daos::ArrayHandle handle;
     const auto cached = arrays_.find(oid);
     if (cached != arrays_.end()) {
@@ -320,95 +319,55 @@ sim::Task<Status> FieldIo::unpin_snapshot(const FieldKey& key) {
   co_return Status::ok();
 }
 
-sim::Task<Result<Bytes>> FieldIo::read_pinned(const FieldKey& key, PinnedForecast& pin,
-                                              std::uint8_t* out, Bytes out_len) {
+sim::Task<Result<Bytes>> FieldIo::read(const FieldKey& key, std::uint8_t* out, Bytes out_len) {
+  if (!initialised_) throw std::logic_error("FieldIo::read before init()");
+
+  // A pinned forecast reads through its snapshot handles; otherwise the live
+  // handles come via the main index (no_index mode needs none: its arrays
+  // live in the main container).
+  const std::string msk = key.most_significant();
+  const auto pinned = pinned_.find(msk);
+  const bool is_pinned = pinned != pinned_.end();
+  ForecastHandles* forecast = is_pinned ? &pinned->second : nullptr;
+  if (!is_pinned && config_.mode != Mode::no_index) {
+    auto resolved = co_await resolve_forecast_for_read(msk);
+    if (!resolved.is_ok()) co_return resolved.status();
+    forecast = resolved.value();
+  }
+
   daos::ObjectId oid;
   if (config_.mode == Mode::no_index) {
-    oid = daos::ObjectId::from_digest(md5(key.canonical()), daos::ObjectType::array,
-                                      config_.array_class);
+    oid = no_index_oid(key);
   } else {
     const std::string field_entry = key.least_significant();
     auto ref = co_await retrier_.run_result<std::string>(
-        [&] { return client_.kv_get(pin.index_kv, field_entry); });
+        [&] { return client_.kv_get(forecast->index_kv, field_entry); });
     if (!ref.is_ok()) co_return ref.status();
     auto parsed = oid_from_string(ref.value());
     if (!parsed.is_ok()) co_return parsed.status();
     oid = parsed.value();
   }
 
-  // Resolve the array at the snapshot epoch every time — the live arrays_
-  // cache holds unpinned handles and must not serve snapshot reads.
-  auto opened = co_await retrier_.run_result<daos::ArrayHandle>(
-      [&] { return client_.array_open(pin.store_cont, oid); });
-  if (!opened.is_ok()) co_return opened.status();
-  auto handle = opened.value();
-  auto n = co_await retrier_.run_result<Bytes>(
-      [&] { return client_.array_read(handle, 0, out, out_len); });
-  co_await client_.array_close(handle);
-  if (!n.is_ok()) co_return n.status();
-  ++stats_.fields_read;
-  stats_.bytes_read += n.value();
-  co_return n.value();
-}
-
-sim::Task<Result<Bytes>> FieldIo::read(const FieldKey& key, std::uint8_t* out, Bytes out_len) {
-  if (!initialised_) throw std::logic_error("FieldIo::read before init()");
-
-  const auto pinned = pinned_.find(key.most_significant());
-  if (pinned != pinned_.end()) {
-    co_return co_await read_pinned(key, pinned->second, out, out_len);
-  }
-
-  if (config_.mode == Mode::no_index) {
-    const daos::ObjectId oid =
-        daos::ObjectId::from_digest(md5(key.canonical()), daos::ObjectType::array, config_.array_class);
-    daos::ArrayHandle handle;
-    const auto cached = arrays_.find(oid);
-    if (cached != arrays_.end()) {
-      handle = cached->second;
-    } else {
-      auto opened = co_await retrier_.run_result<daos::ArrayHandle>(
-          [&] { return client_.array_open(main_cont_, oid); });
-      if (!opened.is_ok()) co_return opened.status();
-      handle = opened.value();
-      arrays_.emplace(oid, handle);
-    }
-    auto n = co_await retrier_.run_result<Bytes>(
-        [&] { return client_.array_read(handle, 0, out, out_len); });
-    if (!n.is_ok()) co_return n.status();
-    ++stats_.fields_read;
-    stats_.bytes_read += n.value();
-    co_return n.value();
-  }
-
-  auto forecast = co_await resolve_forecast_for_read(key.most_significant());
-  if (!forecast.is_ok()) co_return forecast.status();
-  ForecastHandles& handles = *forecast.value();
-
-  const std::string field_entry = key.least_significant();
-  auto ref = co_await retrier_.run_result<std::string>(
-      [&] { return client_.kv_get(handles.index_kv, field_entry); });
-  if (!ref.is_ok()) co_return ref.status();
-  auto oid = oid_from_string(ref.value());
-  if (!oid.is_ok()) co_return oid.status();
-
   // Re-reads of the same field (pattern B readers polling a designated key)
-  // hit the cached handle and skip the open/close round-trips.
+  // hit the cached handle and skip the open/close round-trips.  The cache
+  // holds live handles and must not serve a snapshot, so a pinned read opens
+  // the array at the snapshot epoch and closes it every time.
   daos::ArrayHandle handle;
-  const auto cached = arrays_.find(oid.value());
+  const auto cached = is_pinned ? arrays_.end() : arrays_.find(oid);
   if (cached != arrays_.end()) {
     handle = cached->second;
   } else {
+    const daos::ContHandle store_cont = forecast != nullptr ? forecast->store_cont : main_cont_;
     auto opened = co_await retrier_.run_result<daos::ArrayHandle>(
-        [&] { return client_.array_open(handles.store_cont, oid.value()); });
+        [&] { return client_.array_open(store_cont, oid); });
     if (!opened.is_ok()) co_return opened.status();
     handle = opened.value();
-    arrays_.emplace(oid.value(), handle);
+    if (!is_pinned) arrays_.emplace(oid, handle);
   }
   auto n = co_await retrier_.run_result<Bytes>(
       [&] { return client_.array_read(handle, 0, out, out_len); });
+  if (is_pinned) co_await client_.array_close(handle);
   if (!n.is_ok()) co_return n.status();
-
   ++stats_.fields_read;
   stats_.bytes_read += n.value();
   co_return n.value();

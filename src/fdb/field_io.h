@@ -169,12 +169,10 @@ class FieldIo {
   };
 
   /// Snapshot-pinned handles of one forecast (pin_snapshot): reads through
-  /// them observe exactly the pinned epochs.
-  struct PinnedForecast {
-    daos::ContHandle index_cont;  // invalid in no_index mode
-    daos::ContHandle store_cont;
-    daos::KvHandle index_kv;      // invalid in no_index mode
-    bool shared_cont = false;     // index_cont IS store_cont (one pin to release)
+  /// them observe exactly the pinned epochs.  index_cont and index_kv are
+  /// invalid in no_index mode.
+  struct PinnedForecast : ForecastHandles {
+    bool shared_cont = false;  // index_cont IS store_cont (one pin to release)
   };
 
   /// Write path of Algorithm 1 before the array store: resolves (creating if
@@ -187,13 +185,13 @@ class FieldIo {
   /// index KV and (via the KV's store entry) store container, and caches them.
   sim::Task<Result<ForecastHandles*>> open_indexed_forecast(const std::string& msk);
 
-  /// Algorithm 2 against a pinned forecast: bypasses the live handle caches
-  /// so every resolution happens at the snapshot epoch.
-  sim::Task<Result<Bytes>> read_pinned(const FieldKey& key, PinnedForecast& pin, std::uint8_t* out,
-                                       Bytes out_len);
-
   [[nodiscard]] daos::ObjectId forecast_kv_oid(const std::string& msk) const {
     return forecast_index_oid(msk, config_.kv_class);
+  }
+  /// no_index mode: the field key's md5 names its Array directly.
+  [[nodiscard]] daos::ObjectId no_index_oid(const FieldKey& key) const {
+    return daos::ObjectId::from_digest(md5(key.canonical()), daos::ObjectType::array,
+                                       config_.array_class);
   }
   [[nodiscard]] daos::ObjectId next_array_oid();
 
@@ -207,7 +205,6 @@ class FieldIo {
   std::uint64_t array_counter_ = 0;
 
   bool initialised_ = false;
-  daos::PoolHandle pool_;
   daos::ContHandle main_cont_;
   daos::KvHandle main_kv_;
   std::unordered_map<std::string, ForecastHandles> forecasts_;  // connection cache

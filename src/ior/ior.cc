@@ -43,6 +43,13 @@ sim::Task<void> ior_process(daos::Cluster& cluster, const IorParams params, RunS
   // a) initial barrier.
   co_await state.initial.arrive_and_wait();
 
+  // Each I/O phase moves the object in `parts` transfers of `part_size`
+  // bytes: one full-size transfer in single_shot, one per data part in
+  // per_segment.
+  const bool single_shot = params.scheme == TransferScheme::single_shot;
+  const std::uint32_t parts = single_shot ? 1 : params.segments;
+  const Bytes part_size = single_shot ? params.object_size() : params.transfer_size;
+
   auto fail = [&state](const std::string& why) {
     if (!state.failed) {
       state.failed = true;
@@ -73,22 +80,12 @@ sim::Task<void> ior_process(daos::Cluster& cluster, const IorParams params, RunS
         auto created = co_await client.array_create(cont, oid);
         if (created.is_ok()) {
           handle = created.value();
-          // d) the transfer(s): one full-size transfer in single_shot, one
-          // per data part in per_segment.
-          if (params.scheme == TransferScheme::single_shot) {
-            const Status written = co_await client.array_write(handle, 0, nullptr, params.object_size());
+          // d) the transfer(s).
+          for (std::uint32_t part = 0; part < parts && ok; ++part) {
+            const Status written = co_await client.array_write(handle, part * part_size, nullptr, part_size);
             if (!written.is_ok()) {
               fail(written.to_string());
               ok = false;
-            }
-          } else {
-            for (std::uint32_t seg = 0; seg < params.segments && ok; ++seg) {
-              const Status written = co_await client.array_write(
-                  handle, Bytes{seg} * params.transfer_size, nullptr, params.transfer_size);
-              if (!written.is_ok()) {
-                fail(written.to_string());
-                ok = false;
-              }
             }
           }
         } else {
@@ -99,20 +96,11 @@ sim::Task<void> ior_process(daos::Cluster& cluster, const IorParams params, RunS
         auto opened = co_await client.array_open(cont, oid);
         if (opened.is_ok()) {
           handle = opened.value();
-          if (params.scheme == TransferScheme::single_shot) {
-            auto n = co_await client.array_read(handle, 0, nullptr, params.object_size());
-            if (!n.is_ok() || n.value() != params.object_size()) {
+          for (std::uint32_t part = 0; part < parts && ok; ++part) {
+            auto n = co_await client.array_read(handle, part * part_size, nullptr, part_size);
+            if (!n.is_ok() || n.value() != part_size) {
               fail(n.is_ok() ? "short read" : n.status().to_string());
               ok = false;
-            }
-          } else {
-            for (std::uint32_t seg = 0; seg < params.segments && ok; ++seg) {
-              auto n = co_await client.array_read(handle, Bytes{seg} * params.transfer_size, nullptr,
-                                                  params.transfer_size);
-              if (!n.is_ok() || n.value() != params.transfer_size) {
-                fail(n.is_ok() ? "short read" : n.status().to_string());
-                ok = false;
-              }
             }
           }
         } else {

@@ -41,7 +41,6 @@ struct PipelineState {
   sim::CountDownLatch servers_remaining;
   PipelineResult result;
   sim::TimePoint start = 0;
-  bool finished = false;
   std::function<void()> on_done;
 };
 
@@ -164,7 +163,6 @@ sim::Task<void> conductor(PipelineState& state) {
 sim::Task<void> pipeline_watcher(daos::Cluster& cluster, PipelineState& state) {
   co_await state.servers_remaining.wait();
   state.result.makespan = cluster.scheduler().now() - state.start;
-  state.finished = true;
   if (state.on_done) state.on_done();
 }
 
@@ -222,8 +220,6 @@ Status PipelineRun::spawn(std::function<void()> on_done) {
   cluster.scheduler().spawn(pipeline_watcher(cluster, state));
   return Status::ok();
 }
-
-bool PipelineRun::finished() const { return impl_->state.finished; }
 
 PipelineResult& PipelineRun::result() { return impl_->state.result; }
 

@@ -99,11 +99,8 @@ class PipelineRun {
   /// will land.
   Status spawn(std::function<void()> on_done = {});
 
-  /// True once every I/O server has drained and flushed its stats.
-  [[nodiscard]] bool finished() const;
-
-  /// The accumulated result; complete once finished() (makespan covers
-  /// spawn() to the last server exit).
+  /// The accumulated result; complete once every I/O server has drained and
+  /// flushed its stats (makespan covers spawn() to the last server exit).
   [[nodiscard]] PipelineResult& result();
 
  private:

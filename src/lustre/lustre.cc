@@ -41,7 +41,6 @@ LustreSystem::LustreSystem(sim::Scheduler& sched, LustreConfig config)
   for (std::size_t i = 0; i < config_.osts; ++i) {
     net::Link link;
     link.name = strf("ost%zu", i);
-    link.kind = net::LinkKind::generic;
     link.raw_capacity = ost_stream_bandwidth();
     osts_[i].link = flows_.add_link(std::move(link));
   }
@@ -50,7 +49,6 @@ LustreSystem::LustreSystem(sim::Scheduler& sched, LustreConfig config)
   // capacity is the op rate.
   net::Link mds;
   mds.name = "mds";
-  mds.kind = net::LinkKind::generic;
   mds.raw_capacity = config_.mds_ops_per_second;
   mds_link_ = flows_.add_link(std::move(mds));
 }
@@ -124,51 +122,46 @@ sim::Task<Result<FileHandle>> LustreClient::open(const std::string& path) {
   co_return FileHandle{it->second};
 }
 
-sim::Task<Status> LustreClient::write(FileHandle handle, Bytes offset, Bytes len) {
-  LustreSystem::FileState* file = system_.find(handle.inode);
-  if (file == nullptr) co_return Status::error(Errc::invalid, "stale file handle");
-  if (len == 0) co_return Status::ok();
-  const LustreConfig& cfg = system_.config_;
-
-  // POSIX consistency: concurrent writes to the same file serialise on the
-  // file's lock (file-per-process workloads never contend here).
-  co_await file->range_lock->lock();
-
-  // Stripe the extent across the file's OSTs and move the bytes; seek
-  // penalties surface as extra OST service.
-  std::vector<Bytes> per_ost(file->osts.size(), 0);
-  Bytes pos = offset;
-  Bytes remaining = len;
-  while (remaining > 0) {
-    const Bytes chunk_index = pos / file->stripe_size;
-    const Bytes within = pos % file->stripe_size;
-    const Bytes take = std::min(remaining, file->stripe_size - within);
-    per_ost[static_cast<std::size_t>(chunk_index % file->osts.size())] += take;
-    pos += take;
-    remaining -= take;
-  }
+sim::Task<void> LustreSystem::striped_transfer(net::Endpoint client, Rng& rng, const FileState& file,
+                                               Bytes offset, Bytes len, bool is_write) {
+  const auto per_ost = stripe_split(offset, len, file.stripe_size, file.osts.size());
   std::vector<sim::Task<void>> transfers;
   std::vector<std::size_t> touched;
   for (std::size_t i = 0; i < per_ost.size(); ++i) {
     if (per_ost[i] == 0) continue;
-    const std::size_t ost = file->osts[i];
-    const double factor = system_.ost_begin_io(ost, /*is_write=*/true);
+    const std::size_t ost = file.osts[i];
+    const double factor = ost_begin_io(ost, is_write);
     touched.push_back(ost);
     const auto bytes = static_cast<Bytes>(static_cast<double>(per_ost[i]) * factor);
-    std::vector<net::LinkId> path{system_.client_fabric_->nic_tx(endpoint_), system_.osts_[ost].link};
-    const double cap = cfg.provider.stream_rate_cap(per_ost[i]) * rng_.lognormal_jitter(0.05);
+    std::vector<net::LinkId> path;
+    if (is_write) {
+      path = {client_fabric_->nic_tx(client), osts_[ost].link};
+    } else {
+      path = {osts_[ost].link, client_fabric_->nic_rx(client)};
+    }
+    const double cap = config_.provider.stream_rate_cap(per_ost[i]) * rng.lognormal_jitter(0.05);
     auto one = [](net::FlowScheduler& fs, std::vector<net::LinkId> p, Bytes b, double c) -> sim::Task<void> {
       co_await fs.transfer(std::move(p), b, c);
-    }(system_.flows_, std::move(path), bytes, cap);
+    }(flows_, std::move(path), bytes, cap);
     transfers.push_back(std::move(one));
   }
   if (transfers.size() == 1) {
     co_await std::move(transfers.front());
   } else if (!transfers.empty()) {
-    co_await sim::when_all(system_.sched_, std::move(transfers));
+    co_await sim::when_all(sched_, std::move(transfers));
   }
-  for (const std::size_t ost : touched) system_.ost_end_io(ost, /*is_write=*/true);
+  for (const std::size_t ost : touched) ost_end_io(ost, is_write);
+}
 
+sim::Task<Status> LustreClient::write(FileHandle handle, Bytes offset, Bytes len) {
+  LustreSystem::FileState* file = system_.find(handle.inode);
+  if (file == nullptr) co_return Status::error(Errc::invalid, "stale file handle");
+  if (len == 0) co_return Status::ok();
+
+  // POSIX consistency: concurrent writes to the same file serialise on the
+  // file's lock (file-per-process workloads never contend here).
+  co_await file->range_lock->lock();
+  co_await system_.striped_transfer(endpoint_, rng_, *file, offset, len, /*is_write=*/true);
   file->size = std::max(file->size, offset + len);
   file->range_lock->unlock();
   co_return Status::ok();
@@ -179,40 +172,7 @@ sim::Task<Result<Bytes>> LustreClient::read(FileHandle handle, Bytes offset, Byt
   if (file == nullptr) co_return Status::error(Errc::invalid, "stale file handle");
   if (offset >= file->size) co_return Bytes{0};
   const Bytes to_read = std::min(len, file->size - offset);
-  const LustreConfig& cfg = system_.config_;
-
-  std::vector<Bytes> per_ost(file->osts.size(), 0);
-  Bytes pos = offset;
-  Bytes remaining = to_read;
-  while (remaining > 0) {
-    const Bytes chunk_index = pos / file->stripe_size;
-    const Bytes within = pos % file->stripe_size;
-    const Bytes take = std::min(remaining, file->stripe_size - within);
-    per_ost[static_cast<std::size_t>(chunk_index % file->osts.size())] += take;
-    pos += take;
-    remaining -= take;
-  }
-  std::vector<sim::Task<void>> transfers;
-  std::vector<std::size_t> touched;
-  for (std::size_t i = 0; i < per_ost.size(); ++i) {
-    if (per_ost[i] == 0) continue;
-    const std::size_t ost = file->osts[i];
-    const double factor = system_.ost_begin_io(ost, /*is_write=*/false);
-    touched.push_back(ost);
-    const auto bytes = static_cast<Bytes>(static_cast<double>(per_ost[i]) * factor);
-    std::vector<net::LinkId> path{system_.osts_[ost].link, system_.client_fabric_->nic_rx(endpoint_)};
-    const double cap = cfg.provider.stream_rate_cap(per_ost[i]) * rng_.lognormal_jitter(0.05);
-    auto one = [](net::FlowScheduler& fs, std::vector<net::LinkId> p, Bytes b, double c) -> sim::Task<void> {
-      co_await fs.transfer(std::move(p), b, c);
-    }(system_.flows_, std::move(path), bytes, cap);
-    transfers.push_back(std::move(one));
-  }
-  if (transfers.size() == 1) {
-    co_await std::move(transfers.front());
-  } else if (!transfers.empty()) {
-    co_await sim::when_all(system_.sched_, std::move(transfers));
-  }
-  for (const std::size_t ost : touched) system_.ost_end_io(ost, /*is_write=*/false);
+  co_await system_.striped_transfer(endpoint_, rng_, *file, offset, to_read, /*is_write=*/false);
   co_return to_read;
 }
 

@@ -139,6 +139,13 @@ class LustreSystem {
   double ost_begin_io(std::size_t ost, bool is_write);
   void ost_end_io(std::size_t ost, bool is_write);
 
+  /// Moves [offset, offset+len) of `file` between `client` and the file's
+  /// OSTs: the extent is striped over them, one flow per OST it touches (its
+  /// rate-cap jitter drawn from `rng` in stripe order), and seek penalties
+  /// surface as extra OST service.
+  sim::Task<void> striped_transfer(net::Endpoint client, Rng& rng, const FileState& file, Bytes offset,
+                                   Bytes len, bool is_write);
+
   [[nodiscard]] FileState* find(std::uint64_t inode);
 
   sim::Scheduler& sched_;

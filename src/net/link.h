@@ -41,18 +41,8 @@ class EfficiencyCurve {
   std::vector<std::pair<double, double>> points_;
 };
 
-enum class LinkKind : std::uint8_t {
-  nic_tx,      // NIC transmit side (per node, per socket)
-  nic_rx,      // NIC receive side
-  upi,         // cross-socket interconnect within a node
-  target_svc,  // DAOS target service capacity (direction-specific)
-  scm,         // SCM region media bandwidth
-  generic,
-};
-
 struct Link {
   std::string name;
-  LinkKind kind = LinkKind::generic;
   double raw_capacity = 0.0;  // bytes/s
   EfficiencyCurve efficiency;  // empty: effective capacity == raw_capacity
   // Runtime degradation multiplier (fault injection: slowdown windows,

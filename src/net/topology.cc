@@ -18,21 +18,18 @@ Topology::Topology(FlowScheduler& flows, TopologyConfig config) : config_(std::m
     for (std::size_t s = 0; s < config_.sockets_per_node; ++s) {
       Link tx;
       tx.name = strf("node%zu.sock%zu.nic.tx", n, s);
-      tx.kind = LinkKind::nic_tx;
       tx.raw_capacity = kNicRawCapacity;
       tx.efficiency = config_.provider.nic_curve;
       nic_tx_.push_back(flows.add_link(std::move(tx)));
 
       Link rx;
       rx.name = strf("node%zu.sock%zu.nic.rx", n, s);
-      rx.kind = LinkKind::nic_rx;
       rx.raw_capacity = kNicRawCapacity;
       rx.efficiency = config_.provider.nic_curve;
       nic_rx_.push_back(flows.add_link(std::move(rx)));
     }
     Link upi;
     upi.name = strf("node%zu.upi", n);
-    upi.kind = LinkKind::upi;
     upi.raw_capacity = kUpiCapacity;
     upi_.push_back(flows.add_link(std::move(upi)));
   }

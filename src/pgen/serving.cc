@@ -401,8 +401,6 @@ void ConsumerFleet::producers_done() {
   if (st.spawned && !st.poller_active) close_without_poller(st);
 }
 
-bool ConsumerFleet::finished() const { return impl_->done; }
-
 ServingResult& ConsumerFleet::result() { return impl_->result; }
 
 obs::MetricsSnapshot serving_metrics(const ServingResult& serving) {

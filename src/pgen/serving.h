@@ -122,7 +122,6 @@ class ConsumerFleet {
   /// still-missing fields instead of polling forever.
   void producers_done();
 
-  [[nodiscard]] bool finished() const;
   [[nodiscard]] ServingResult& result();
 
   /// Implementation state, public in name only so the serving.cc worker

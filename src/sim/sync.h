@@ -57,7 +57,6 @@ class Mutex {
   }
 
   [[nodiscard]] bool locked() const { return locked_; }
-  [[nodiscard]] std::size_t queue_length() const { return waiters_.size(); }
 
  private:
   Scheduler& sched_;
@@ -98,7 +97,6 @@ class Semaphore {
   }
 
   [[nodiscard]] std::size_t available() const { return permits_; }
-  [[nodiscard]] std::size_t queue_length() const { return waiters_.size(); }
 
  private:
   Scheduler& sched_;

@@ -35,6 +35,33 @@ TEST(Units, FormatBytes) {
 
 TEST(Units, FormatBandwidth) { EXPECT_EQ(format_bandwidth(gib_per_sec(2.5)), "2.50 GiB/s"); }
 
+TEST(Units, StripeSplitMatchesAByteWalk) {
+  // Reference: deal every byte of the range to its chunk's member.
+  const auto walk = [](Bytes offset, Bytes len, Bytes chunk, std::size_t width) {
+    std::vector<Bytes> per_member(width, 0);
+    for (Bytes b = offset; b < offset + len; ++b) ++per_member[(b / chunk) % width];
+    return per_member;
+  };
+  struct Case {
+    Bytes offset, len, chunk;
+    std::size_t width;
+  };
+  const Case cases[] = {
+      {3, 4, 16, 4},    // inside one chunk
+      {0, 16, 16, 4},   // exactly one chunk
+      {10, 20, 16, 4},  // straddles two chunks
+      {5, 40, 8, 3},    // wraps the width
+      {7, 300, 5, 6},   // wraps the width many times, ragged ends
+      {0, 100, 7, 1},   // width 1 takes everything
+      {33, 0, 8, 3},    // zero length touches no member
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(stripe_split(c.offset, c.len, c.chunk, c.width), walk(c.offset, c.len, c.chunk, c.width))
+        << "offset " << c.offset << " len " << c.len << " chunk " << c.chunk << " width " << c.width;
+  }
+  EXPECT_EQ(stripe_split(10, 20, 16, 4), (std::vector<Bytes>{6, 14, 0, 0}));
+}
+
 TEST(Status, OkByDefault) {
   Status s;
   EXPECT_TRUE(s.is_ok());

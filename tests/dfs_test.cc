@@ -76,9 +76,8 @@ std::vector<std::uint8_t> bytes_of(const std::string& s) {
 
 /// Writes the whole contents of `data` to `path` through `fs` (create,
 /// write, close).
-sim::Task<Status> put_file(Dfs& fs, const std::string& path, const std::string& data,
-                           bool exclusive = false) {
-  auto file = co_await fs.create(path, exclusive);
+sim::Task<Status> put_file(Dfs& fs, const std::string& path, const std::string& data) {
+  auto file = co_await fs.create(path);
   if (!file.is_ok()) co_return file.status();
   const auto raw = bytes_of(data);
   const Status st = co_await fs.write(file.value(), 0, raw.data(), raw.size());
@@ -363,10 +362,8 @@ TEST(DfsOpsTest, ExclusiveCreateAndDirectoryErrors) {
     Dfs fs(client, {}, 1);
     CO_ASSERT_TRUE((co_await fs.mount("excl")).is_ok());
     CO_ASSERT_TRUE((co_await put_file(fs, "/f", "v1")).is_ok());
-    EXPECT_EQ((co_await fs.create("/f", /*exclusive=*/true)).status().code(),
-              Errc::already_exists);
-    // Non-exclusive create opens the existing file without truncating it.
-    auto again = co_await fs.create("/f", /*exclusive=*/false);
+    EXPECT_EQ((co_await fs.create("/f")).status().code(), Errc::already_exists);
+    auto again = co_await fs.open("/f");
     CO_ASSERT_TRUE(again.is_ok());
     co_await fs.close(again.value());
     EXPECT_EQ((co_await fs.write(again.value(), 0, nullptr, 0)).code(), Errc::invalid);
@@ -375,7 +372,7 @@ TEST(DfsOpsTest, ExclusiveCreateAndDirectoryErrors) {
     CO_ASSERT_TRUE((co_await fs.mkdir("/d")).is_ok());
     EXPECT_EQ((co_await fs.mkdir("/d")).code(), Errc::already_exists);
     EXPECT_EQ((co_await fs.mkdir("/")).code(), Errc::already_exists);
-    EXPECT_EQ((co_await fs.create("/d", false)).status().code(), Errc::invalid);
+    EXPECT_EQ((co_await fs.create("/d")).status().code(), Errc::already_exists);
     EXPECT_EQ((co_await fs.open("/d")).status().code(), Errc::invalid);
     EXPECT_EQ((co_await fs.mkdir("/nope/child")).code(), Errc::not_found);
     EXPECT_EQ((co_await fs.readdir("/f")).status().code(), Errc::invalid);
@@ -400,9 +397,28 @@ TEST(DfsOpsTest, LostConditionalInsertReadsNothingBack) {
     const std::uint64_t gets = client.stats().kv_gets;
     EXPECT_EQ((co_await fs.mkdir("/d")).code(), Errc::already_exists);
     EXPECT_EQ(client.stats().kv_gets, gets);
-    EXPECT_EQ((co_await fs.create("/f", /*exclusive=*/true)).status().code(),
-              Errc::already_exists);
+    EXPECT_EQ((co_await fs.create("/f")).status().code(), Errc::already_exists);
     EXPECT_EQ(client.stats().kv_gets, gets);
+  });
+}
+
+TEST(DfsOpsTest, DuplicateRankCreateFailsInsteadOfAliasing) {
+  // A rank namespaces a mount's object ids, so two mounts sharing one draw
+  // the same fresh Array id.  The second mount's create must fail rather
+  // than bind its new name to the first mount's file, where put_file's write
+  // would land.
+  sim::Scheduler sched;
+  daos::Cluster cluster(sched, test_config());
+  run_client(cluster, [](daos::Client& client) -> sim::Task<void> {
+    Dfs fs(client, {}, 3);
+    CO_ASSERT_TRUE((co_await fs.mount("dup")).is_ok());
+    CO_ASSERT_TRUE((co_await put_file(fs, "/a", "AAAA")).is_ok());
+  });
+  run_client(cluster, [](daos::Client& client) -> sim::Task<void> {
+    Dfs fs(client, {}, 3);
+    CO_ASSERT_TRUE((co_await fs.mount("dup")).is_ok());
+    EXPECT_EQ((co_await put_file(fs, "/b", "BB")).code(), Errc::already_exists);
+    EXPECT_EQ((co_await get_file(fs, "/a")).value(), "AAAA");
   });
 }
 
@@ -547,7 +563,7 @@ TEST(PosixFsTest, FdTableOpenCloseSemantics) {
     Dfs fs(client, {}, 1);
     CO_ASSERT_TRUE((co_await fs.mount("pfd")).is_ok());
     PosixFs pfs(fs);
-    auto fd1 = co_await pfs.open("/f", {.create = true, .exclusive = true});
+    auto fd1 = co_await pfs.open("/f", {.create = true});
     CO_ASSERT_TRUE(fd1.is_ok());
     EXPECT_GE(fd1.value(), 3);
     auto fd2 = co_await pfs.open("/f", {});
@@ -558,7 +574,7 @@ TEST(PosixFsTest, FdTableOpenCloseSemantics) {
     EXPECT_EQ((co_await pfs.close(fd1.value())).code(), Errc::invalid);
     EXPECT_EQ((co_await pfs.pwrite(fd1.value(), 0, nullptr, 1)).code(), Errc::invalid);
     EXPECT_TRUE((co_await pfs.close(fd2.value())).is_ok());
-    EXPECT_EQ((co_await pfs.open("/f", {.create = true, .exclusive = true})).status().code(),
+    EXPECT_EQ((co_await pfs.open("/f", {.create = true})).status().code(),
               Errc::already_exists);
     EXPECT_EQ((co_await pfs.open("/ghost", {})).status().code(), Errc::not_found);
     EXPECT_EQ(pfs.stats().meta_ops, 4u);  // every open, even failing ones
@@ -795,12 +811,9 @@ void run_property_case(std::uint64_t seed, const PropertyCaseConfig& pc) {
         if (ref_ok) ref.dirs.insert(p);
       } else if (kind < 45) {  // create (+ initial write)
         const std::string p = random_ref_path(rng);
-        const bool excl = rng.next_below(2) == 0;
         const std::string data = "c" + std::to_string(i) + ":" + p;
-        bool ref_ok = ref.parent_is_dir(p) && !ref.is_dir(p);
-        if (excl && ref.is_file(p)) ref_ok = false;
-        EXPECT_EQ((co_await put_file(fs, p, data, excl)).is_ok(), ref_ok)
-            << "create " << p << " excl=" << excl;
+        const bool ref_ok = ref.parent_is_dir(p) && !ref.exists(p);
+        EXPECT_EQ((co_await put_file(fs, p, data)).is_ok(), ref_ok) << "create " << p;
         if (ref_ok) ref.write_at(p, 0, data);
       } else if (kind < 60) {  // overwrite a random range of an existing file
         const std::string p = random_existing_file(rng, ref);
