@@ -50,7 +50,7 @@ LustreRun run_lustre_ior(const lustre::LustreConfig& cfg, std::size_t procs_per_
       co_await barrier.arrive_and_wait();
       const sim::TimePoint t0 = sys.scheduler().now();
       auto file = (co_await client.create(strf("/ior/%u.%u", node, proc))).value();
-      (co_await client.write(file, 0, bytes)).expect_ok("write");
+      (co_await client.write(file, 0, nullptr, bytes)).expect_ok("write");
       co_await client.close(file);
       log.record(node, proc, 0, t0, sys.scheduler().now(), bytes);
     };
@@ -70,7 +70,7 @@ LustreRun run_lustre_ior(const lustre::LustreConfig& cfg, std::size_t procs_per_
       co_await barrier.arrive_and_wait();
       const sim::TimePoint t0 = sys.scheduler().now();
       auto file = (co_await client.open(strf("/ior/%u.%u", node, proc))).value();
-      const Bytes n = (co_await client.read(file, 0, bytes)).value();
+      const Bytes n = (co_await client.read(file, 0, nullptr, bytes)).value();
       co_await client.close(file);
       log.record(node, proc, 0, t0, sys.scheduler().now(), n);
     };
@@ -105,11 +105,11 @@ LustreRun run_lustre_mixed(const lustre::LustreConfig& cfg, std::size_t procs_pe
     lustre::LustreClient client(sys, sys.client_endpoint(pair % sys.config().client_nodes, pair),
                                 pair);
     auto file = (co_await client.create(strf("/mix/%u", pair))).value();
-    (co_await client.write(file, 0, bytes)).expect_ok("setup");
+    (co_await client.write(file, 0, nullptr, bytes)).expect_ok("setup");
     latch.count_down();
     for (std::uint32_t i = 0; i < ops_n; ++i) {
       const sim::TimePoint t0 = sys.scheduler().now();
-      (co_await client.write(file, 0, bytes)).expect_ok("rewrite");
+      (co_await client.write(file, 0, nullptr, bytes)).expect_ok("rewrite");
       log.record(0, pair, i, t0, sys.scheduler().now(), bytes);
     }
   };
@@ -121,7 +121,7 @@ LustreRun run_lustre_mixed(const lustre::LustreConfig& cfg, std::size_t procs_pe
     auto file = (co_await client.open(strf("/mix/%u", pair))).value();
     for (std::uint32_t i = 0; i < ops_n; ++i) {
       const sim::TimePoint t0 = sys.scheduler().now();
-      const Bytes n = (co_await client.read(file, 0, bytes)).value();
+      const Bytes n = (co_await client.read(file, 0, nullptr, bytes)).value();
       log.record(1, pair, i, t0, sys.scheduler().now(), n);
     }
   };
@@ -159,7 +159,8 @@ double run_lustre_shared_file(const lustre::LustreConfig& cfg, std::size_t procs
       file = (co_await client.open("/shared")).value();
     }
     const sim::TimePoint t0 = sys.scheduler().now();
-    (co_await client.write(file, static_cast<Bytes>(rank) * bytes, bytes)).expect_ok("write");
+    const Bytes offset = static_cast<Bytes>(rank) * bytes;
+    (co_await client.write(file, offset, nullptr, bytes)).expect_ok("write");
     io_log.record(0, rank, 0, t0, sys.scheduler().now(), bytes);
   };
   for (std::uint32_t r = 0; r < procs; ++r) sched.spawn(writer(system, *created, log, r, op_size));

@@ -19,11 +19,11 @@ constexpr std::size_t kContainerIssueMinServers = 8;
 Status ClusterConfig::validate() const {
   if (server_nodes == 0) return Status::error(Errc::invalid, "at least one server node required");
   if (client_nodes == 0) return Status::error(Errc::invalid, "at least one client node required");
-  if (engines_per_server == 0 || engines_per_server > 2) {
+  if (engines_per_server == 0 || engines_per_server > net::kSocketsPerNode) {
     return Status::error(Errc::invalid, "engines_per_server must be 1 or 2 (one per socket)");
   }
   if (targets_per_engine == 0) return Status::error(Errc::invalid, "targets_per_engine must be positive");
-  if (client_sockets_in_use == 0 || client_sockets_in_use > 2) {
+  if (client_sockets_in_use == 0 || client_sockets_in_use > net::kSocketsPerNode) {
     return Status::error(Errc::invalid, "client_sockets_in_use must be 1 or 2");
   }
   if (faults.enforce_psm2_single_rail && !provider.supports_dual_rail &&
@@ -58,7 +58,6 @@ Cluster::Cluster(sim::Scheduler& sched, ClusterConfig config)
 void Cluster::build_topology() {
   net::TopologyConfig tcfg;
   tcfg.nodes = config_.server_nodes + config_.client_nodes;
-  tcfg.sockets_per_node = 2;
   tcfg.provider = config_.provider;
   topology_ = std::make_unique<net::Topology>(flows_, tcfg);
 
@@ -68,7 +67,7 @@ void Cluster::build_topology() {
   const double rx_eff = config_.model.tcp_client_read_efficiency;
   if (config_.provider.name == "tcp" && rx_eff < 1.0) {
     for (std::size_t c = 0; c < config_.client_nodes; ++c) {
-      for (std::size_t s = 0; s < 2; ++s) {
+      for (std::size_t s = 0; s < net::kSocketsPerNode; ++s) {
         const net::LinkId id = topology_->nic_rx(net::Endpoint{client_topology_node(c), s});
         net::Link& link = flows_.mutable_link(id);
         link.raw_capacity *= rx_eff;
@@ -170,7 +169,7 @@ void Cluster::arm_fault_plan() {
   std::vector<net::LinkId> fabric;
   const std::size_t nodes = config_.server_nodes + config_.client_nodes;
   for (std::size_t n = 0; n < nodes; ++n) {
-    for (std::size_t s = 0; s < 2; ++s) {
+    for (std::size_t s = 0; s < net::kSocketsPerNode; ++s) {
       fabric.push_back(topology_->nic_tx(net::Endpoint{n, s}));
       fabric.push_back(topology_->nic_rx(net::Endpoint{n, s}));
     }

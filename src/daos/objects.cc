@@ -5,24 +5,6 @@
 #include <stdexcept>
 
 namespace nws::daos {
-namespace {
-
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a_fold(std::uint64_t h, const std::uint8_t* data, std::size_t len) {
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
-
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len) {
-  return fnv1a_fold(kFnvBasis, data, len);
-}
 
 // --- KvObject -----------------------------------------------------------------
 
@@ -203,20 +185,6 @@ Bytes ArrayObject::write(Bytes offset, const std::uint8_t* data, Bytes len, Epoc
       if (v.bytes.size() < end) v.bytes.resize(end, 0);
       std::memcpy(v.bytes.data() + offset, data, len);
     }
-    v.exact = true;
-  } else {
-    if (offset == 0) {
-      // Whole-object (re)write: a fresh digest, exact when it covers the
-      // version's full extent.
-      v.digest = data == nullptr ? kFnvBasis : fnv1a(data, len);
-      v.exact = data != nullptr && end >= v.size;
-    } else if (offset == v.size && v.exact && data != nullptr) {
-      // Pure append onto an exact digest stays exact (IOR per-segment path).
-      v.digest = fnv1a_fold(v.digest, data, len);
-    } else {
-      if (data != nullptr) v.digest = fnv1a_fold(v.digest, data, len);
-      v.exact = false;
-    }
   }
   v.size = std::max(v.size, end);
   return cow;
@@ -230,18 +198,6 @@ Bytes ArrayObject::read(Bytes offset, std::uint8_t* out, Bytes len, Epoch epoch)
     std::memcpy(out, v->bytes.data() + offset, n);
   }
   return n;
-}
-
-std::uint64_t ArrayObject::checksum(Epoch epoch) const {
-  const Version* v = version_at(epoch);
-  if (v == nullptr) return kFnvBasis;
-  if (mode_ == PayloadMode::full) return fnv1a(v->bytes.data(), v->bytes.size());
-  return v->digest;
-}
-
-bool ArrayObject::checksum_exact(Epoch epoch) const {
-  const Version* v = version_at(epoch);
-  return v != nullptr && (mode_ == PayloadMode::full || v->exact);
 }
 
 void ArrayObject::prune(Epoch floor) {

@@ -2,7 +2,7 @@
 //
 // This is the *semantic* half of the simulator: containers really hold
 // objects, Key-Values really map keys to values, Arrays really hold bytes
-// (or, in digest mode, a size + checksum so multi-terabyte benchmark
+// (or, in digest mode, their size only, so multi-terabyte benchmark
 // workloads do not materialise in host memory).  The timing half lives in
 // Client/Cluster.
 //
@@ -43,11 +43,8 @@ inline constexpr Epoch kEpochLatest = ~0ull;
 /// How array payloads are retained.
 enum class PayloadMode {
   full,    // keep every byte (tests, examples)
-  digest,  // keep size + FNV-1a checksum only (large benchmarks)
+  digest,  // keep the size only (large benchmarks)
 };
-
-/// FNV-1a over a byte range; used for digest-mode payload verification.
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len);
 
 /// Epoch/MVCC accounting for one container; Cluster::epoch_stats() folds the
 /// per-container totals and snapshot_run_metrics emits them as `epoch.*`.
@@ -181,11 +178,8 @@ class ArrayObject {
   /// off the newest version is recycled in place.  Returns the bytes
   /// actually copied.  In full mode a write at offset 0 that covers the
   /// whole version replaces its bytes with one copy; a partial write keeps
-  /// the rest, and a hole it opens reads as zeros.  In digest mode only
-  /// size/checksum are retained:
-  /// whole-object writes and pure appends keep an exact checksum; other
-  /// partial re-writes fold the new bytes into a combined hash and the
-  /// version's checksum_exact() turns false.
+  /// the rest, and a hole it opens reads as zeros.  In digest mode only the
+  /// size is retained and `data` may be null.
   Bytes write(Bytes offset, const std::uint8_t* data, Bytes len, Epoch epoch = 1,
               bool retain_superseded = false);
 
@@ -194,16 +188,6 @@ class ArrayObject {
   /// (clamped to that version's size).
   [[nodiscard]] Bytes read(Bytes offset, std::uint8_t* out, Bytes len,
                            Epoch epoch = kEpochLatest) const;
-
-  /// Whole-object checksum of the `epoch` version: exact FNV-1a of contents
-  /// in full mode; the write digest in digest mode.
-  [[nodiscard]] std::uint64_t checksum(Epoch epoch = kEpochLatest) const;
-
-  /// Whether the `epoch` version's digest-mode checksum equals the exact
-  /// whole-object FNV-1a (full mode: always true for existing versions).
-  /// Versioning keeps committed whole-object digests exact even while a
-  /// later in-flight partial re-write folds its own version inexact.
-  [[nodiscard]] bool checksum_exact(Epoch epoch = kEpochLatest) const;
 
   /// Versions currently retained (retention bound; 0 before the first write).
   [[nodiscard]] std::size_t version_count() const { return versions_.size(); }
@@ -229,9 +213,7 @@ class ArrayObject {
   struct Version {
     Epoch epoch = 1;
     Bytes size = 0;
-    std::vector<std::uint8_t> bytes;                  // full mode only
-    std::uint64_t digest = 14695981039346656037ull;   // FNV offset basis
-    bool exact = true;  // digest equals fnv1a(whole object)
+    std::vector<std::uint8_t> bytes;  // full mode only
   };
 
   /// Newest version at or below `epoch`, or nullptr (object absent there).

@@ -3,9 +3,9 @@
 // fdb::FieldIo introduced the policy (fault injection: outage windows,
 // dropped RPCs, transient errors); the catalogue, the pgen serving tier and
 // the dfs namespace all need the identical semantics, so the driver lives
-// here at the daos layer: Retrier re-runs an operation factory under the
-// one retry policy below, sleeping a jittered exponential backoff between
-// attempts and accounting every retry against the client
+// here at the daos layer: Retrier::call re-issues one Client operation under
+// the one retry policy below, sleeping a jittered exponential backoff
+// between attempts and accounting every retry against the client
 // (ClientStats::op_retries) and an optional caller counter.
 #pragma once
 
@@ -41,33 +41,18 @@ class Retrier {
   Retrier(daos::Client& client, std::uint64_t rng_seed, std::uint64_t* retry_counter = nullptr)
       : client_(client), rng_(rng_seed), retries_(retry_counter) {}
 
-  /// Runs `make()` (a factory producing a fresh Task<Status> per attempt)
-  /// under the retry policy.
-  ///
-  /// LIFETIME: sim::Task coroutines are lazy, so any temporary the lambda
-  /// passes to a *reference* parameter dies when `make()` returns — before
-  /// the task first runs.  Hoist such arguments into named locals in the
-  /// calling coroutine (by-value parameters are copied into the frame at
-  /// construction and are safe).
-  template <typename MakeTask>
-  sim::Task<Status> run(MakeTask make) {
+  /// Runs `(client.*op)(args...)` under the retry policy, re-issuing the
+  /// same operation with the same arguments after each retriable failure:
+  /// `co_await retrier.call(&Client::kv_get, kv, key)`.  `op` returns
+  /// Task<Status> or Task<Result<T>>.  The arguments are held by reference
+  /// and passed to every attempt as lvalues, so, as with any coroutine call,
+  /// co_await the call in the expression that makes it.
+  template <typename R, typename... Params, typename... Args>
+  sim::Task<R> call(sim::Task<R> (Client::*op)(Params...), Args&&... args) {
     for (std::size_t attempt = 0;; ++attempt) {
-      Status st = co_await make();
-      if (st.is_ok() || !retriable(st) || attempt + 1 >= kRetryMaxAttempts) {
-        co_return st;
-      }
-      co_await backoff(attempt);
-    }
-  }
-
-  /// As run(), for operations returning Result<T>.
-  template <typename T, typename MakeTask>
-  sim::Task<Result<T>> run_result(MakeTask make) {
-    for (std::size_t attempt = 0;; ++attempt) {
-      Result<T> r = co_await make();
-      if (r.is_ok() || !retriable(r.status()) || attempt + 1 >= kRetryMaxAttempts) {
-        co_return r;
-      }
+      R r = co_await (client_.*op)(args...);
+      const Status& st = status_of(r);
+      if (st.is_ok() || !retriable(st) || attempt + 1 >= kRetryMaxAttempts) co_return r;
       co_await backoff(attempt);
     }
   }
@@ -89,6 +74,10 @@ class Retrier {
   }
 
  private:
+  static const Status& status_of(const Status& s) { return s; }
+  template <typename T>
+  static const Status& status_of(const Result<T>& r) { return r.status(); }
+
   /// Semantic statuses — not_found, already_exists — are never retried; they
   /// drive Algorithm 1/2 control flow.
   [[nodiscard]] static bool retriable(const Status& s) {

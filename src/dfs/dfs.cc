@@ -11,6 +11,8 @@ namespace nws::dfs {
 namespace {
 
 constexpr const char* kDfsMagic = "nws-dfs-v1";
+/// The superblock KV's one key.
+constexpr const char* kSuperblockKey = "superblock";
 /// User-hi value reserved for the well-known objects; mount ranks must stay
 /// below it.
 constexpr std::uint32_t kReservedUserHi = 0xFFFFFFFFu;
@@ -112,10 +114,9 @@ sim::Task<Status> Dfs::mount(const std::string& name) {
   // The container uuid is a pure function of the mount name, so concurrent
   // mounters collide on the same container instead of orphaning one.
   const daos::Uuid uuid = daos::Uuid::from_string_md5("dfs:" + name);
-  const Status created = co_await retrier_.run([&] { return client_.cont_create(uuid); });
+  const Status created = co_await retrier_.call(&daos::Client::cont_create, uuid);
   if (!created.is_ok() && created.code() != Errc::already_exists) co_return created;
-  auto opened =
-      co_await retrier_.run_result<daos::ContHandle>([&] { return client_.cont_open(uuid); });
+  auto opened = co_await retrier_.call(&daos::Client::cont_open, uuid);
   if (!opened.is_ok()) co_return opened.status();
   cont_ = opened.value();
 
@@ -129,25 +130,20 @@ sim::Task<Status> Dfs::mount(const std::string& name) {
   daos::KvHandle super = co_await client_.kv_open(cont_, super_oid);
 
   // The whole superblock is one record under one key, so a racing mount
-  // sees all of it or none of it.  The key is hoisted to a local: Retrier
-  // task factories must not bind reference parameters to temporaries
-  // (daos/retry.h LIFETIME note).
-  const std::string key = "superblock";
+  // sees all of it or none of it.
   const std::string record =
       std::string(kDfsMagic) + "|" + daos::object_class_name(config_.dir_class);
-  auto stored =
-      co_await retrier_.run_result<std::string>([&] { return client_.kv_get(super, key); });
+  auto stored = co_await retrier_.call(&daos::Client::kv_get, super, kSuperblockKey);
   if (stored.status().code() == Errc::not_found) {
     // Format.  The conditional insert gives exactly one racer the formatter
     // role; a loser reads back the winning record and validates it like any
     // remount.
     const Status fmt =
-        co_await retrier_.run([&] { return client_.kv_put_if_absent(super, key, record); });
+        co_await retrier_.call(&daos::Client::kv_put_if_absent, super, kSuperblockKey, record);
     if (fmt.is_ok()) {
       stored = record;
     } else if (fmt.code() == Errc::already_exists) {
-      stored =
-          co_await retrier_.run_result<std::string>([&] { return client_.kv_get(super, key); });
+      stored = co_await retrier_.call(&daos::Client::kv_get, super, kSuperblockKey);
     } else {
       co_return fmt;
     }
@@ -176,8 +172,7 @@ sim::Task<Result<daos::KvHandle*>> Dfs::dir_kv(const daos::ObjectId& oid) {
 
 sim::Task<Result<Dfs::Entry>> Dfs::dir_get(daos::KvHandle& kv, const std::string& name) {
   ++stats_.lookups;
-  auto value =
-      co_await retrier_.run_result<std::string>([&] { return client_.kv_get(kv, name); });
+  auto value = co_await retrier_.call(&daos::Client::kv_get, kv, name);
   if (!value.is_ok()) co_return value.status();
   co_return parse_entry(value.value());
 }
@@ -222,9 +217,8 @@ sim::Task<Status> Dfs::mkdir(const std::string& path) {
   auto res = co_await resolve_parent(norm.value());
   if (!res.is_ok()) co_return res.status();
   const Entry e{EntryType::directory, next_oid(daos::ObjectType::key_value, config_.dir_class)};
-  const std::string record = serialize_entry(e);
-  const Status st = co_await retrier_.run(
-      [&] { return client_.kv_put_if_absent(*res.value().parent_kv, res.value().name, record); });
+  const Status st = co_await retrier_.call(&daos::Client::kv_put_if_absent, *res.value().parent_kv,
+                                           res.value().name, serialize_entry(e));
   if (st.is_ok()) ++stats_.mkdirs;
   co_return st;
 }
@@ -237,20 +231,22 @@ sim::Task<Result<File>> Dfs::create(const std::string& path) {
   auto res = co_await resolve_parent(norm.value());
   if (!res.is_ok()) co_return res.status();
   daos::KvHandle& parent_kv = *res.value().parent_kv;
-  const std::string name = res.value().name;
+  const std::string& name = res.value().name;
 
   const Entry e{EntryType::file, next_oid(daos::ObjectType::array, config_.file_class)};
-  const std::string record = serialize_entry(e);
-  const Status reserved =
-      co_await retrier_.run([&] { return client_.kv_put_if_absent(parent_kv, name, record); });
+  const Status reserved = co_await retrier_.call(&daos::Client::kv_put_if_absent, parent_kv, name,
+                                                 serialize_entry(e));
   if (!reserved.is_ok()) co_return reserved;
 
   // The name is ours; materialise the file's Array.  The oid is fresh, so
-  // already_exists here means another mount shares this rank.
-  const daos::ObjectId oid = e.oid;
-  auto arr = co_await retrier_.run_result<daos::ArrayHandle>(
-      [&] { return client_.array_create(cont_, oid); });
-  if (!arr.is_ok()) co_return arr.status();
+  // already_exists here means another mount shares this rank.  A create
+  // that fails releases the name: left in place it would name an Array this
+  // mount never made.
+  auto arr = co_await retrier_.call(&daos::Client::array_create, cont_, e.oid);
+  if (!arr.is_ok()) {
+    const Status released = co_await retrier_.call(&daos::Client::kv_remove, parent_kv, name);
+    co_return released.is_ok() ? arr.status() : released;
+  }
   ++stats_.creates;
   co_return File{arr.value()};
 }
@@ -264,9 +260,7 @@ sim::Task<Result<File>> Dfs::open(const std::string& path) {
   if (entry.value().type != EntryType::file) {
     co_return Status::error(Errc::invalid, "is a directory: " + norm.value());
   }
-  const daos::ObjectId oid = entry.value().oid;
-  auto arr = co_await retrier_.run_result<daos::ArrayHandle>(
-      [&] { return client_.array_open(cont_, oid); });
+  auto arr = co_await retrier_.call(&daos::Client::array_open, cont_, entry.value().oid);
   if (!arr.is_ok()) co_return arr.status();
   ++stats_.opens;
   co_return File{arr.value()};
@@ -276,7 +270,7 @@ sim::Task<Status> Dfs::write(File& file, Bytes offset, const std::uint8_t* data,
   obs::Span span("dfs.write", "dfs", client_.trace_actor(), 0, static_cast<double>(len));
   if (!file.valid()) co_return Status::error(Errc::invalid, "write on a closed dfs file");
   const Status st =
-      co_await retrier_.run([&] { return client_.array_write(file.array, offset, data, len); });
+      co_await retrier_.call(&daos::Client::array_write, file.array, offset, data, len);
   if (st.is_ok()) {
     ++stats_.writes;
     stats_.bytes_written += len;
@@ -287,8 +281,7 @@ sim::Task<Status> Dfs::write(File& file, Bytes offset, const std::uint8_t* data,
 sim::Task<Result<Bytes>> Dfs::read(File& file, Bytes offset, std::uint8_t* out, Bytes len) {
   obs::Span span("dfs.read", "dfs", client_.trace_actor(), 0, static_cast<double>(len));
   if (!file.valid()) co_return Status::error(Errc::invalid, "read on a closed dfs file");
-  auto n = co_await retrier_.run_result<Bytes>(
-      [&] { return client_.array_read(file.array, offset, out, len); });
+  auto n = co_await retrier_.call(&daos::Client::array_read, file.array, offset, out, len);
   if (n.is_ok()) {
     ++stats_.reads;
     stats_.bytes_read += n.value();
@@ -341,20 +334,16 @@ sim::Task<Status> Dfs::rename(const std::string& from, const std::string& to) {
   // Publish at the destination first, then drop the source: a fault between
   // the two leaves both names resolving to the same object (retryable),
   // never a window where the object is unreachable.
-  const std::string record = serialize_entry(entry.value());
-  daos::KvHandle& dst_kv = *dst.value().parent_kv;
-  const std::string dst_name = dst.value().name;
-  const Status put = co_await retrier_.run([&] { return client_.kv_put(dst_kv, dst_name, record); });
+  const Status put = co_await retrier_.call(&daos::Client::kv_put, *dst.value().parent_kv,
+                                            dst.value().name, serialize_entry(entry.value()));
   if (!put.is_ok()) co_return put;
-  daos::KvHandle& src_kv = *src.value().parent_kv;
-  const std::string src_name = src.value().name;
-  const Status removed =
-      co_await retrier_.run([&] { return client_.kv_remove(src_kv, src_name); });
+  const Status removed = co_await retrier_.call(&daos::Client::kv_remove, *src.value().parent_kv,
+                                                src.value().name);
   if (!removed.is_ok()) co_return removed;
 
   if (replaced_file) {
-    const Status punched = co_await retrier_.run(
-        [&] { return client_.array_destroy(cont_, replaced_file_oid); });
+    const Status punched =
+        co_await retrier_.call(&daos::Client::array_destroy, cont_, replaced_file_oid);
     if (!punched.is_ok() && punched.code() != Errc::not_found) co_return punched;
   }
   ++stats_.renames;
@@ -396,14 +385,12 @@ sim::Task<Status> Dfs::unlink(const std::string& path) {
     }
   }
 
-  daos::KvHandle& parent_kv = *res.value().parent_kv;
-  const std::string name = res.value().name;
-  const Status removed = co_await retrier_.run([&] { return client_.kv_remove(parent_kv, name); });
+  const Status removed = co_await retrier_.call(&daos::Client::kv_remove, *res.value().parent_kv,
+                                                res.value().name);
   if (!removed.is_ok()) co_return removed;
   if (entry.value().type == EntryType::file) {
-    const daos::ObjectId oid = entry.value().oid;
     const Status punched =
-        co_await retrier_.run([&] { return client_.array_destroy(cont_, oid); });
+        co_await retrier_.call(&daos::Client::array_destroy, cont_, entry.value().oid);
     if (!punched.is_ok() && punched.code() != Errc::not_found) co_return punched;
   }
   ++stats_.unlinks;
@@ -414,8 +401,7 @@ sim::Task<void> Dfs::close(File& file) { co_await client_.array_close(file.array
 
 sim::Task<Result<daos::Epoch>> Dfs::commit() {
   if (!mounted_) co_return Status::error(Errc::invalid, "dfs not mounted");
-  co_return co_await retrier_.run_result<daos::Epoch>(
-      [&] { return client_.cont_commit(cont_); });
+  co_return co_await retrier_.call(&daos::Client::cont_commit, cont_);
 }
 
 }  // namespace nws::dfs

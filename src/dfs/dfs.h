@@ -103,8 +103,8 @@ class Dfs {
   /// Creates a regular file, exclusively (O_CREAT|O_EXCL): fails with
   /// already_exists when the name is taken.  It also fails with
   /// already_exists when the file's fresh Array id is taken, which happens
-  /// only if another mount shares this mount's rank.  The name then stays
-  /// reserved with that id, so open() of it reaches the other mount's file.
+  /// only if another mount shares this mount's rank.  A create whose Array
+  /// cannot be made removes the name it reserved before it fails.
   sim::Task<Result<File>> create(const std::string& path);
   sim::Task<Result<File>> open(const std::string& path);
   sim::Task<Status> write(File& file, Bytes offset, const std::uint8_t* data, Bytes len);

@@ -33,8 +33,7 @@ sim::Task<Result<std::vector<FieldEntry>>> Catalogue::fields_of(const std::strin
   std::vector<FieldEntry> fields;
   for (const std::string& key : co_await client_.kv_list(index_kv)) {
     if (key == kStoreContainerEntry) continue;
-    auto ref = co_await retrier_.run_result<std::string>(
-        [&] { return client_.kv_get(index_kv, key); });
+    auto ref = co_await retrier_.call(&daos::Client::kv_get, index_kv, key);
     if (!ref.is_ok()) co_return ref.status();
     auto oid = oid_from_string(ref.value());
     if (!oid.is_ok()) co_return oid.status();
@@ -42,8 +41,7 @@ sim::Task<Result<std::vector<FieldEntry>>> Catalogue::fields_of(const std::strin
     FieldEntry entry;
     entry.field_key = key;
     entry.array = oid.value();
-    auto array = co_await retrier_.run_result<daos::ArrayHandle>(
-        [&] { return client_.array_open(store_cont, entry.array); });
+    auto array = co_await retrier_.call(&daos::Client::array_open, store_cont, entry.array);
     if (array.is_ok()) {
       auto handle = array.value();
       entry.size = co_await client_.array_get_size(handle);
@@ -61,16 +59,13 @@ sim::Task<Result<std::vector<FieldEntry>>> Catalogue::fields_of(const std::strin
 
 sim::Task<Result<Catalogue::ForecastContainers>> Catalogue::open_containers(
     const std::string& forecast_key) {
-  auto exists = co_await retrier_.run_result<std::string>(
-      [&] { return client_.kv_get(main_kv_, forecast_key); });
+  auto exists = co_await retrier_.call(&daos::Client::kv_get, main_kv_, forecast_key);
   if (!exists.is_ok()) co_return exists.status();
-  const daos::Uuid index_uuid = index_container_uuid(forecast_key);
-  auto opened_index = co_await retrier_.run_result<daos::ContHandle>(
-      [&] { return client_.cont_open(index_uuid); });
+  auto opened_index =
+      co_await retrier_.call(&daos::Client::cont_open, index_container_uuid(forecast_key));
   if (!opened_index.is_ok()) co_return opened_index.status();
-  const daos::Uuid store_uuid = store_container_uuid(forecast_key);
-  auto opened_store = co_await retrier_.run_result<daos::ContHandle>(
-      [&] { return client_.cont_open(store_uuid); });
+  auto opened_store =
+      co_await retrier_.call(&daos::Client::cont_open, store_container_uuid(forecast_key));
   if (!opened_store.is_ok()) co_return opened_store.status();
   co_return ForecastContainers{opened_index.value(), opened_store.value()};
 }

@@ -80,20 +80,18 @@ sim::Task<Result<FieldIo::ForecastHandles*>> FieldIo::resolve_forecast_for_write
     handles.index_cont = main_cont_;
     handles.store_cont = main_cont_;
     handles.index_kv = co_await client_.kv_open(main_cont_, forecast_kv_oid(msk));
-    auto indexed = co_await retrier_.run_result<std::string>(
-        [&] { return client_.kv_get(main_kv_, msk); });
+    auto indexed = co_await retrier_.call(&daos::Client::kv_get, main_kv_, msk);
     if (!indexed.is_ok()) {
       if (indexed.status().code() != Errc::not_found) co_return indexed.status();
       const Status registered =
-          co_await retrier_.run([&] { return client_.kv_put(main_kv_, msk, msk + ":kv"); });
+          co_await retrier_.call(&daos::Client::kv_put, main_kv_, msk, msk + ":kv");
       if (!registered.is_ok()) co_return registered;
     }
     co_return &forecasts_.emplace(msk, handles).first->second;
   }
 
   // Algorithm 1: query the main index for the forecast.
-  auto indexed = co_await retrier_.run_result<std::string>(
-      [&] { return client_.kv_get(main_kv_, msk); });
+  auto indexed = co_await retrier_.call(&daos::Client::kv_get, main_kv_, msk);
   if (indexed.is_ok()) co_return co_await open_indexed_forecast(msk);
   if (indexed.status().code() != Errc::not_found) co_return indexed.status();
 
@@ -103,26 +101,24 @@ sim::Task<Result<FieldIo::ForecastHandles*>> FieldIo::resolve_forecast_for_write
   const daos::Uuid index_uuid = index_container_uuid(msk);
   const daos::Uuid store_uuid = store_container_uuid(msk);
   for (const daos::Uuid& uuid : {index_uuid, store_uuid}) {
-    const Status created = co_await retrier_.run([&] { return client_.cont_create(uuid); });
+    const Status created = co_await retrier_.call(&daos::Client::cont_create, uuid);
     if (!created.is_ok() && created.code() != Errc::already_exists) co_return created;
   }
-  auto index_cont = co_await retrier_.run_result<daos::ContHandle>(
-      [&] { return client_.cont_open(index_uuid); });
+  auto index_cont = co_await retrier_.call(&daos::Client::cont_open, index_uuid);
   if (!index_cont.is_ok()) co_return index_cont.status();
   handles.index_cont = index_cont.value();
-  auto store_cont = co_await retrier_.run_result<daos::ContHandle>(
-      [&] { return client_.cont_open(store_uuid); });
+  auto store_cont = co_await retrier_.call(&daos::Client::cont_open, store_uuid);
   if (!store_cont.is_ok()) co_return store_cont.status();
   handles.store_cont = store_cont.value();
 
   // Register the store container id in the forecast index KV, then register
   // the forecast in the main index.
   handles.index_kv = co_await client_.kv_open(handles.index_cont, forecast_kv_oid(msk));
-  const Status store_reg = co_await retrier_.run(
-      [&] { return client_.kv_put(handles.index_kv, kStoreContainerEntry, store_container_name(msk)); });
+  const Status store_reg = co_await retrier_.call(&daos::Client::kv_put, handles.index_kv,
+                                                  kStoreContainerEntry, store_container_name(msk));
   if (!store_reg.is_ok()) co_return store_reg;
   const Status main_reg =
-      co_await retrier_.run([&] { return client_.kv_put(main_kv_, msk, index_container_name(msk)); });
+      co_await retrier_.call(&daos::Client::kv_put, main_kv_, msk, index_container_name(msk));
   if (!main_reg.is_ok()) co_return main_reg;
 
   co_return &forecasts_.emplace(msk, handles).first->second;
@@ -133,8 +129,7 @@ sim::Task<Result<FieldIo::ForecastHandles*>> FieldIo::resolve_forecast_for_read(
   if (cached != forecasts_.end()) co_return &cached->second;
 
   if (config_.mode == Mode::no_containers) {
-    auto indexed = co_await retrier_.run_result<std::string>(
-        [&] { return client_.kv_get(main_kv_, msk); });
+    auto indexed = co_await retrier_.call(&daos::Client::kv_get, main_kv_, msk);
     if (!indexed.is_ok()) co_return indexed.status();  // unknown forecasts fail
     ForecastHandles handles;
     handles.index_cont = main_cont_;
@@ -144,26 +139,22 @@ sim::Task<Result<FieldIo::ForecastHandles*>> FieldIo::resolve_forecast_for_read(
   }
 
   // Algorithm 2: unknown forecasts fail.
-  auto indexed = co_await retrier_.run_result<std::string>(
-      [&] { return client_.kv_get(main_kv_, msk); });
+  auto indexed = co_await retrier_.call(&daos::Client::kv_get, main_kv_, msk);
   if (!indexed.is_ok()) co_return indexed.status();
   co_return co_await open_indexed_forecast(msk);
 }
 
 sim::Task<Result<FieldIo::ForecastHandles*>> FieldIo::open_indexed_forecast(const std::string& msk) {
   ForecastHandles handles;
-  const daos::Uuid index_uuid = index_container_uuid(msk);
-  auto index_cont = co_await retrier_.run_result<daos::ContHandle>(
-      [&] { return client_.cont_open(index_uuid); });
+  auto index_cont = co_await retrier_.call(&daos::Client::cont_open, index_container_uuid(msk));
   if (!index_cont.is_ok()) co_return index_cont.status();
   handles.index_cont = index_cont.value();
   handles.index_kv = co_await client_.kv_open(handles.index_cont, forecast_kv_oid(msk));
-  auto store_ref = co_await retrier_.run_result<std::string>(
-      [&] { return client_.kv_get(handles.index_kv, kStoreContainerEntry); });
+  auto store_ref =
+      co_await retrier_.call(&daos::Client::kv_get, handles.index_kv, kStoreContainerEntry);
   if (!store_ref.is_ok()) co_return store_ref.status();
-  const daos::Uuid store_uuid = daos::Uuid::from_string_md5(store_ref.value());
-  auto store_cont = co_await retrier_.run_result<daos::ContHandle>(
-      [&] { return client_.cont_open(store_uuid); });
+  auto store_cont = co_await retrier_.call(&daos::Client::cont_open,
+                                           daos::Uuid::from_string_md5(store_ref.value()));
   if (!store_cont.is_ok()) co_return store_cont.status();
   handles.store_cont = store_cont.value();
   co_return &forecasts_.emplace(msk, handles).first->second;
@@ -184,13 +175,11 @@ sim::Task<Status> FieldIo::write(const FieldKey& key, const std::uint8_t* data, 
     if (cached != arrays_.end()) {
       handle = cached->second;
     } else {
-      auto arr = co_await retrier_.run_result<daos::ArrayHandle>(
-          [&] { return client_.array_create(main_cont_, oid); });
+      auto arr = co_await retrier_.call(&daos::Client::array_create, main_cont_, oid);
       if (arr.is_ok()) {
         handle = arr.value();
       } else if (arr.status().code() == Errc::already_exists) {
-        auto opened = co_await retrier_.run_result<daos::ArrayHandle>(
-            [&] { return client_.array_open(main_cont_, oid); });
+        auto opened = co_await retrier_.call(&daos::Client::array_open, main_cont_, oid);
         if (!opened.is_ok()) co_return opened.status();
         handle = opened.value();
       } else {
@@ -198,8 +187,7 @@ sim::Task<Status> FieldIo::write(const FieldKey& key, const std::uint8_t* data, 
       }
       arrays_.emplace(oid, handle);
     }
-    const Status written =
-        co_await retrier_.run([&] { return client_.array_write(handle, 0, data, len); });
+    const Status written = co_await retrier_.call(&daos::Client::array_write, handle, 0, data, len);
     if (!written.is_ok()) co_return written;
     ++stats_.fields_written;
     stats_.bytes_written += len;
@@ -212,20 +200,17 @@ sim::Task<Status> FieldIo::write(const FieldKey& key, const std::uint8_t* data, 
 
   // Write the field into a new Array in the forecast store container...
   const daos::ObjectId oid = next_array_oid();
-  auto arr = co_await retrier_.run_result<daos::ArrayHandle>(
-      [&] { return client_.array_create(handles.store_cont, oid); });
+  auto arr = co_await retrier_.call(&daos::Client::array_create, handles.store_cont, oid);
   if (!arr.is_ok()) co_return arr.status();
   auto handle = arr.value();
-  const Status written =
-      co_await retrier_.run([&] { return client_.array_write(handle, 0, data, len); });
+  const Status written = co_await retrier_.call(&daos::Client::array_write, handle, 0, data, len);
   co_await client_.array_close(handle);
   if (!written.is_ok()) co_return written;
 
   // ...then index it (replacing any previous reference: the old Array is
   // de-referenced, never deleted).
-  const std::string field_entry = key.least_significant();
-  const Status indexed = co_await retrier_.run(
-      [&] { return client_.kv_put(handles.index_kv, field_entry, oid_to_string(oid)); });
+  const Status indexed = co_await retrier_.call(&daos::Client::kv_put, handles.index_kv,
+                                                key.least_significant(), oid_to_string(oid));
   if (!indexed.is_ok()) co_return indexed;
 
   ++stats_.fields_written;
@@ -237,8 +222,7 @@ sim::Task<Result<daos::Epoch>> FieldIo::commit(const FieldKey& key) {
   if (!initialised_) throw std::logic_error("FieldIo::commit before init()");
 
   if (config_.mode == Mode::no_index || config_.mode == Mode::no_containers) {
-    auto committed =
-        co_await retrier_.run_result<daos::Epoch>([&] { return client_.cont_commit(main_cont_); });
+    auto committed = co_await retrier_.call(&daos::Client::cont_commit, main_cont_);
     if (committed.is_ok()) ++stats_.commits;
     co_return committed;
   }
@@ -248,11 +232,9 @@ sim::Task<Result<daos::Epoch>> FieldIo::commit(const FieldKey& key) {
   ForecastHandles& handles = *forecast.value();
   // Store first, then index: a committed index entry then never references
   // array data that is still uncommitted by the same commit call.
-  auto store = co_await retrier_.run_result<daos::Epoch>(
-      [&] { return client_.cont_commit(handles.store_cont); });
+  auto store = co_await retrier_.call(&daos::Client::cont_commit, handles.store_cont);
   if (!store.is_ok()) co_return store.status();
-  auto index = co_await retrier_.run_result<daos::Epoch>(
-      [&] { return client_.cont_commit(handles.index_cont); });
+  auto index = co_await retrier_.call(&daos::Client::cont_commit, handles.index_cont);
   if (index.is_ok()) ++stats_.commits;
   co_return index;
 }
@@ -266,8 +248,7 @@ sim::Task<Result<daos::Epoch>> FieldIo::pin_snapshot(const FieldKey& key, daos::
 
   PinnedForecast pin;
   if (config_.mode == Mode::no_index || config_.mode == Mode::no_containers) {
-    auto snap = co_await retrier_.run_result<daos::ContHandle>(
-        [&] { return client_.cont_snapshot(main_cont_, epoch); });
+    auto snap = co_await retrier_.call(&daos::Client::cont_snapshot, main_cont_, epoch);
     if (!snap.is_ok()) co_return snap.status();
     pin.store_cont = snap.value();
     pin.shared_cont = true;
@@ -288,12 +269,12 @@ sim::Task<Result<daos::Epoch>> FieldIo::pin_snapshot(const FieldKey& key, daos::
   // visible at the pinned index epoch was committed before the store pin,
   // so its array is at or below the pinned store epoch whenever the writer
   // committed store-then-index through commit().
-  auto index_snap = co_await retrier_.run_result<daos::ContHandle>(
-      [&] { return client_.cont_snapshot(handles.index_cont, epoch); });
+  auto index_snap =
+      co_await retrier_.call(&daos::Client::cont_snapshot, handles.index_cont, epoch);
   if (!index_snap.is_ok()) co_return index_snap.status();
   pin.index_cont = index_snap.value();
-  auto store_snap = co_await retrier_.run_result<daos::ContHandle>(
-      [&] { return client_.cont_snapshot(handles.store_cont, epoch); });
+  auto store_snap =
+      co_await retrier_.call(&daos::Client::cont_snapshot, handles.store_cont, epoch);
   if (!store_snap.is_ok()) {
     (co_await client_.snapshot_close(pin.index_cont)).expect_ok("snapshot_close");
     co_return store_snap.status();
@@ -339,9 +320,8 @@ sim::Task<Result<Bytes>> FieldIo::read(const FieldKey& key, std::uint8_t* out, B
   if (config_.mode == Mode::no_index) {
     oid = no_index_oid(key);
   } else {
-    const std::string field_entry = key.least_significant();
-    auto ref = co_await retrier_.run_result<std::string>(
-        [&] { return client_.kv_get(forecast->index_kv, field_entry); });
+    auto ref = co_await retrier_.call(&daos::Client::kv_get, forecast->index_kv,
+                                      key.least_significant());
     if (!ref.is_ok()) co_return ref.status();
     auto parsed = oid_from_string(ref.value());
     if (!parsed.is_ok()) co_return parsed.status();
@@ -358,14 +338,12 @@ sim::Task<Result<Bytes>> FieldIo::read(const FieldKey& key, std::uint8_t* out, B
     handle = cached->second;
   } else {
     const daos::ContHandle store_cont = forecast != nullptr ? forecast->store_cont : main_cont_;
-    auto opened = co_await retrier_.run_result<daos::ArrayHandle>(
-        [&] { return client_.array_open(store_cont, oid); });
+    auto opened = co_await retrier_.call(&daos::Client::array_open, store_cont, oid);
     if (!opened.is_ok()) co_return opened.status();
     handle = opened.value();
     if (!is_pinned) arrays_.emplace(oid, handle);
   }
-  auto n = co_await retrier_.run_result<Bytes>(
-      [&] { return client_.array_read(handle, 0, out, out_len); });
+  auto n = co_await retrier_.call(&daos::Client::array_read, handle, 0, out, out_len);
   if (is_pinned) co_await client_.array_close(handle);
   if (!n.is_ok()) co_return n.status();
   ++stats_.fields_read;

@@ -101,10 +101,7 @@ inline daos::Uuid index_container_uuid(const std::string& msk) {
 inline daos::Uuid store_container_uuid(const std::string& msk) {
   return daos::Uuid::from_string_md5(store_container_name(msk));
 }
-/// The forecast index KV's special entry naming the store container.  A
-/// std::string (not const char*) so retry lambdas can pass it to const
-/// std::string& coroutine parameters without materialising a temporary that
-/// would die before the lazy task runs.
+/// The forecast index KV's special entry naming the store container.
 inline const std::string kStoreContainerEntry = "__store_container";
 
 /// Per-process field reader/writer.  Pool and container connections are
@@ -198,8 +195,7 @@ class FieldIo {
   daos::Client& client_;
   FieldIoConfig config_;
   std::uint32_t rank_;
-  /// Drives the daos retry policy over client_ (see daos/retry.h for the
-  /// LIFETIME rule its lambda factories must respect); counts into
+  /// Drives the daos retry policy over client_ (daos/retry.h); counts into
   /// stats_.retries.
   daos::Retrier retrier_;
   std::uint64_t array_counter_ = 0;

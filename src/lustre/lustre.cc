@@ -153,7 +153,8 @@ sim::Task<void> LustreSystem::striped_transfer(net::Endpoint client, Rng& rng, c
   for (const std::size_t ost : touched) ost_end_io(ost, is_write);
 }
 
-sim::Task<Status> LustreClient::write(FileHandle handle, Bytes offset, Bytes len) {
+sim::Task<Status> LustreClient::write(FileHandle handle, Bytes offset, const std::uint8_t* data,
+                                      Bytes len) {
   LustreSystem::FileState* file = system_.find(handle.inode);
   if (file == nullptr) co_return Status::error(Errc::invalid, "stale file handle");
   if (len == 0) co_return Status::ok();
@@ -163,41 +164,30 @@ sim::Task<Status> LustreClient::write(FileHandle handle, Bytes offset, Bytes len
   co_await file->range_lock->lock();
   co_await system_.striped_transfer(endpoint_, rng_, *file, offset, len, /*is_write=*/true);
   file->size = std::max(file->size, offset + len);
+  if (data != nullptr) {
+    if (file->content.size() < offset + len) file->content.resize(offset + len, 0);
+    std::copy(data, data + len, file->content.begin() + static_cast<std::ptrdiff_t>(offset));
+  }
   file->range_lock->unlock();
   co_return Status::ok();
 }
 
-sim::Task<Result<Bytes>> LustreClient::read(FileHandle handle, Bytes offset, Bytes len) {
+sim::Task<Result<Bytes>> LustreClient::read(FileHandle handle, Bytes offset, std::uint8_t* out,
+                                            Bytes len) {
   LustreSystem::FileState* file = system_.find(handle.inode);
   if (file == nullptr) co_return Status::error(Errc::invalid, "stale file handle");
   if (offset >= file->size) co_return Bytes{0};
   const Bytes to_read = std::min(len, file->size - offset);
   co_await system_.striped_transfer(endpoint_, rng_, *file, offset, to_read, /*is_write=*/false);
-  co_return to_read;
-}
-
-sim::Task<Status> LustreClient::write(FileHandle handle, Bytes offset, const std::uint8_t* data,
-                                      Bytes len) {
-  const Status st = co_await write(handle, offset, len);
-  if (!st.is_ok() || data == nullptr || len == 0) co_return st;
-  LustreSystem::FileState* file = system_.find(handle.inode);
-  if (file->content.size() < offset + len) file->content.resize(offset + len, 0);
-  std::copy(data, data + len, file->content.begin() + static_cast<std::ptrdiff_t>(offset));
-  co_return st;
-}
-
-sim::Task<Result<Bytes>> LustreClient::read(FileHandle handle, Bytes offset, std::uint8_t* out,
-                                            Bytes len) {
-  auto n = co_await read(handle, offset, len);
-  if (!n.is_ok() || out == nullptr) co_return n;
-  LustreSystem::FileState* file = system_.find(handle.inode);
-  // Bytes written through the size-only API have no stored payload: zeros.
-  std::fill(out, out + n.value(), 0);
-  if (offset < file->content.size()) {
-    const Bytes have = std::min<Bytes>(n.value(), file->content.size() - offset);
-    std::copy_n(file->content.begin() + static_cast<std::ptrdiff_t>(offset), have, out);
+  if (out != nullptr) {
+    // Bytes written without a payload have none stored: they read as zeros.
+    std::fill(out, out + to_read, 0);
+    if (offset < file->content.size()) {
+      const Bytes have = std::min<Bytes>(to_read, file->content.size() - offset);
+      std::copy_n(file->content.begin() + static_cast<std::ptrdiff_t>(offset), have, out);
+    }
   }
-  co_return n;
+  co_return to_read;
 }
 
 sim::Task<Status> LustreClient::rename(const std::string& from, const std::string& to) {

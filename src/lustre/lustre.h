@@ -68,11 +68,13 @@ class LustreClient {
   sim::Task<Result<FileHandle>> create(const std::string& path, unsigned stripe_count = 0,
                                        Bytes stripe_size = 0);
   sim::Task<Result<FileHandle>> open(const std::string& path);
-  sim::Task<Status> write(FileHandle handle, Bytes offset, Bytes len);
-  sim::Task<Result<Bytes>> read(FileHandle handle, Bytes offset, Bytes len);
-  /// Content-bearing variants: identical timing, plus the payload is kept
-  /// with the file so interface benchmarks can checksum what they read back.
+  /// Writes `len` bytes at `offset`.  A non-null `data` is kept with the
+  /// file so interface benchmarks can check what they read back; a null one
+  /// moves the same bytes and stores none.
   sim::Task<Status> write(FileHandle handle, Bytes offset, const std::uint8_t* data, Bytes len);
+  /// Reads up to `len` bytes at `offset` (clamped to the file size) and
+  /// returns the count; a non-null `out` receives the stored payload, zeros
+  /// where none was kept.
   sim::Task<Result<Bytes>> read(FileHandle handle, Bytes offset, std::uint8_t* out, Bytes len);
   sim::Task<Bytes> file_size(FileHandle handle);
   sim::Task<void> close(FileHandle& handle);
@@ -105,7 +107,7 @@ class LustreSystem {
   [[nodiscard]] double ost_stream_bandwidth() const;
 
   [[nodiscard]] net::Endpoint client_endpoint(std::size_t node, std::size_t proc) const {
-    return net::Endpoint{node, proc % 2};
+    return net::Endpoint{node, proc % net::kSocketsPerNode};
   }
 
   [[nodiscard]] std::size_t file_count() const { return files_by_path_.size(); }
@@ -126,7 +128,7 @@ class LustreSystem {
     Bytes stripe_size = 1_MiB;
     std::vector<std::size_t> osts;  // stripe targets, round-robin from base
     Bytes size = 0;
-    std::vector<std::uint8_t> content;  // payload (content-bearing API only)
+    std::vector<std::uint8_t> content;  // payload of writes that passed data
     std::unique_ptr<sim::Mutex> range_lock;  // POSIX write serialisation
   };
 

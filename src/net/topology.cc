@@ -12,10 +12,9 @@ constexpr double kUpiCapacity = gib_per_sec(20.0);     // node-internal cross-so
 
 Topology::Topology(FlowScheduler& flows, TopologyConfig config) : config_(std::move(config)) {
   if (config_.nodes == 0) throw std::invalid_argument("topology needs at least one node");
-  if (config_.sockets_per_node == 0) throw std::invalid_argument("topology needs at least one socket");
 
   for (std::size_t n = 0; n < config_.nodes; ++n) {
-    for (std::size_t s = 0; s < config_.sockets_per_node; ++s) {
+    for (std::size_t s = 0; s < kSocketsPerNode; ++s) {
       Link tx;
       tx.name = strf("node%zu.sock%zu.nic.tx", n, s);
       tx.raw_capacity = kNicRawCapacity;

@@ -21,9 +21,11 @@
 
 namespace nws::net {
 
+/// Sockets per node (NEXTGenIO: dual-socket), one NIC and rail each.
+inline constexpr std::size_t kSocketsPerNode = 2;
+
 struct TopologyConfig {
   std::size_t nodes = 0;
-  std::size_t sockets_per_node = 2;
   ProviderProfile provider;  // sets NIC efficiency curves + latency
 };
 
@@ -62,10 +64,10 @@ class Topology {
 
  private:
   [[nodiscard]] std::size_t index(Endpoint e) const {
-    if (e.node >= config_.nodes || e.socket >= config_.sockets_per_node) {
+    if (e.node >= config_.nodes || e.socket >= kSocketsPerNode) {
       throw std::out_of_range("endpoint outside topology");
     }
-    return e.node * config_.sockets_per_node + e.socket;
+    return e.node * kSocketsPerNode + e.socket;
   }
 
   TopologyConfig config_;

@@ -184,7 +184,7 @@ TEST(LustreStripeTest, StripeCountClampedToOsts) {
     lustre::LustreClient client(sys, sys.client_endpoint(0, 0), 0);
     // Request far more stripes than OSTs exist; writes must still balance.
     auto file = (co_await client.create("/wide", 64, 1_MiB)).value();
-    (co_await client.write(file, 0, 16_MiB)).expect_ok("write");
+    (co_await client.write(file, 0, nullptr, 16_MiB)).expect_ok("write");
     EXPECT_EQ(co_await client.file_size(file), 16_MiB);
   };
   sched.spawn(proc(system));

@@ -406,7 +406,8 @@ TEST(DfsOpsTest, DuplicateRankCreateFailsInsteadOfAliasing) {
   // A rank namespaces a mount's object ids, so two mounts sharing one draw
   // the same fresh Array id.  The second mount's create must fail rather
   // than bind its new name to the first mount's file, where put_file's write
-  // would land.
+  // would land, and must release the name it reserved: left in place it
+  // would open the first mount's file.
   sim::Scheduler sched;
   daos::Cluster cluster(sched, test_config());
   run_client(cluster, [](daos::Client& client) -> sim::Task<void> {
@@ -419,6 +420,10 @@ TEST(DfsOpsTest, DuplicateRankCreateFailsInsteadOfAliasing) {
     CO_ASSERT_TRUE((co_await fs.mount("dup")).is_ok());
     EXPECT_EQ((co_await put_file(fs, "/b", "BB")).code(), Errc::already_exists);
     EXPECT_EQ((co_await get_file(fs, "/a")).value(), "AAAA");
+    EXPECT_EQ((co_await fs.open("/b")).status().code(), Errc::not_found);
+    auto names = co_await fs.readdir("/");
+    CO_ASSERT_TRUE(names.is_ok());
+    EXPECT_EQ(names.value(), (std::vector<std::string>{"a"}));
   });
 }
 

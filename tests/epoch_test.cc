@@ -11,11 +11,12 @@
 //   NWS_EPOCH_COUNT=<n>  number of schedules (default 40)
 //
 // Deterministic companions cover the error surface (uncommitted / aggregated
-// / retention-0 snapshots), the digest-exactness regression versioning fixed,
-// the client-level epoch API and FieldIo commit/pin round-trips in every
-// mode.
+// / retention-0 snapshots), committed bytes surviving an in-flight partial
+// re-write, the client-level epoch API and FieldIo commit/pin round-trips in
+// every mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -52,9 +53,7 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 /// Committed state recorded at one publication epoch.
 struct CommittedState {
   std::map<std::string, std::string> kv;
-  Bytes array_size = 0;
-  std::uint64_t array_checksum = 0;
-  bool array_written = false;
+  std::vector<std::uint8_t> array_bytes;  // empty: the array was never written
 };
 
 struct ScheduleHarness {
@@ -119,14 +118,7 @@ struct ScheduleHarness {
     ++commits;
     EXPECT_EQ(epoch, before + 1) << "commit must advance the epoch by exactly one";
     EXPECT_EQ(cont.write_epoch(), epoch + 1);
-    CommittedState state;
-    state.kv = live;
-    if (!array_bytes.empty()) {
-      state.array_written = true;
-      state.array_size = array_bytes.size();
-      state.array_checksum = daos::fnv1a(array_bytes.data(), array_bytes.size());
-    }
-    committed[epoch] = std::move(state);
+    committed[epoch] = CommittedState{live, array_bytes};
     check_retention_bound();
   }
 
@@ -173,10 +165,11 @@ struct ScheduleHarness {
     std::vector<std::string> expected_keys;
     for (const auto& [k, v] : expected.kv) expected_keys.push_back(k);
     EXPECT_EQ(kv->list(epoch), expected_keys);
-    if (expected.array_written) {
-      EXPECT_EQ(arr->size(epoch), expected.array_size);
-      EXPECT_EQ(arr->checksum(epoch), expected.array_checksum)
-          << "array bytes torn at epoch " << epoch;
+    if (!expected.array_bytes.empty()) {
+      EXPECT_EQ(arr->size(epoch), expected.array_bytes.size());
+      std::vector<std::uint8_t> got(expected.array_bytes.size());
+      EXPECT_EQ(arr->read(0, got.data(), got.size(), epoch), got.size());
+      EXPECT_EQ(got, expected.array_bytes) << "array bytes torn at epoch " << epoch;
     } else {
       EXPECT_FALSE(arr->exists_at(epoch));
     }
@@ -304,31 +297,29 @@ TEST(EpochContainerTest, OpenSnapshotHoldsTheAggregationFloor) {
   EXPECT_GT(cont.epoch_stats().bytes_reclaimed, 0u);
 }
 
-// Regression (this PR): an in-flight partial re-write used to fold the
-// whole object's digest inexact in place, so a committed version lost its
-// exact whole-object checksum.  Versioning isolates the committed version.
-TEST(EpochDigestTest, CommittedDigestStaysExactAcrossPartialRewrite) {
+// An in-flight partial re-write patches only the pending version: the
+// committed epoch keeps reading the bytes it published.
+TEST(EpochArrayTest, CommittedBytesSurviveInFlightPartialRewrite) {
   sim::Scheduler sched;
   Container cont(sched, daos::Uuid{1, 5}, false, 4, 2);
   daos::ArrayObject* arr =
       cont.create_array(ObjectId::generate(1, 1, ObjectType::array, ObjectClass::S1),
-                        daos::PayloadMode::digest)
+                        daos::PayloadMode::full)
           .value();
-  // Whole-object write, committed: digest is exact.
-  std::vector<std::uint8_t> whole(4_KiB, 0x5a);
+  const std::vector<std::uint8_t> whole(4_KiB, 0x5a);
   arr->write(0, whole.data(), whole.size(), cont.write_epoch(), cont.retains_superseded());
   const Epoch published = cont.commit();
-  ASSERT_TRUE(arr->checksum_exact(published));
-  const std::uint64_t exact = arr->checksum(published);
-  EXPECT_EQ(exact, daos::fnv1a(whole.data(), whole.size()));
-  // In-flight partial re-write in the middle: only the *pending* version's
-  // digest turns inexact; the committed epoch keeps the exact one.
-  std::vector<std::uint8_t> patch(512, 0xc3);
+  const std::vector<std::uint8_t> patch(512, 0xc3);
   arr->write(1_KiB, patch.data(), patch.size(), cont.write_epoch(), cont.retains_superseded());
-  EXPECT_FALSE(arr->checksum_exact(kEpochLatest));
-  EXPECT_TRUE(arr->checksum_exact(published));
-  EXPECT_EQ(arr->checksum(published), exact);
+
+  std::vector<std::uint8_t> got(4_KiB);
   EXPECT_EQ(arr->size(published), 4_KiB);
+  EXPECT_EQ(arr->read(0, got.data(), got.size(), published), 4_KiB);
+  EXPECT_EQ(got, whole) << "the committed epoch saw the in-flight patch";
+  std::vector<std::uint8_t> patched = whole;
+  std::copy(patch.begin(), patch.end(), patched.begin() + static_cast<std::ptrdiff_t>(1_KiB));
+  EXPECT_EQ(arr->read(0, got.data(), got.size(), kEpochLatest), 4_KiB);
+  EXPECT_EQ(got, patched);
 }
 
 // ---------------------------------------------------------------------------

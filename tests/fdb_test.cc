@@ -397,5 +397,79 @@ TEST(RetrierTest, BackoffNeverExceedsPolicyCap) {
   EXPECT_EQ(longest, cap);  // the cap is reached, not just approached
 }
 
+TEST(RetrierTest, CallReissuesTheSameOperation) {
+  const daos::ObjectId oid =
+      daos::ObjectId::generate(7, 1, daos::ObjectType::key_value, daos::ObjectClass::SX);
+  // Every attempt fails: call() gives up after kRetryMaxAttempts attempts
+  // of the one operation, backing off between them.
+  {
+    sim::Scheduler sched;
+    daos::ClusterConfig cfg;
+    cfg.fault_spec.transient_error_rate = 1.0;
+    daos::Cluster cluster(sched, cfg);
+    daos::Client client(cluster, cluster.client_endpoint(0, 0), 0);
+    std::uint64_t retries = 0;
+    daos::Retrier retrier(client, 1234, &retries);
+    auto body = [&]() -> sim::Task<void> {
+      daos::KvHandle kv = co_await client.kv_open(co_await client.main_cont_open(), oid);
+      const Status st = co_await retrier.call(&daos::Client::kv_put, kv, std::string("k"),
+                                              std::string("v"));
+      EXPECT_EQ(st.code(), Errc::io_error);
+    };
+    sched.spawn(body());
+    sched.run();
+    EXPECT_EQ(client.stats().transient_errors, daos::kRetryMaxAttempts);
+    EXPECT_EQ(retries, daos::kRetryMaxAttempts - 1);
+    EXPECT_EQ(client.stats().op_retries, daos::kRetryMaxAttempts - 1);
+    EXPECT_EQ(client.stats().kv_puts, 0u);
+  }
+  // Fault-free: a temporary key lives through the call, which succeeds at
+  // the first attempt.
+  {
+    sim::Scheduler sched;
+    daos::Cluster cluster(sched, daos::ClusterConfig{});
+    daos::Client client(cluster, cluster.client_endpoint(0, 0), 0);
+    std::uint64_t retries = 0;
+    daos::Retrier retrier(client, 1234, &retries);
+    auto body = [&]() -> sim::Task<void> {
+      daos::KvHandle kv = co_await client.kv_open(co_await client.main_cont_open(), oid);
+      (co_await client.kv_put(kv, "k", "v")).expect_ok("kv_put");
+      const Result<std::string> got =
+          co_await retrier.call(&daos::Client::kv_get, kv, std::string("k"));
+      EXPECT_TRUE(got.is_ok()) << got.status().to_string();
+      EXPECT_EQ(got.value_or(""), "v");
+    };
+    sched.spawn(body());
+    sched.run();
+    EXPECT_EQ(retries, 0u);
+    EXPECT_EQ(client.stats().op_retries, 0u);
+  }
+  // Half the attempts fail: a retried put still stores the value it was
+  // given, because no attempt moves from the arguments.
+  {
+    sim::Scheduler sched;
+    daos::ClusterConfig cfg;
+    cfg.fault_spec.transient_error_rate = 0.5;
+    daos::Cluster cluster(sched, cfg);
+    daos::Client client(cluster, cluster.client_endpoint(0, 0), 0);
+    std::uint64_t retries = 0;
+    daos::Retrier retrier(client, 1234, &retries);
+    auto body = [&]() -> sim::Task<void> {
+      daos::KvHandle kv = co_await client.kv_open(co_await client.main_cont_open(), oid);
+      for (int i = 0; i < 8; ++i) {
+        const std::string key = "k" + std::to_string(i);
+        const Status put = co_await retrier.call(&daos::Client::kv_put, kv, key,
+                                                 "value-" + std::to_string(i));
+        EXPECT_TRUE(put.is_ok()) << put.to_string();
+        const Result<std::string> got = co_await retrier.call(&daos::Client::kv_get, kv, key);
+        EXPECT_EQ(got.value_or(""), "value-" + std::to_string(i));
+      }
+    };
+    sched.spawn(body());
+    sched.run();
+    EXPECT_GT(retries, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace nws::fdb

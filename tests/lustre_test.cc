@@ -61,11 +61,11 @@ TEST(LustreFileTest, WriteReadRoundTripSizes) {
   LustreSystem system(sched, small_config());
   run_client(system, [](LustreClient& client) -> sim::Task<void> {
     auto file = (co_await client.create("/f", 4, 1_MiB)).value();
-    (co_await client.write(file, 0, 10_MiB)).expect_ok("write");
+    (co_await client.write(file, 0, nullptr, 10_MiB)).expect_ok("write");
     EXPECT_EQ(co_await client.file_size(file), 10_MiB);
-    EXPECT_EQ((co_await client.read(file, 0, 10_MiB)).value(), 10_MiB);
-    EXPECT_EQ((co_await client.read(file, 8_MiB, 10_MiB)).value(), 2_MiB);  // clamped
-    EXPECT_EQ((co_await client.read(file, 20_MiB, 1_MiB)).value(), 0u);     // past EOF
+    EXPECT_EQ((co_await client.read(file, 0, nullptr, 10_MiB)).value(), 10_MiB);
+    EXPECT_EQ((co_await client.read(file, 8_MiB, nullptr, 10_MiB)).value(), 2_MiB);  // clamped
+    EXPECT_EQ((co_await client.read(file, 20_MiB, nullptr, 1_MiB)).value(), 0u);  // past EOF
     co_await client.close(file);
     EXPECT_FALSE(file.valid());
   });
@@ -76,8 +76,8 @@ TEST(LustreFileTest, StaleHandleRejected) {
   LustreSystem system(sched, small_config());
   run_client(system, [](LustreClient& client) -> sim::Task<void> {
     FileHandle bogus{999};
-    EXPECT_EQ((co_await client.write(bogus, 0, 1_MiB)).code(), Errc::invalid);
-    EXPECT_EQ((co_await client.read(bogus, 0, 1_MiB)).status().code(), Errc::invalid);
+    EXPECT_EQ((co_await client.write(bogus, 0, nullptr, 1_MiB)).code(), Errc::invalid);
+    EXPECT_EQ((co_await client.read(bogus, 0, nullptr, 1_MiB)).status().code(), Errc::invalid);
   });
 }
 
@@ -103,8 +103,8 @@ TEST(LustrePosixTest, SharedFileWritesSerialise) {
         file = (co_await client.open(path)).value();
       }
       for (int i = 0; i < 4; ++i) {
-        (co_await client.write(file, static_cast<Bytes>(rank * 64 + i * 16) * 1_MiB, 16_MiB))
-            .expect_ok("write");
+        const Bytes offset = static_cast<Bytes>(rank * 64 + i * 16) * 1_MiB;
+        (co_await client.write(file, offset, nullptr, 16_MiB)).expect_ok("write");
       }
     };
     for (int r = 0; r < writers; ++r) sched.spawn(writer(system, r, shared));
@@ -132,7 +132,9 @@ TEST(LustreMixedLoadTest, MixedReadWriteSlowerThanStreaming) {
       LustreClient client(sys, sys.client_endpoint(0, static_cast<std::size_t>(rank)),
                           static_cast<std::uint64_t>(rank));
       auto file = (co_await client.create("/w." + std::to_string(rank), 1, 1_MiB)).value();
-      for (int i = 0; i < ops; ++i) (co_await client.write(file, 0, 4_MiB)).expect_ok("write");
+      for (int i = 0; i < ops; ++i) {
+        (co_await client.write(file, 0, nullptr, 4_MiB)).expect_ok("write");
+      }
     };
     auto reader = [](LustreSystem& sys, int rank, int ops) -> sim::Task<void> {
       LustreClient client(sys, sys.client_endpoint(1, static_cast<std::size_t>(rank)),
@@ -147,7 +149,7 @@ TEST(LustreMixedLoadTest, MixedReadWriteSlowerThanStreaming) {
         co_await sys.scheduler().delay(sim::milliseconds(1));
       }
       for (int i = 0; i < ops; ++i) {
-        EXPECT_EQ((co_await client.read(file, 0, 4_MiB)).value(), 4_MiB);
+        EXPECT_EQ((co_await client.read(file, 0, nullptr, 4_MiB)).value(), 4_MiB);
       }
     };
     for (int r = 0; r < pairs; ++r) {

@@ -630,8 +630,8 @@ TEST(PartitionedBenchTest, LookaheadIsProviderMessageLatency) {
     fabric.provider = cfg.provider;
     const net::Topology topo(flows, fabric);
     sim::Duration least = std::numeric_limits<sim::Duration>::max();
-    for (std::size_t sa = 0; sa < fabric.sockets_per_node; ++sa) {
-      for (std::size_t sb = 0; sb < fabric.sockets_per_node; ++sb) {
+    for (std::size_t sa = 0; sa < net::kSocketsPerNode; ++sa) {
+      for (std::size_t sb = 0; sb < net::kSocketsPerNode; ++sb) {
         least = std::min(least, topo.latency(net::Endpoint{0, sa}, net::Endpoint{1, sb}));
       }
     }
