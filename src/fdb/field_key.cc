@@ -28,12 +28,15 @@ bool is_forecast_key(const std::string& name) {
 
 void append_pair(std::string& out, const std::string& k, const std::string& v) {
   if (!out.empty()) out += ", ";
-  out += "'" + k + "': '" + v + "'";
+  out += '\'';
+  out += k;
+  out += "': '";
+  out += v;
+  out += '\'';
 }
 }  // namespace
 
-std::string FieldKey::render(bool most_significant_part) const {
-  std::string out;
+void FieldKey::render(std::string& out, bool most_significant_part) const {
   if (most_significant_part) {
     // Schema order for forecast keys, matching the paper's example
     // "'class': 'od', 'date': '20201224'".
@@ -46,26 +49,32 @@ std::string FieldKey::render(bool most_significant_part) const {
       if (!is_forecast_key(k)) append_pair(out, k, v);
     }
   }
-  return out;
 }
 
 std::string FieldKey::canonical() const {
-  std::string out = render(true);
-  const std::string rest = render(false);
-  if (!rest.empty()) {
-    if (!out.empty()) out += ", ";
-    out += rest;
-  }
+  std::string out;
+  render(out, true);
+  render(out, false);
   return out;
 }
 
-std::string FieldKey::most_significant() const { return render(true); }
-std::string FieldKey::least_significant() const { return render(false); }
+std::string FieldKey::most_significant() const {
+  std::string out;
+  render(out, true);
+  return out;
+}
+
+std::string FieldKey::least_significant() const {
+  std::string out;
+  render(out, false);
+  return out;
+}
 
 Result<FieldKey> FieldKey::parse(const std::string& spec) {
+  if (spec.empty()) return Status::error(Errc::invalid, "empty field key spec");
   FieldKey key;
   std::size_t start = 0;
-  while (start < spec.size()) {
+  while (true) {
     auto comma = spec.find(',', start);
     if (comma == std::string::npos) comma = spec.size();
     const std::string piece = spec.substr(start, comma - start);
@@ -74,10 +83,9 @@ Result<FieldKey> FieldKey::parse(const std::string& spec) {
       return Status::error(Errc::invalid, "malformed field key piece: '" + piece + "'");
     }
     key.set(piece.substr(0, eq), piece.substr(eq + 1));
+    if (comma == spec.size()) return key;
     start = comma + 1;
   }
-  if (key.empty()) return Status::error(Errc::invalid, "empty field key spec");
-  return key;
 }
 
 }  // namespace nws::fdb

@@ -42,8 +42,9 @@ class FieldKey {
   /// The field-identifying (least-significant) part, canonical rendering.
   [[nodiscard]] std::string least_significant() const;
 
-  /// Parses "class=od,date=20201224,param=t,level=850".  Empty pieces are
-  /// rejected; later duplicates overwrite earlier ones.
+  /// Parses "class=od,date=20201224,param=t,level=850".  Empty pieces,
+  /// leading, inner or trailing, are rejected; later duplicates overwrite
+  /// earlier ones.
   static Result<FieldKey> parse(const std::string& spec);
 
   /// The forecast-identifying key names, in canonical order.
@@ -52,7 +53,9 @@ class FieldKey {
   friend bool operator==(const FieldKey&, const FieldKey&) = default;
 
  private:
-  [[nodiscard]] std::string render(bool most_significant_part) const;
+  /// Appends one part's pairs to `out`, each preceded by ", " unless `out`
+  /// is empty: rendering both parts into one string gives canonical().
+  void render(std::string& out, bool most_significant_part) const;
 
   std::map<std::string, std::string> pairs_;
 };

@@ -49,14 +49,17 @@ std::size_t server_for_field(std::uint32_t step, std::uint32_t field, std::size_
 }
 
 /// A model process: for every field of every step, sends its grid slice to
-/// the field's designated I/O server over the fabric.
+/// the field's designated I/O server over the fabric.  The first
+/// `field_size % model_processes` ranks carry one byte more, so the parts
+/// add up to the whole field.
 sim::Task<void> model_process(daos::Cluster& cluster, const PipelineConfig cfg, PipelineState& state,
                               std::size_t rank) {
   // Model processes occupy client-node process slots above the I/O servers.
   const std::size_t nodes = cluster.config().client_nodes;
   const net::Endpoint self =
       cluster.client_endpoint((cfg.io_servers + rank) % nodes, (cfg.io_servers + rank) / nodes);
-  const Bytes part = cfg.field_size / cfg.model_processes;
+  const Bytes part = cfg.field_size / cfg.model_processes +
+                     (rank < cfg.field_size % cfg.model_processes ? 1 : 0);
 
   for (std::uint32_t step = 0; step < cfg.steps; ++step) {
     for (std::uint32_t f = 0; f < cfg.fields_per_step; ++f) {

@@ -35,12 +35,13 @@ Topology::Topology(FlowScheduler& flows, TopologyConfig config) : config_(std::m
 }
 
 std::vector<LinkId> Topology::path(Endpoint src, Endpoint dst) const {
-  std::vector<LinkId> out;
   if (src.node == dst.node) {
-    if (src.socket != dst.socket) out.push_back(upi(src.node));
-    return out;
+    if (src.socket == dst.socket) return {};
+    return {upi(src.node)};
   }
   // Fabric hop on the source socket's rail.
+  std::vector<LinkId> out;
+  out.reserve(3);
   out.push_back(nic_tx(src));
   out.push_back(nic_rx(Endpoint{dst.node, src.socket}));
   if (dst.socket != src.socket) out.push_back(upi(dst.node));

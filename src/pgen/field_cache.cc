@@ -41,7 +41,7 @@ void FieldCache::insert(const std::string& key, Bytes size) {
   }
 }
 
-sim::Task<FieldCache::Outcome> FieldCache::get_or_fetch(std::string key, Fetcher fetch) {
+sim::Task<FieldCache::Outcome> FieldCache::get_or_fetch(const std::string& key, Fetcher fetch) {
   const auto resident = index_.find(key);
   if (resident != index_.end()) {
     // Touch: move to the MRU position.

@@ -79,8 +79,9 @@ class FieldCache {
 
   /// Looks `key` up (the field key's canonical rendering); on a miss the
   /// calling coroutine leads `fetch` while concurrent callers for the same
-  /// key park on the in-flight entry (single-flight).
-  sim::Task<Outcome> get_or_fetch(std::string key, Fetcher fetch);
+  /// key park on the in-flight entry (single-flight).  `key` is held by
+  /// reference: await the task in the calling expression.
+  sim::Task<Outcome> get_or_fetch(const std::string& key, Fetcher fetch);
 
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
   [[nodiscard]] const CacheConfig& config() const { return config_; }

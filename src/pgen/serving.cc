@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
-#include <unordered_set>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "fdb/catalogue.h"
@@ -20,11 +21,21 @@ constexpr std::size_t kProcessSlotBase = 256;
 /// Client jitter-stream salt base (consumer idx is added).
 constexpr std::uint64_t kClientSaltBase = 0x7000u;
 
-struct AnnouncedField {
+/// One distinct expected field: its key, the key's canonical rendering (made
+/// once; the fleet's lookup key and the node caches' key) and whether
+/// discovery has announced it yet.
+struct FieldRecord {
   fdb::FieldKey key;
+  std::string canonical;
+  bool announced = false;
+};
+
+/// One entry of the announce log: the released field's record, its stored
+/// size and, with snapshot_reads, the publication epoch consumers pin while
+/// reading it (kEpochLatest: live read).
+struct Announcement {
+  const FieldRecord* field = nullptr;
   Bytes size = 0;
-  /// snapshot_reads: the publication epoch consumers pin while reading this
-  /// field (kEpochLatest: live read).
   daos::Epoch epoch = daos::kEpochLatest;
 };
 
@@ -40,34 +51,42 @@ struct NodeState {
 }  // namespace
 
 struct ConsumerFleet::Impl {
-  Impl(daos::Cluster& cluster_in, ServingConfig cfg_in, std::vector<fdb::FieldKey> expected_in)
+  Impl(daos::Cluster& cluster_in, ServingConfig cfg_in, std::vector<fdb::FieldKey> expected)
       : cluster(cluster_in),
         cfg(std::move(cfg_in)),
-        expected(std::move(expected_in)),
         announce_gate(cluster.scheduler()),
         consumers_remaining(cluster.scheduler(), cfg.consumers) {
-    for (const fdb::FieldKey& key : expected) {
-      if (expected_keys.insert(key.canonical()).second) {
-        expected_by_forecast[key.most_significant()].emplace(key.least_significant(), key);
-      }
+    fields.reserve(expected.size());  // never reallocates: the lookups below point into it
+    for (fdb::FieldKey& key : expected) {
+      std::string canonical = key.canonical();
+      if (by_canonical.contains(canonical)) continue;
+      FieldRecord& field = fields.emplace_back(FieldRecord{std::move(key), std::move(canonical)});
+      by_canonical.emplace(field.canonical, &field);
+      expected_by_forecast[field.key.most_significant()].emplace(field.key.least_significant(),
+                                                                 &field);
     }
   }
 
   daos::Cluster& cluster;
   ServingConfig cfg;
-  std::vector<fdb::FieldKey> expected;
 
-  // Discovery: fields are appended to `announced` exactly once (dedup over
-  // the notification channel and the poller); consumers walk the vector with
-  // private cursors and park on the gate when they catch up.
-  std::unordered_set<std::string> expected_keys;
-  std::map<std::string, std::map<std::string, fdb::FieldKey>> expected_by_forecast;
-  std::vector<AnnouncedField> announced;
-  std::unordered_set<std::string> announced_keys;
+  // The expected set: one record per distinct field, built above and never
+  // grown afterwards.  Everything else refers to the records.
+  std::vector<FieldRecord> fields;
+  std::unordered_map<std::string_view, FieldRecord*> by_canonical;
+  /// forecast (most-significant rendering) -> least-significant rendering
+  /// -> record: what the catalogue poller matches listings against.
+  std::map<std::string, std::map<std::string, FieldRecord*>> expected_by_forecast;
+
+  // Discovery: each record is appended to `announced` exactly once (dedup
+  // over the notification channel and the poller by its announced flag);
+  // consumers walk the log with private cursors and park on the gate when
+  // they catch up.
+  std::vector<Announcement> announced;
   /// snapshot_reads: fields stored but not yet covered by a step commit —
   /// released to `announced` (stamped with the publication epoch) by
   /// notify_committed.
-  std::vector<AnnouncedField> pending_commit;
+  std::vector<Announcement> pending_commit;
   sim::Gate announce_gate;
   bool discovery_closed = false;
   bool writer_done = false;
@@ -99,24 +118,22 @@ void close_discovery(Impl& st) {
 
 /// Releases a field to the consumers.  Closes discovery once the whole
 /// expected set has been released.
-void publish(Impl& st, AnnouncedField field) {
-  st.announced.push_back(std::move(field));
+void publish(Impl& st, Announcement entry) {
+  st.announced.push_back(entry);
   st.announce_gate.open();
-  if (st.announced.size() == st.expected_keys.size()) close_discovery(st);
+  if (st.announced.size() == st.fields.size()) close_discovery(st);
 }
 
-/// Appends a newly landed field; returns true when it was new.  In
+/// Records that an expected field landed; returns true when it was new.  In
 /// snapshot_reads mode the field is held back until its step commits
 /// (notify_committed publishes it); otherwise it is released immediately.
-bool announce(Impl& st, const fdb::FieldKey& key, Bytes size) {
-  if (st.discovery_closed) return false;
-  std::string canonical = key.canonical();
-  if (st.expected_keys.count(canonical) == 0) return false;  // not ours (chained hook)
-  if (!st.announced_keys.insert(canonical).second) return false;
+bool announce(Impl& st, FieldRecord& field, Bytes size) {
+  if (st.discovery_closed || field.announced) return false;
+  field.announced = true;
   if (st.cfg.snapshot_reads) {
-    st.pending_commit.push_back(AnnouncedField{key, size, daos::kEpochLatest});
+    st.pending_commit.push_back(Announcement{&field, size});
   } else {
-    publish(st, AnnouncedField{key, size, daos::kEpochLatest});
+    publish(st, Announcement{&field, size});
   }
   return true;
 }
@@ -126,7 +143,7 @@ bool announce(Impl& st, const fdb::FieldKey& key, Bytes size) {
 /// declare the shortfall instead of leaving consumers parked forever.
 void close_without_poller(Impl& st) {
   if (st.discovery_closed) return;
-  const std::size_t missing = st.expected_keys.size() - st.announced.size();
+  const std::size_t missing = st.fields.size() - st.announced.size();
   note_failure(st, "write pipeline finished but " + std::to_string(missing) +
                        " expected field(s) never landed");
   close_discovery(st);
@@ -177,13 +194,13 @@ sim::Task<void> poller(Impl& st) {
         for (const fdb::FieldEntry& entry : listed.value()) {
           const auto match = fields.find(entry.field_key);
           if (match == fields.end()) continue;
-          if (announce(st, match->second, entry.size)) found_new = true;
+          if (announce(st, *match->second, entry.size)) found_new = true;
         }
       }
     }
     if (listing_failed || st.discovery_closed) break;
     if (writer_was_done && !found_new) {
-      const std::size_t missing = st.expected_keys.size() - st.announced.size();
+      const std::size_t missing = st.fields.size() - st.announced.size();
       note_failure(st, "write pipeline finished but " + std::to_string(missing) +
                            " expected field(s) never appeared in the catalogue");
       break;
@@ -197,13 +214,12 @@ sim::Task<void> poller(Impl& st) {
 /// One consumer request: cache lookup with a single-flight, admission-gated
 /// DAOS read as the miss path.
 sim::Task<void> read_one(Impl& st, NodeState& local, fdb::FieldIo& io, daos::Client& client,
-                         std::size_t idx, AnnouncedField field) {
+                         std::size_t idx, const FieldRecord& field, Bytes size,
+                         daos::Epoch epoch) {
   sim::Scheduler& sched = st.cluster.scheduler();
-  const obs::Span span("pgen.read", "pgen", client.trace_actor(), 0,
-                       static_cast<double>(field.size));
-  std::string canonical = field.key.canonical();
+  const obs::Span span("pgen.read", "pgen", client.trace_actor(), 0, static_cast<double>(size));
   const FieldCache::Outcome outcome = co_await local.cache.get_or_fetch(
-      std::move(canonical), [&]() -> sim::Task<Result<Bytes>> {
+      field.canonical, [&]() -> sim::Task<Result<Bytes>> {
         co_await local.admission.acquire(idx);
         const sim::TimePoint t0 = sched.now();
         const std::uint64_t retries_before = io.stats().retries;
@@ -212,8 +228,8 @@ sim::Task<void> read_one(Impl& st, NodeState& local, fdb::FieldIo& io, daos::Cli
         // pin (retention overtook the epoch) or disabled snapshots degrade
         // to a live read, counted as a fallback.
         bool pinned = false;
-        if (st.cfg.snapshot_reads && field.epoch != daos::kEpochLatest) {
-          auto pin = co_await io.pin_snapshot(field.key, field.epoch);
+        if (st.cfg.snapshot_reads && epoch != daos::kEpochLatest) {
+          auto pin = co_await io.pin_snapshot(field.key, epoch);
           if (pin.is_ok()) {
             pinned = true;
           } else if (pin.status().code() != Errc::not_found &&
@@ -222,7 +238,7 @@ sim::Task<void> read_one(Impl& st, NodeState& local, fdb::FieldIo& io, daos::Cli
             co_return pin.status();
           }
         }
-        Result<Bytes> read = co_await io.read(field.key, nullptr, field.size);
+        Result<Bytes> read = co_await io.read(field.key, nullptr, size);
         if (pinned) (co_await io.unpin_snapshot(field.key)).expect_ok("serving unpin");
         if (read.is_ok()) {
           st.result.read_log.record(client.trace_actor().node, static_cast<std::uint32_t>(idx), 0,
@@ -240,7 +256,7 @@ sim::Task<void> read_one(Impl& st, NodeState& local, fdb::FieldIo& io, daos::Cli
         co_return read;
       });
   if (!outcome.status.is_ok()) {
-    note_failure(st, "read of " + field.key.canonical() + " failed: " + outcome.status.to_string());
+    note_failure(st, "read of " + field.canonical + " failed: " + outcome.status.to_string());
     co_return;
   }
   {
@@ -283,9 +299,9 @@ sim::Task<void> consumer(Impl& st, std::size_t idx) {
         co_await st.announce_gate.wait();
         continue;
       }
-      const AnnouncedField field = st.announced[cursor];  // copy: vector may reallocate
+      const Announcement entry = st.announced[cursor];  // copy: the log may reallocate
       ++cursor;
-      co_await read_one(st, local, io, client, idx, field);
+      co_await read_one(st, local, io, client, idx, *entry.field, entry.size, entry.epoch);
     }
   }
   st.result.client_stats += client.stats();
@@ -353,7 +369,7 @@ Status ConsumerFleet::spawn(std::function<void()> on_done) {
   st.start = st.cluster.scheduler().now();
   st.result.reads_per_consumer.assign(st.cfg.consumers, 0);
   st.result.admitted_per_consumer.assign(st.cfg.consumers, 0);
-  if (st.cfg.consumers == 0 || st.expected_keys.empty()) {
+  if (st.cfg.consumers == 0 || st.fields.empty()) {
     // Nothing to serve: complete immediately (the contention bench's
     // consumers=0 baseline rows take this path).
     st.discovery_closed = true;
@@ -378,7 +394,9 @@ Status ConsumerFleet::spawn(std::function<void()> on_done) {
 void ConsumerFleet::notify(const fdb::FieldKey& key, Bytes size) {
   Impl& st = *impl_;
   if (!st.spawned || st.done || !st.cfg.use_notifications) return;
-  if (announce(st, key, size)) ++st.result.notified_fields;
+  const auto field = st.by_canonical.find(key.canonical());
+  if (field == st.by_canonical.end()) return;  // not ours (chained hook)
+  if (announce(st, *field->second, size)) ++st.result.notified_fields;
 }
 
 void ConsumerFleet::notify_committed(std::uint32_t step, daos::Epoch epoch) {
@@ -386,12 +404,12 @@ void ConsumerFleet::notify_committed(std::uint32_t step, daos::Epoch epoch) {
   if (!st.spawned || st.done || !st.cfg.snapshot_reads) return;
   (void)step;  // informational: the commit covers everything stored before it
   ++st.result.steps_published;
-  std::vector<AnnouncedField> released = std::move(st.pending_commit);
+  std::vector<Announcement> released = std::move(st.pending_commit);
   st.pending_commit.clear();
-  for (AnnouncedField& field : released) {
+  for (Announcement& entry : released) {
     if (st.discovery_closed) break;
-    field.epoch = epoch;
-    publish(st, std::move(field));
+    entry.epoch = epoch;
+    publish(st, entry);
   }
 }
 

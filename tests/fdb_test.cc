@@ -24,6 +24,10 @@ TEST(FieldKeyTest, CanonicalRenderingMatchesPaperExample) {
   // "'class': 'od', 'date': '20201224'" (schema order: class before date).
   EXPECT_EQ(key.most_significant(), "'class': 'od', 'date': '20201224'");
   EXPECT_EQ(key.least_significant(), "");
+  EXPECT_EQ(key.canonical(), "'class': 'od', 'date': '20201224'");
+  FieldKey field_only;
+  field_only.set("step", "24").set("param", "t");
+  EXPECT_EQ(field_only.canonical(), "'param': 't', 'step': '24'");
 }
 
 TEST(FieldKeyTest, SplitsForecastAndFieldParts) {
@@ -60,6 +64,9 @@ TEST(FieldKeyTest, ParseRejectsMalformed) {
   EXPECT_EQ(FieldKey::parse("novalue").status().code(), Errc::invalid);
   EXPECT_EQ(FieldKey::parse("=x").status().code(), Errc::invalid);
   EXPECT_EQ(FieldKey::parse("k=").status().code(), Errc::invalid);
+  EXPECT_EQ(FieldKey::parse(",class=od").status().code(), Errc::invalid);
+  EXPECT_EQ(FieldKey::parse("class=od,,date=1").status().code(), Errc::invalid);
+  EXPECT_EQ(FieldKey::parse("class=od,").status().code(), Errc::invalid);
 }
 
 TEST(ModeTest, Names) {

@@ -21,17 +21,23 @@ PipelineConfig small_pipeline() {
 }
 
 TEST(PipelineTest, StoresEveryField) {
-  sim::Scheduler sched;
-  daos::Cluster cluster(sched, bench::testbed_config(1, 2));
-  const PipelineConfig cfg = small_pipeline();
-  const PipelineResult result = run_pipeline(cluster, cfg);
-  ASSERT_FALSE(result.failed) << result.failure;
-  EXPECT_EQ(result.fields_stored, cfg.steps * cfg.fields_per_step);
-  EXPECT_EQ(result.parts_received,
-            static_cast<std::uint64_t>(cfg.steps) * cfg.fields_per_step * cfg.model_processes);
-  EXPECT_EQ(result.store_log.operations(), cfg.steps * cfg.fields_per_step);
-  EXPECT_EQ(result.store_log.total_bytes(), Bytes{cfg.steps} * cfg.fields_per_step * cfg.field_size);
-  EXPECT_GT(result.makespan, 0);
+  // 3 does not divide the field size: the remainder bytes must land too.
+  for (const std::size_t model_processes : {16u, 3u}) {
+    SCOPED_TRACE(model_processes);
+    sim::Scheduler sched;
+    daos::Cluster cluster(sched, bench::testbed_config(1, 2));
+    PipelineConfig cfg = small_pipeline();
+    cfg.model_processes = model_processes;
+    const PipelineResult result = run_pipeline(cluster, cfg);
+    ASSERT_FALSE(result.failed) << result.failure;
+    EXPECT_EQ(result.fields_stored, cfg.steps * cfg.fields_per_step);
+    EXPECT_EQ(result.parts_received,
+              static_cast<std::uint64_t>(cfg.steps) * cfg.fields_per_step * cfg.model_processes);
+    EXPECT_EQ(result.store_log.operations(), cfg.steps * cfg.fields_per_step);
+    EXPECT_EQ(result.store_log.total_bytes(),
+              Bytes{cfg.steps} * cfg.fields_per_step * cfg.field_size);
+    EXPECT_GT(result.makespan, 0);
+  }
 }
 
 TEST(PipelineTest, StoredFieldsAreReadable) {

@@ -41,7 +41,7 @@ struct CacheFixture {
 sim::Task<void> get_expect(CacheFixture& fx, std::string key, Bytes size,
                            FieldCache::Source expected) {
   const FieldCache::Outcome outcome =
-      co_await fx.cache.get_or_fetch(std::move(key), fx.fetcher(size));
+      co_await fx.cache.get_or_fetch(key, fx.fetcher(size));
   EXPECT_TRUE(outcome.status.is_ok());
   EXPECT_EQ(outcome.size, size);
   EXPECT_EQ(outcome.source, expected);
@@ -357,6 +357,39 @@ TEST(ServingTest, NoIndexModeServesViaNotifications) {
       static_cast<std::uint64_t>(write.steps) * write.fields_per_step;
   EXPECT_EQ(result.serving.fields_served, serve.consumers * total_fields);
   EXPECT_EQ(result.serving.polls, 0u);  // no catalogue to poll in this mode
+}
+
+TEST(ServingTest, SnapshotReadsServeEveryPublishedField) {
+  const auto run = [] {
+    sim::Scheduler sched;
+    daos::Cluster cluster(sched, small_cluster(2));
+    ServingConfig serve;
+    serve.consumers = 6;
+    serve.snapshot_reads = true;
+    return run_write_read_contention(cluster, small_pipeline(), serve);
+  };
+  const ContentionResult first = run();
+  ASSERT_FALSE(first.pipeline.failed) << first.pipeline.failure;
+  ASSERT_FALSE(first.serving.failed) << first.serving.failure;
+  const ioserver::PipelineConfig write = small_pipeline();
+  const std::uint64_t total_fields =
+      static_cast<std::uint64_t>(write.steps) * write.fields_per_step;
+  ASSERT_EQ(first.serving.reads_per_consumer.size(), 6u);
+  for (const std::uint64_t reads : first.serving.reads_per_consumer) {
+    EXPECT_EQ(reads, total_fields);
+  }
+  EXPECT_EQ(first.serving.steps_published, write.steps);
+  EXPECT_GT(first.serving.snapshot_reads, 0u);
+  EXPECT_EQ(first.serving.snapshot_reads + first.serving.snapshot_fallbacks,
+            first.serving.read_log.operations());
+
+  const ContentionResult second = run();
+  EXPECT_EQ(first.makespan, second.makespan);
+  EXPECT_EQ(first.pipeline.store_log.op_latencies().samples(),
+            second.pipeline.store_log.op_latencies().samples());
+  EXPECT_EQ(first.serving.read_log.op_latencies().samples(),
+            second.serving.read_log.op_latencies().samples());
+  EXPECT_TRUE(serving_metrics(first.serving) == serving_metrics(second.serving));
 }
 
 TEST(ServingTest, MetricsSnapshotCarriesServingCounters) {
