@@ -37,18 +37,26 @@ void append_pair(std::string& out, const std::string& k, const std::string& v) {
 }  // namespace
 
 void FieldKey::render(std::string& out, bool most_significant_part) const {
-  if (most_significant_part) {
-    // Schema order for forecast keys, matching the paper's example
-    // "'class': 'od', 'date': '20201224'".
-    for (const auto& name : forecast_schema()) {
-      const auto it = pairs_.find(name);
-      if (it != pairs_.end()) append_pair(out, name, it->second);
+  const auto each_pair = [&](const auto& visit) {
+    if (most_significant_part) {
+      // Schema order for forecast keys, matching the paper's example
+      // "'class': 'od', 'date': '20201224'".
+      for (const auto& name : forecast_schema()) {
+        const auto it = pairs_.find(name);
+        if (it != pairs_.end()) visit(name, it->second);
+      }
+    } else {
+      for (const auto& [k, v] : pairs_) {
+        if (!is_forecast_key(k)) visit(k, v);
+      }
     }
-  } else {
-    for (const auto& [k, v] : pairs_) {
-      if (!is_forecast_key(k)) append_pair(out, k, v);
-    }
-  }
+  };
+  // Size the output once: "'k': 'v'" quotes a pair in 6 bytes, and ", "
+  // precedes every pair but a leading one.
+  std::size_t size = out.size();
+  each_pair([&](const std::string& k, const std::string& v) { size += (size == 0 ? 6 : 8) + k.size() + v.size(); });
+  out.reserve(size);
+  each_pair([&](const std::string& k, const std::string& v) { append_pair(out, k, v); });
 }
 
 std::string FieldKey::canonical() const {

@@ -28,6 +28,12 @@ void FlowScheduler::start_flow(std::vector<LinkId> path, double bytes, double ra
   // Written so NaN fails too: cap order needs a strict weak order.
   if (!(rate_cap > 0.0)) throw std::invalid_argument("flow rate cap must be positive");
   advance_progress();
+  // Two arrivals read rates that an owed solve would have set before they
+  // joined: one whose links are all idle keeps the others at their rates
+  // and takes its solo rate, and one entering the lazy regime is rated from
+  // the last solve's floor.  A full solve that includes the arrival differs
+  // in the last bit, so the owed solve runs first.
+  if (solve_owed_ && (flows_.size() >= lazy_threshold_ || links_idle(path))) recompute_rates();
   Flow flow;
   flow.remaining = bytes;
   flow.total = bytes;
@@ -143,6 +149,10 @@ void FlowScheduler::advance_progress() {
   }
 }
 
+bool FlowScheduler::links_idle(const std::vector<LinkId>& path) const {
+  return std::all_of(path.begin(), path.end(), [&](LinkId id) { return link_state_[id].flows == 0; });
+}
+
 bool FlowScheduler::links_private_to(const Flow& f) const {
   for (const LinkId id : classes_[f.cls].path) {
     if (link_state_[id].flows != 1) return false;
@@ -166,13 +176,12 @@ void FlowScheduler::maybe_recompute(Flow* added, bool shared_departure) {
     // just takes its solo bottleneck rate, and a departure that left its
     // links empty needs no adjustment at all.  Everything else re-solves.
     const bool arrival_disjoint = added != nullptr && links_private_to(*added);
+    changes_since_full_ = 0;
     if (!shared_departure && (added == nullptr || arrival_disjoint)) {
-      changes_since_full_ = 0;
       if (added != nullptr) added->rate = solo_rate(*added);
       return;
     }
-    changes_since_full_ = 0;
-    recompute_rates();
+    solve_owed_ = true;
     return;
   }
   // Bounded-staleness regime: exact solve periodically; in between, an added
@@ -181,7 +190,7 @@ void FlowScheduler::maybe_recompute(Flow* added, bool shared_departure) {
   // set_lazy_recompute() for the error bound.
   if (++changes_since_full_ >= lazy_interval_) {
     changes_since_full_ = 0;
-    recompute_rates();
+    solve_owed_ = true;
     return;
   }
   if (added != nullptr) {
@@ -190,12 +199,13 @@ void FlowScheduler::maybe_recompute(Flow* added, bool shared_departure) {
     if (!std::isfinite(added->rate)) added->rate = fair_share_floor_;
     if (added->rate <= 0.0) {
       changes_since_full_ = 0;
-      recompute_rates();
+      solve_owed_ = true;
     }
   }
 }
 
 void FlowScheduler::recompute_rates() {
+  solve_owed_ = false;
   ++stats_.rate_recomputations;
   if (flows_.empty()) return;
 
@@ -285,10 +295,16 @@ void FlowScheduler::settle(std::size_t added_idx) {
 
   // Complete flows that are done as of now, tracking where the just-added
   // flow ends up under swap-removal and whether any departure left other
-  // flows behind on a shared link (those flows' rates may now rise).
+  // flows behind on a shared link (those flows' rates may now rise).  The
+  // first settle of an instant completes every finished flow, and progress
+  // does not move until the clock does, so a later one checks only its
+  // arrival, the back element.
+  std::size_t i = 0;
+  if (settled_at_ == sched_.now()) i = added_idx == kNoFlow ? flows_.size() : added_idx;
+  settled_at_ = sched_.now();
   bool completed_any = false;
   bool shared_departure = false;
-  for (std::size_t i = 0; i < flows_.size();) {
+  while (i < flows_.size()) {
     if (flows_[i].remaining <= kCompletionEpsilon) {
       if (leave_class(flows_[i].cls)) shared_departure = true;
       const auto waiter = flows_[i].waiter;
@@ -310,11 +326,23 @@ void FlowScheduler::settle(std::size_t added_idx) {
       ++i;
     }
   }
-  // Exactly one rate update per settle, even when an arrival and one or more
-  // completions coincide at the same instant (this used to run the solver —
-  // and count a rate_recomputation — twice for that case).
+  // One rate update for the combined change, even when an arrival and one or
+  // more completions coincide.
   Flow* added = added_idx == kNoFlow ? nullptr : &flows_[added_idx];
   if (completed_any || added != nullptr) maybe_recompute(added, shared_departure);
+  // The timer takes this settle's place in the event order, as if armed now.
+  timer_position_ = sched_.reserve_position();
+  if (!end_instant_armed_) {
+    end_instant_armed_ = true;
+    sched_.at_instant_end([this] { end_instant(); });
+  }
+}
+
+void FlowScheduler::end_instant() {
+  end_instant_armed_ = false;
+  // A full solve is a pure function of the active set, so only the last one
+  // owed at this instant counts.
+  if (solve_owed_) recompute_rates();
   if (flows_.empty()) return;
 
   // Earliest next completion (seconds), rounded up to a whole nanosecond so
@@ -333,7 +361,7 @@ void FlowScheduler::settle(std::size_t added_idx) {
   }
   auto delta = static_cast<sim::Duration>(std::ceil(min_time * 1e9));
   if (delta < 1) delta = 1;
-  completion_timer_ = sched_.schedule_callback(sched_.now() + delta, [this] {
+  completion_timer_ = sched_.schedule_callback(sched_.now() + delta, timer_position_, [this] {
     advance_progress();
     settle();
   });

@@ -192,6 +192,8 @@ class FlowScheduler {
   }
 
   void start_flow(std::vector<LinkId> path, double bytes, double rate_cap, std::coroutine_handle<> h);
+  /// True if no active flow crosses any link of `path`.
+  [[nodiscard]] bool links_idle(const std::vector<LinkId>& path) const;
   /// Adds one flow to the (path, cap) class, creating it if needed, and
   /// counts it on the class's links.
   ClassId join_class(std::vector<LinkId>&& path, double cap);
@@ -200,22 +202,30 @@ class FlowScheduler {
   bool leave_class(ClassId cls);
   /// Applies progress for the elapsed interval since the last update.
   void advance_progress();
-  /// Recomputes all flow rates (progressive-filling max-min over classes).
+  /// Recomputes all flow rates (progressive-filling max-min over classes)
+  /// and clears an owed solve.
   void recompute_rates();
   /// Rate update after the active set changed: exact solve (with disjoint
-  /// fast paths) below the lazy threshold, bounded-staleness above it.
-  /// `added` is the flow that just arrived (may be null); `shared_departure`
-  /// means a completed flow left other flows behind on one of its links.
+  /// fast paths) below the lazy threshold, bounded-staleness above it.  A
+  /// full solve is only marked owed; the instant's end runs it.  `added` is
+  /// the flow that just arrived (may be null); `shared_departure` means a
+  /// completed flow left other flows behind on one of its links.
   void maybe_recompute(Flow* added, bool shared_departure);
   /// True if no other active flow shares a link with `f`.
   [[nodiscard]] bool links_private_to(const Flow& f) const;
   /// Max-min rate of a flow alone on every link of its path.
   [[nodiscard]] double solo_rate(const Flow& f) const;
-  /// Completes any finished flows, performs at most ONE rate update for the
-  /// combined arrival/departure change at this instant, and re-arms the
-  /// completion timer.  `added_idx` indexes the flow pushed by start_flow
-  /// (kNoFlow when called from the timer or set_capacity_factor).
+  /// Completes any finished flows, applies the rate update for the combined
+  /// arrival/departure change (a fast path now, or an owed full solve), and
+  /// reserves the completion timer's queue position.  Only the first settle
+  /// of an instant scans every flow for completions: progress moves only
+  /// with the clock, so a later one checks just its own arrival.
+  /// `added_idx` indexes the flow pushed by start_flow (kNoFlow when called
+  /// from the timer or set_capacity_factor).
   void settle(std::size_t added_idx = kNoFlow);
+  /// The instant-end hook: runs the owed solve, finds the next completion
+  /// and arms the completion timer at the last settle's reserved position.
+  void end_instant();
 
   sim::Scheduler& sched_;
   std::vector<Link> links_;
@@ -229,6 +239,10 @@ class FlowScheduler {
   std::vector<std::pair<double, ClassId>> cap_order_;
   sim::TimePoint last_update_ = 0;
   sim::Timer completion_timer_;
+  sim::QueuePosition timer_position_;  // reserved by the instant's last settle
+  sim::TimePoint settled_at_ = -1;     // instant of the last settle
+  bool solve_owed_ = false;            // a full solve waits for the instant's end
+  bool end_instant_armed_ = false;     // end_instant() is registered for this instant
   FlowStats stats_;
   // Solver scratch, persistent so steady-state recomputes do not allocate.
   std::vector<LinkId> live_links_;  // links still carrying unfrozen flows

@@ -83,8 +83,10 @@ bool PartitionedScheduler::open_next_window() {
   TimePoint w = Scheduler::kNoEventTime;
   bool pending = false;
   for (const auto& part : parts_) {
-    const TimePoint next = part->sched.next_event_time();
+    // Checked first: a poisoned partition may have stopped mid-instant, and
+    // next_event_time() would run that instant's end hooks here.
     if (part->error) return false;  // terminate: run() rethrows
+    const TimePoint next = part->sched.next_event_time();
     pending = pending || next != Scheduler::kNoEventTime;
     w = std::min(w, std::max(next, part->promise));
   }

@@ -47,8 +47,19 @@ void Scheduler::recycle_slot(std::uint32_t slot) {
   timers_->free_slots.push_back(slot);
 }
 
+bool Scheduler::run_due_hook() {
+  if (instant_end_.empty() || (!queue_.empty() && queue_.top().t == now_)) return false;
+  // Taken out before it runs: a hook that throws is not run again.
+  InlineCallback hook = std::move(instant_end_.front());
+  instant_end_.erase(instant_end_.begin());
+  hook();
+  return true;
+}
+
 bool Scheduler::step() {
-  while (!queue_.empty()) {
+  for (;;) {
+    if (run_due_hook()) continue;
+    if (queue_.empty()) return false;
     Event ev = queue_.top();
     queue_.pop();
     if (ev.timer_slot != kNoTimer) {
@@ -74,20 +85,21 @@ bool Scheduler::step() {
     ev.handle.resume();
     return true;
   }
-  return false;
 }
 
 TimePoint Scheduler::next_event_time() {
-  while (!queue_.empty()) {
-    const Event& ev = queue_.top();
-    if (ev.timer_slot != kNoTimer &&
-        timers_->slots[ev.timer_slot].generation != ev.timer_generation) {
-      queue_.pop();  // cancelled or recycled: will never fire
-      continue;
+  for (;;) {
+    if (!queue_.empty()) {
+      const Event& ev = queue_.top();
+      if (ev.timer_slot != kNoTimer &&
+          timers_->slots[ev.timer_slot].generation != ev.timer_generation) {
+        queue_.pop();  // cancelled or recycled: will never fire
+        continue;
+      }
     }
-    return ev.t;
+    if (run_due_hook()) continue;
+    return queue_.empty() ? kNoEventTime : queue_.top().t;
   }
-  return kNoEventTime;
 }
 
 std::uint64_t Scheduler::run_until(TimePoint horizon) {

@@ -11,8 +11,23 @@
 // state (slots are recycled through a free list, callables live in a
 // small-buffer store, and Timer handles validate their slot through a
 // generation counter).  This is the simulator's hottest allocation site —
-// every flow settle/completion arms a timer — so the pool is much of what
-// nwsbench's sim.events_per_host_s measures.
+// every simulated instant that changes the active flows arms a completion
+// timer — so the pool is much of what nwsbench's sim.events_per_host_s
+// measures.
+//
+// Two primitives let a subsystem batch the work of one simulated instant:
+//
+//   * at_instant_end(cb) runs `cb` once, after the last event at the current
+//     time and before the clock moves on or the queue drains.  It is not an
+//     event (events_executed does not count it).
+//   * reserve_position() takes a place in the (time, sequence) order now; a
+//     timer scheduled later at that position orders exactly as if it had
+//     been scheduled at the reservation.
+//
+// net::FlowScheduler uses both: every flow change at an instant reserves the
+// completion timer's position, and the instant's end solves once and arms
+// the timer at the last reservation, so event order stays what it was when
+// every change armed its own timer.
 #pragma once
 
 #include <coroutine>
@@ -171,6 +186,11 @@ class Timer {
   std::uint64_t generation_ = 0;
 };
 
+/// A place in the event order, taken by Scheduler::reserve_position().
+struct QueuePosition {
+  std::uint64_t seq = 0;
+};
+
 class Scheduler {
  public:
   Scheduler() : timers_(std::make_shared<Timer::SlotTable>()) {}
@@ -190,25 +210,29 @@ class Scheduler {
   /// Runs `cb` at absolute time `t`.  The returned Timer can cancel it.
   /// Steady-state cost: one slot-table lookup, no heap allocation (the
   /// callable lands in the slot's small-buffer store).
+  /// An already type-erased callback (cross-partition outbox delivery)
+  /// moves straight into the slot, with no second erasure layer.
   template <typename F>
   Timer schedule_callback(TimePoint t, F&& cb) {
-    if (t < now_) throw std::logic_error("schedule_callback in the past");
-    const std::uint32_t slot = acquire_slot();
-    Timer::Slot& s = timers_->slots[slot];
-    s.callback.emplace(std::forward<F>(cb));
-    queue_.push(Event{t, next_seq_++, nullptr, slot, s.generation});
-    return Timer{timers_, slot, s.generation};
+    return schedule_at(t, next_seq_++, std::forward<F>(cb));
   }
 
-  /// Overload for already type-erased callbacks (cross-partition outbox
-  /// delivery): moves straight into the slot, no second erasure layer.
-  Timer schedule_callback(TimePoint t, InlineCallback cb) {
-    if (t < now_) throw std::logic_error("schedule_callback in the past");
-    const std::uint32_t slot = acquire_slot();
-    Timer::Slot& s = timers_->slots[slot];
-    s.callback = std::move(cb);
-    queue_.push(Event{t, next_seq_++, nullptr, slot, s.generation});
-    return Timer{timers_, slot, s.generation};
+  /// Runs `cb` at absolute time `t`, ordered among the events at `t` as if
+  /// it had been scheduled when `pos` was reserved.
+  template <typename F>
+  Timer schedule_callback(TimePoint t, QueuePosition pos, F&& cb) {
+    return schedule_at(t, pos.seq, std::forward<F>(cb));
+  }
+
+  /// Takes the next place in the event order for a timer scheduled later.
+  [[nodiscard]] QueuePosition reserve_position() { return QueuePosition{next_seq_++}; }
+
+  /// Runs `cb` once, after the last event at the current time: before the
+  /// clock moves on, or before the queue drains.  Hooks run in registration
+  /// order; a hook may schedule events and register further hooks.
+  template <typename F>
+  void at_instant_end(F&& cb) {
+    instant_end_.emplace_back().emplace(std::forward<F>(cb));
   }
 
   /// Awaitable: suspends the current coroutine for `d` simulated time.
@@ -228,15 +252,18 @@ class Scheduler {
   /// processes remain, or rethrows the first unhandled process exception.
   void run();
 
-  /// Executes the single next event; returns false if the queue is empty.
+  /// Executes the single next event, after running the instant-end hooks
+  /// that are due before it; returns false once the queue is empty and no
+  /// hook is left.
   bool step();
 
   /// Sentinel returned by next_event_time() for an empty queue.
   static constexpr TimePoint kNoEventTime = INT64_MAX;
 
   /// Timestamp of the next live event, pruning stale (cancelled/recycled)
-  /// timer entries from the queue head; kNoEventTime when drained.  This is
-  /// the partitioned run loop's window-bound probe.
+  /// timer entries from the queue head and running the instant-end hooks
+  /// that are due first; kNoEventTime when drained.  This is the
+  /// partitioned run loop's window-bound probe.
   [[nodiscard]] TimePoint next_event_time();
 
   /// Executes every event with timestamp strictly below `horizon` and
@@ -276,8 +303,25 @@ class Scheduler {
     }
   };
 
+  template <typename F>
+  Timer schedule_at(TimePoint t, std::uint64_t seq, F&& cb) {
+    if (t < now_) throw std::logic_error("schedule_callback in the past");
+    const std::uint32_t slot = acquire_slot();
+    Timer::Slot& s = timers_->slots[slot];
+    if constexpr (std::is_same_v<std::decay_t<F>, InlineCallback>) {
+      s.callback = std::forward<F>(cb);
+    } else {
+      s.callback.emplace(std::forward<F>(cb));
+    }
+    queue_.push(Event{t, seq, nullptr, slot, s.generation});
+    return Timer{timers_, slot, s.generation};
+  }
+
   std::uint32_t acquire_slot();
   void recycle_slot(std::uint32_t slot);
+  /// Runs the first instant-end hook if it is due, that is, if no queued
+  /// entry is left at the current time; false if none ran.
+  bool run_due_hook();
 
   void note_process_done() { --live_; }
   void note_process_failed(std::exception_ptr e) {
@@ -308,6 +352,7 @@ class Scheduler {
   std::exception_ptr first_error_;
   std::shared_ptr<Timer::SlotTable> timers_;
   std::priority_queue<Event, std::vector<Event>, EventCompare> queue_;
+  std::vector<InlineCallback> instant_end_;  // hooks of the current instant
 };
 
 inline void Timer::cancel() {

@@ -44,6 +44,8 @@ sim::Task<void> run_transfer(FlowScheduler& fs, std::vector<LinkId> path, nws::B
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+bool same_bits(double a, double b) { return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b); }
+
 TEST(EfficiencyCurveTest, InterpolatesAndClamps) {
   const EfficiencyCurve c({{1, 10.0}, {3, 20.0}, {5, 30.0}});
   EXPECT_DOUBLE_EQ(c.evaluate(0.5), 10.0);
@@ -192,6 +194,96 @@ TEST(FlowSchedulerTest, CoincidentArrivalAndCompletionSolveOnce) {
   // A's arrival and B's departure both hit fast paths; the only solve is the
   // coincident arrival+completion at t=10s.
   EXPECT_EQ(fx.flows.stats().rate_recomputations, 1u);
+}
+
+// ---- one rate update per simulated instant ---------------------------------
+//
+// A full solve is only owed when the active set changes; the instant's end
+// runs the last owed solve and arms the completion timer.  The first four
+// tests below each pin one rule that keeps every rate and event
+// bit-identical to solving at every change.
+
+sim::Task<void> probe_rates(Fixture& fx, sim::Duration after, std::vector<double>* rates) {
+  co_await fx.sched.delay(after);
+  *rates = fx.flows.current_rates();
+}
+
+TEST(FlowSchedulerTest, SameInstantArrivalsSolveOnce) {
+  // 64 arrivals at t=0 owe 63 solves and run one; the 64 completions at 10 s
+  // owe and run one more.  Solving at every change took 64.
+  Fixture fx;
+  const LinkId link = fx.flows.add_link(plain_link("l", 6400.0));
+  std::vector<sim::TimePoint> done(64, -1);
+  for (sim::TimePoint& d : done) fx.sched.spawn(run_transfer(fx.flows, {link}, 1000, kInf, &d, &fx.sched));
+  fx.sched.run();
+  for (const sim::TimePoint t : done) EXPECT_EQ(t, sim::seconds(10.0));
+  EXPECT_EQ(fx.flows.stats().rate_recomputations, 2u);
+}
+
+TEST(FlowSchedulerTest, IdleLinkArrivalSeesOwedSolve) {
+  // The fourth arrival's link is idle, so it takes its solo rate and leaves
+  // the others at the rates the owed solve gives them without it.  A solve
+  // that includes it fills to 3 first and gives the three flows
+  // 33.33333333333333, one bit below 100.0 / 3.
+  Fixture fx;
+  const LinkId shared = fx.flows.add_link(plain_link("shared", 100.0));
+  const LinkId idle = fx.flows.add_link(plain_link("idle", 3.0));
+  std::vector<sim::TimePoint> done(4, -1);
+  for (std::size_t i = 0; i < 3; ++i) fx.sched.spawn(run_transfer(fx.flows, {shared}, 1000, kInf, &done[i], &fx.sched));
+  fx.sched.spawn(run_transfer(fx.flows, {idle}, 1000, kInf, &done[3], &fx.sched));
+  std::vector<double> rates;
+  fx.sched.spawn(probe_rates(fx, 1, &rates));
+  fx.sched.run();
+  ASSERT_EQ(rates.size(), 4u);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_TRUE(same_bits(rates[i], 100.0 / 3)) << rates[i];
+  EXPECT_EQ(rates[3], 3.0);
+}
+
+TEST(FlowSchedulerTest, LazyArrivalSeesOwedSolve) {
+  // Above the lazy threshold an arrival is rated from the last solve's
+  // floor.  The solve owed by the second and third arrivals must run before
+  // the fourth joins; without it the floor is unset, and the fourth waits
+  // for a solve over all four at 25.
+  Fixture fx;
+  fx.flows.set_lazy_recompute(3, 12);
+  const LinkId link = fx.flows.add_link(plain_link("l", 100.0));
+  std::vector<sim::TimePoint> done(4, -1);
+  for (sim::TimePoint& d : done) fx.sched.spawn(run_transfer(fx.flows, {link}, 1000, kInf, &d, &fx.sched));
+  std::vector<double> rates;
+  fx.sched.spawn(probe_rates(fx, 1, &rates));
+  fx.sched.run();
+  ASSERT_EQ(rates.size(), 4u);
+  EXPECT_TRUE(same_bits(rates[3], 100.0 / 3)) << rates[3];
+}
+
+TEST(FlowSchedulerTest, CompletionTimerKeepsItsQueuePosition) {
+  // The flow starts before the sleeper goes to sleep, so its completion at
+  // 1 s orders before the sleeper's wake-up, although the instant's end
+  // arms the timer after the sleeper's delay was queued.
+  Fixture fx;
+  const LinkId link = fx.flows.add_link(plain_link("l", 100.0));
+  sim::TimePoint done = -1;
+  fx.sched.spawn(run_transfer(fx.flows, {link}, 100, kInf, &done, &fx.sched));
+  std::size_t active_at_wake = 99;
+  fx.sched.spawn([](Fixture& f, std::size_t* active) -> sim::Task<void> {
+    co_await f.sched.delay(sim::seconds(1.0));
+    *active = f.flows.active_flows();
+  }(fx, &active_at_wake));
+  fx.sched.run();
+  EXPECT_EQ(done, sim::seconds(1.0));
+  EXPECT_EQ(active_at_wake, 0u);
+}
+
+TEST(FlowSchedulerTest, ZeroCapacityLinkThrows) {
+  // The efficiency curve leaves the flow no capacity: the instant's end
+  // finds no completion time and reports the model error.
+  Fixture fx;
+  Link l = plain_link("dead", 100.0);
+  l.efficiency = EfficiencyCurve({{1, 0.0}});
+  const LinkId link = fx.flows.add_link(std::move(l));
+  sim::TimePoint done = -1;
+  fx.sched.spawn(run_transfer(fx.flows, {link}, 100, kInf, &done, &fx.sched));
+  EXPECT_THROW(fx.sched.run(), std::logic_error);
 }
 
 TEST(FlowSchedulerTest, EmptyPathCompletesImmediately) {
@@ -388,8 +480,6 @@ bool take_spec(std::vector<FlowScheduler::ActiveFlow>& specs, const FlowSchedule
   specs.pop_back();
   return true;
 }
-
-bool same_bits(double a, double b) { return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b); }
 
 // Sets a capacity factor, which forces a full solve, and checks the result.
 void force_solve_and_check(FlowScheduler& fs, LinkId link, double factor, OracleCase& out) {

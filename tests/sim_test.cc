@@ -211,6 +211,63 @@ TEST(Scheduler, TimerCancelReleasesCallbackCaptures) {
   EXPECT_EQ(resource.use_count(), 1);
 }
 
+TEST(Scheduler, InstantEndHookRunsAfterTheInstantsLastEvent) {
+  // The hook waits for every event at its time, including one that an event
+  // of that instant schedules for the same time, and runs before any later
+  // event.  It runs once and is not an event.
+  Scheduler sched;
+  std::vector<int> order;
+  sched.schedule_callback(seconds(1), [&] {
+    order.push_back(1);
+    sched.at_instant_end([&] { order.push_back(0); });
+    sched.schedule_callback(seconds(1), [&] { order.push_back(3); });
+  });
+  sched.schedule_callback(seconds(1), [&] { order.push_back(2); });
+  sched.schedule_callback(seconds(2), [&] { order.push_back(4); });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 0, 4}));
+  EXPECT_EQ(sched.events_executed(), 4u);
+}
+
+TEST(Scheduler, InstantEndHookRunsBeforeTheQueueDrains) {
+  // The instant's last event leaves the queue empty: run() still runs the
+  // hook, and then the timer that the hook queued.
+  Scheduler sched;
+  TimePoint fired_at = -1;
+  sched.schedule_callback(seconds(1), [&] {
+    sched.at_instant_end([&] { sched.schedule_callback(seconds(3), [&] { fired_at = sched.now(); }); });
+  });
+  sched.run();
+  EXPECT_EQ(fired_at, seconds(3));
+  EXPECT_EQ(sched.events_executed(), 2u);
+}
+
+TEST(Scheduler, RunUntilRunsADueHookAndItsTimer) {
+  // A partition window ends at its horizon: the hook of the window's last
+  // instant runs inside run_until, and the timer it queues below the
+  // horizon executes in the same window.
+  Scheduler sched;
+  std::vector<TimePoint> fired;
+  sched.schedule_callback(seconds(1), [&] {
+    sched.at_instant_end([&] { sched.schedule_callback(seconds(2), [&] { fired.push_back(sched.now()); }); });
+  });
+  EXPECT_EQ(sched.run_until(seconds(5)), 2u);
+  EXPECT_EQ(fired, (std::vector<TimePoint>{seconds(2)}));
+  // next_event_time() runs a due hook too, so a window bound sees its timer.
+  sched.at_instant_end([&] { sched.schedule_callback(seconds(7), [] {}); });
+  EXPECT_EQ(sched.next_event_time(), seconds(7));
+}
+
+TEST(Scheduler, ReservedPositionOrdersAsIfScheduledThen) {
+  Scheduler sched;
+  std::vector<int> order;
+  const QueuePosition reserved = sched.reserve_position();
+  sched.schedule_callback(seconds(1), [&] { order.push_back(2); });
+  sched.schedule_callback(seconds(1), reserved, [&] { order.push_back(1); });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
 TEST(Scheduler, DeadlockDetected) {
   Scheduler sched;
   auto mutex = std::make_unique<Mutex>(sched);
