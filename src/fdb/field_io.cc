@@ -1,9 +1,8 @@
 #include "fdb/field_io.h"
 
-#include <cinttypes>
+#include <algorithm>
+#include <charconv>
 #include <stdexcept>
-
-#include "common/table.h"
 
 namespace nws::fdb {
 
@@ -24,14 +23,35 @@ Mode mode_by_name(const std::string& name) {
                               " (expected full, no-containers or no-index)");
 }
 
+namespace {
+// An oid renders as "<hi>.<lo>", each half 16 lowercase hex digits.
+constexpr std::size_t kHexDigits = 16;
+
+void put_hex(char* out, std::uint64_t v) {
+  char digits[kHexDigits];
+  char* const end = std::to_chars(digits, digits + kHexDigits, v, 16).ptr;
+  char* const first = std::fill_n(out, kHexDigits - static_cast<std::size_t>(end - digits), '0');
+  std::copy(digits, end, first);
+}
+
+/// Parses exactly the 16 hex digits at `in`: no sign, prefix or blank.
+bool get_hex(const char* in, std::uint64_t& v) {
+  const auto [end, ec] = std::from_chars(in, in + kHexDigits, v, 16);
+  return ec == std::errc() && end == in + kHexDigits;
+}
+}  // namespace
+
 std::string oid_to_string(const daos::ObjectId& oid) {
-  return strf("%016" PRIx64 ".%016" PRIx64, oid.hi, oid.lo);
+  std::string s(2 * kHexDigits + 1, '.');
+  put_hex(s.data(), oid.hi);
+  put_hex(s.data() + kHexDigits + 1, oid.lo);
+  return s;
 }
 
 Result<daos::ObjectId> oid_from_string(const std::string& s) {
   daos::ObjectId oid;
-  if (s.size() != 33 || s[16] != '.' ||
-      std::sscanf(s.c_str(), "%16" SCNx64 ".%16" SCNx64, &oid.hi, &oid.lo) != 2) {
+  if (s.size() != 2 * kHexDigits + 1 || s[kHexDigits] != '.' || !get_hex(s.data(), oid.hi) ||
+      !get_hex(s.data() + kHexDigits + 1, oid.lo)) {
     return Status::error(Errc::invalid, "malformed object id string: " + s);
   }
   return oid;

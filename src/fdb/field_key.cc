@@ -36,47 +36,37 @@ void append_pair(std::string& out, const std::string& k, const std::string& v) {
 }
 }  // namespace
 
-void FieldKey::render(std::string& out, bool most_significant_part) const {
+std::string FieldKey::render(bool forecast_part, bool field_part) const {
   const auto each_pair = [&](const auto& visit) {
-    if (most_significant_part) {
+    if (forecast_part) {
       // Schema order for forecast keys, matching the paper's example
       // "'class': 'od', 'date': '20201224'".
       for (const auto& name : forecast_schema()) {
         const auto it = pairs_.find(name);
         if (it != pairs_.end()) visit(name, it->second);
       }
-    } else {
+    }
+    if (field_part) {
       for (const auto& [k, v] : pairs_) {
         if (!is_forecast_key(k)) visit(k, v);
       }
     }
   };
   // Size the output once: "'k': 'v'" quotes a pair in 6 bytes, and ", "
-  // precedes every pair but a leading one.
-  std::size_t size = out.size();
+  // precedes every pair but the first.
+  std::size_t size = 0;
   each_pair([&](const std::string& k, const std::string& v) { size += (size == 0 ? 6 : 8) + k.size() + v.size(); });
+  std::string out;
   out.reserve(size);
   each_pair([&](const std::string& k, const std::string& v) { append_pair(out, k, v); });
-}
-
-std::string FieldKey::canonical() const {
-  std::string out;
-  render(out, true);
-  render(out, false);
   return out;
 }
 
-std::string FieldKey::most_significant() const {
-  std::string out;
-  render(out, true);
-  return out;
-}
+std::string FieldKey::canonical() const { return render(true, true); }
 
-std::string FieldKey::least_significant() const {
-  std::string out;
-  render(out, false);
-  return out;
-}
+std::string FieldKey::most_significant() const { return render(true, false); }
+
+std::string FieldKey::least_significant() const { return render(false, true); }
 
 Result<FieldKey> FieldKey::parse(const std::string& spec) {
   if (spec.empty()) return Status::error(Errc::invalid, "empty field key spec");

@@ -53,9 +53,9 @@ class FieldKey {
   friend bool operator==(const FieldKey&, const FieldKey&) = default;
 
  private:
-  /// Appends one part's pairs to `out`, each preceded by ", " unless `out`
-  /// is empty: rendering both parts into one string gives canonical().
-  void render(std::string& out, bool most_significant_part) const;
+  /// Renders the forecast part, the field part or both (canonical()) into
+  /// one string, sized before the first append so it allocates once.
+  [[nodiscard]] std::string render(bool forecast_part, bool field_part) const;
 
   std::map<std::string, std::string> pairs_;
 };

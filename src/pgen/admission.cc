@@ -33,10 +33,8 @@ void AdmissionController::release() {
     auto& queue = queues_[(cursor_ + i) % queues_.size()];
     if (queue.empty()) continue;
     cursor_ = (cursor_ + i + 1) % queues_.size();
-    const auto next = queue.front();
-    queue.pop_front();
     --waiting_;
-    sched_.schedule_handle(sched_.now(), next);
+    queue.wake_one(sched_);
     return;  // slot handed over: in_flight_ unchanged
   }
   --in_flight_;

@@ -15,11 +15,11 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/stats.h"
 #include "sim/scheduler.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 #include "sim/time.h"
 
@@ -65,9 +65,10 @@ class AdmissionController {
     struct Awaiter {
       AdmissionController& a;
       std::size_t consumer;
+      sim::WaitQueue::Link link{};
       bool await_ready() const { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        a.queues_[consumer].push_back(h);
+        a.queues_[consumer].push(link, h);
         ++a.waiting_;
         if (a.waiting_ > a.stats_.peak_queued) a.stats_.peak_queued = a.waiting_;
       }
@@ -81,7 +82,7 @@ class AdmissionController {
   std::size_t in_flight_ = 0;
   std::size_t waiting_ = 0;
   std::size_t cursor_ = 0;  // round-robin grant position
-  std::vector<std::deque<std::coroutine_handle<>>> queues_;  // one FIFO per consumer
+  std::vector<sim::WaitQueue> queues_;  // one FIFO per consumer
   std::vector<std::uint64_t> admitted_;
   AdmissionStats stats_;
 };

@@ -18,10 +18,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/status.h"
@@ -72,15 +72,32 @@ class FieldCache {
     Source source = Source::fetched;
   };
 
-  /// A factory producing the one DAOS read of a cache miss (typically
-  /// admission-controlled FieldIo::read).  Invoked at most once per miss,
-  /// however many callers are waiting on the key.
-  using Fetcher = std::function<sim::Task<Result<Bytes>>()>;
+  /// A borrowed factory producing the one DAOS read of a cache miss
+  /// (typically admission-controlled FieldIo::read): any callable returning
+  /// sim::Task<Result<Bytes>>, referenced, not copied.  Invoked at most once
+  /// per miss, however many callers are waiting on the key.
+  class Fetcher {
+   public:
+    template <typename F>
+      requires(!std::is_same_v<std::remove_cvref_t<F>, Fetcher>)
+    Fetcher(F&& fetch)  // NOLINT: implicit by design, a lambda converts at the call
+        : callable_(std::addressof(fetch)), invoke_([](const void* callable) {
+            using Callable = std::remove_reference_t<F>;
+            return (*static_cast<Callable*>(const_cast<void*>(callable)))();
+          }) {}
+
+    sim::Task<Result<Bytes>> operator()() const { return invoke_(callable_); }
+
+   private:
+    const void* callable_;
+    sim::Task<Result<Bytes>> (*invoke_)(const void*);
+  };
 
   /// Looks `key` up (the field key's canonical rendering); on a miss the
   /// calling coroutine leads `fetch` while concurrent callers for the same
-  /// key park on the in-flight entry (single-flight).  `key` is held by
-  /// reference: await the task in the calling expression.
+  /// key park on the in-flight entry (single-flight).  `key` and the
+  /// callable behind `fetch` are held by reference: await the task in the
+  /// calling expression.
   sim::Task<Outcome> get_or_fetch(const std::string& key, Fetcher fetch);
 
   [[nodiscard]] const CacheStats& stats() const { return stats_; }

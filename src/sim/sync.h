@@ -11,16 +11,80 @@
 //               for its pre-/post-I/O synchronisation points.
 //   Gate      — manual open/close event; processes wait until opened (used to
 //               separate the phases of access patterns A and B).
+//   CountDownLatch — joins a phase's worth of processes.
+//
+// Every primitive keeps its waiters in a WaitQueue: a FIFO threaded through
+// the waiters' own awaiters.  The awaiter of a co_await lives in the waiting
+// coroutine's frame until the process resumes, so it carries the queue link
+// (the coroutine handle and a `next` pointer).  Queuing and waking allocate
+// nothing, and an idle queue is two pointers: the simulator holds one or two
+// primitives per DAOS object, most of which nobody ever waits on.
+//
+// Invariant: a queued awaiter must outlive its wait.  Destroying a suspended
+// waiter's frame while it is queued leaves the queue pointing into a dead
+// frame, and the next hand-over reads it (ASan reports it there).
 #pragma once
 
 #include <coroutine>
 #include <cstddef>
-#include <deque>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/scheduler.h"
 
 namespace nws::sim {
+
+/// FIFO of suspended processes, linked through their awaiters.
+class WaitQueue {
+ public:
+  /// A waiter's place in the queue; a member of its awaiter.
+  struct Link {
+    std::coroutine_handle<> handle;
+    Link* next = nullptr;
+  };
+
+  WaitQueue() = default;
+  WaitQueue(const WaitQueue&) = delete;
+  WaitQueue& operator=(const WaitQueue&) = delete;
+
+  [[nodiscard]] bool empty() const { return head_ == nullptr; }
+
+  /// Queues the suspended `h` behind every earlier waiter, through `link`.
+  void push(Link& link, std::coroutine_handle<> h) {
+    link.handle = h;
+    link.next = nullptr;
+    if (tail_ == nullptr) {
+      head_ = &link;
+    } else {
+      tail_->next = &link;
+    }
+    tail_ = &link;
+  }
+
+  /// Resumes the oldest waiter at the current time.  The queue must not be
+  /// empty.
+  void wake_one(Scheduler& sched) {
+    Link* const oldest = head_;
+    head_ = oldest->next;
+    if (head_ == nullptr) tail_ = nullptr;
+    sched.schedule_handle(sched.now(), oldest->handle);
+  }
+
+  /// Resumes every waiter at the current time, oldest first.
+  void wake_all(Scheduler& sched) {
+    Link* link = std::exchange(head_, nullptr);
+    tail_ = nullptr;
+    while (link != nullptr) {
+      Link* const next = link->next;
+      sched.schedule_handle(sched.now(), link->handle);
+      link = next;
+    }
+  }
+
+ private:
+  Link* head_ = nullptr;
+  Link* tail_ = nullptr;
+};
 
 class Mutex {
  public:
@@ -31,6 +95,7 @@ class Mutex {
   auto lock() {
     struct Awaiter {
       Mutex& m;
+      WaitQueue::Link link{};
       bool await_ready() {
         if (!m.locked_) {
           m.locked_ = true;
@@ -38,7 +103,7 @@ class Mutex {
         }
         return false;
       }
-      void await_suspend(std::coroutine_handle<> h) { m.waiters_.push_back(h); }
+      void await_suspend(std::coroutine_handle<> h) { m.waiters_.push(link, h); }
       void await_resume() const noexcept {}
     };
     return Awaiter{*this};
@@ -51,9 +116,7 @@ class Mutex {
       return;
     }
     // Hand the lock directly to the next waiter (stays locked).
-    const auto next = waiters_.front();
-    waiters_.pop_front();
-    sched_.schedule_handle(sched_.now(), next);
+    waiters_.wake_one(sched_);
   }
 
   [[nodiscard]] bool locked() const { return locked_; }
@@ -61,7 +124,7 @@ class Mutex {
  private:
   Scheduler& sched_;
   bool locked_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaitQueue waiters_;
 };
 
 class Semaphore {
@@ -73,6 +136,7 @@ class Semaphore {
   auto acquire() {
     struct Awaiter {
       Semaphore& s;
+      WaitQueue::Link link{};
       bool await_ready() {
         if (s.permits_ > 0) {
           --s.permits_;
@@ -80,7 +144,7 @@ class Semaphore {
         }
         return false;
       }
-      void await_suspend(std::coroutine_handle<> h) { s.waiters_.push_back(h); }
+      void await_suspend(std::coroutine_handle<> h) { s.waiters_.push(link, h); }
       void await_resume() const noexcept {}
     };
     return Awaiter{*this};
@@ -88,9 +152,7 @@ class Semaphore {
 
   void release() {
     if (!waiters_.empty()) {
-      const auto next = waiters_.front();
-      waiters_.pop_front();
-      sched_.schedule_handle(sched_.now(), next);  // permit handed over directly
+      waiters_.wake_one(sched_);  // permit handed over directly
       return;
     }
     ++permits_;
@@ -101,7 +163,7 @@ class Semaphore {
  private:
   Scheduler& sched_;
   std::size_t permits_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaitQueue waiters_;
 };
 
 /// Cyclic barrier for `parties` processes.
@@ -116,11 +178,11 @@ class Barrier {
   auto arrive_and_wait() {
     struct Awaiter {
       Barrier& b;
+      WaitQueue::Link link{};
       bool await_ready() {
         if (b.arrived_ + 1 == b.parties_) {
           // Last arrival releases everyone and passes through.
-          for (const auto h : b.waiters_) b.sched_.schedule_handle(b.sched_.now(), h);
-          b.waiters_.clear();
+          b.waiters_.wake_all(b.sched_);
           b.arrived_ = 0;
           return true;
         }
@@ -128,7 +190,7 @@ class Barrier {
       }
       void await_suspend(std::coroutine_handle<> h) {
         ++b.arrived_;
-        b.waiters_.push_back(h);
+        b.waiters_.push(link, h);
       }
       void await_resume() const noexcept {}
     };
@@ -139,7 +201,7 @@ class Barrier {
   Scheduler& sched_;
   std::size_t parties_;
   std::size_t arrived_ = 0;
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaitQueue waiters_;
 };
 
 /// Manual-reset event.  wait() completes immediately while open.
@@ -152,8 +214,9 @@ class Gate {
   auto wait() {
     struct Awaiter {
       Gate& g;
+      WaitQueue::Link link{};
       bool await_ready() const { return g.open_; }
-      void await_suspend(std::coroutine_handle<> h) { g.waiters_.push_back(h); }
+      void await_suspend(std::coroutine_handle<> h) { g.waiters_.push(link, h); }
       void await_resume() const noexcept {}
     };
     return Awaiter{*this};
@@ -161,8 +224,7 @@ class Gate {
 
   void open() {
     open_ = true;
-    for (const auto h : waiters_) sched_.schedule_handle(sched_.now(), h);
-    waiters_.clear();
+    waiters_.wake_all(sched_);
   }
 
   void close() { open_ = false; }
@@ -170,7 +232,7 @@ class Gate {
  private:
   Scheduler& sched_;
   bool open_ = false;
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaitQueue waiters_;
 };
 
 /// Completion counter: processes signal once done; a waiter blocks until
@@ -184,17 +246,15 @@ class CountDownLatch {
 
   void count_down() {
     if (remaining_ == 0) throw std::logic_error("CountDownLatch::count_down below zero");
-    if (--remaining_ == 0) {
-      for (const auto h : waiters_) sched_.schedule_handle(sched_.now(), h);
-      waiters_.clear();
-    }
+    if (--remaining_ == 0) waiters_.wake_all(sched_);
   }
 
   auto wait() {
     struct Awaiter {
       CountDownLatch& l;
+      WaitQueue::Link link{};
       bool await_ready() const { return l.remaining_ == 0; }
-      void await_suspend(std::coroutine_handle<> h) { l.waiters_.push_back(h); }
+      void await_suspend(std::coroutine_handle<> h) { l.waiters_.push(link, h); }
       void await_resume() const noexcept {}
     };
     return Awaiter{*this};
@@ -203,7 +263,7 @@ class CountDownLatch {
  private:
   Scheduler& sched_;
   std::size_t remaining_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaitQueue waiters_;
 };
 
 }  // namespace nws::sim

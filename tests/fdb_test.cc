@@ -86,6 +86,25 @@ TEST(OidSerialisationTest, RoundTrip) {
   EXPECT_EQ(oid_from_string("garbage").status().code(), Errc::invalid);
 }
 
+TEST(OidSerialisationTest, ExtremesRoundTrip) {
+  const daos::ObjectId zeros{0, 0};
+  const daos::ObjectId ones{~0ull, ~0ull};
+  EXPECT_EQ(oid_to_string(zeros), "0000000000000000.0000000000000000");
+  EXPECT_EQ(oid_to_string(ones), "ffffffffffffffff.ffffffffffffffff");
+  EXPECT_EQ(oid_from_string(oid_to_string(zeros)).value(), zeros);
+  EXPECT_EQ(oid_from_string(oid_to_string(ones)).value(), ones);
+}
+
+TEST(OidSerialisationTest, RejectsSignsBlanksAndPrefixes) {
+  // Each half must be exactly 16 hex digits.
+  for (const char* malformed : {"0000000000000001.-000000000000002",
+                                " 000000000000001.0000000000000002",
+                                "+000000000000001.0000000000000002",
+                                "0x00000000000001.0000000000000002"}) {
+    EXPECT_EQ(oid_from_string(malformed).status().code(), Errc::invalid) << malformed;
+  }
+}
+
 // ---- integration fixtures ---------------------------------------------------
 
 struct FieldIoFixture {

@@ -29,7 +29,7 @@ struct CacheFixture {
   explicit CacheFixture(CacheConfig cfg) : cache(sched, cfg) {}
 
   /// A fetcher that costs 1ms of simulated time and returns `size`.
-  FieldCache::Fetcher fetcher(Bytes size) {
+  auto fetcher(Bytes size) {
     return [this, size]() -> sim::Task<Result<Bytes>> {
       ++fetches;
       co_await sched.delay(sim::milliseconds(1.0));

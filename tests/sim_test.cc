@@ -1,12 +1,33 @@
 // Unit tests for the discrete-event simulation kernel.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "sim/scheduler.h"
 #include "sim/sync.h"
 #include "sim/time.h"
+
+// Every global operator new in this binary is counted, so a test can assert
+// that a stretch of simulation allocates nothing (SyncTest).
+namespace {
+std::atomic<std::uint64_t> operator_new_calls{0};
+}  // namespace
+
+// Not inlined: GCC's -Wmismatched-new-delete would see malloc() paired with
+// operator delete, or operator new with free().
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  operator_new_calls.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace nws::sim {
 namespace {
@@ -354,6 +375,23 @@ TEST(SemaphoreTest, BoundsConcurrency) {
   EXPECT_EQ(sem.available(), 2u);
 }
 
+TEST(SemaphoreTest, HandsPermitsOverInArrivalOrder) {
+  Scheduler sched;
+  Semaphore sem(sched, 1);
+  std::vector<int> order;
+  auto proc = [](Scheduler& s, Semaphore& sm, std::vector<int>& out, int id) -> Task<void> {
+    co_await s.delay(id);  // arrive at 1, 2, 3, 4: the last three queue behind the first
+    co_await sm.acquire();
+    out.push_back(id);
+    co_await s.delay(seconds(1));
+    sm.release();
+  };
+  for (int id = 1; id <= 4; ++id) sched.spawn(proc(sched, sem, order, id));
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(sem.available(), 1u);
+}
+
 TEST(BarrierTest, ReleasesAllTogether) {
   Scheduler sched;
   Barrier barrier(sched, 3);
@@ -389,6 +427,25 @@ TEST(BarrierTest, CyclicReuse) {
   EXPECT_EQ(sched.now(), seconds(6));  // slower process paces all 3 rounds
 }
 
+TEST(BarrierTest, ReleasesInArrivalOrderEachCycle) {
+  Scheduler sched;
+  Barrier barrier(sched, 4);
+  std::vector<int> order;
+  auto proc = [](Scheduler& s, Barrier& b, std::vector<int>& out, int id) -> Task<void> {
+    // Cycle 0 arrives in id order, cycle 1 in reverse.
+    co_await s.delay(id);
+    co_await b.arrive_and_wait();
+    out.push_back(id);
+    co_await s.delay(10 - id);
+    co_await b.arrive_and_wait();
+    out.push_back(id);
+  };
+  for (int id = 1; id <= 4; ++id) sched.spawn(proc(sched, barrier, order, id));
+  sched.run();
+  // The last arrival passes straight through; the others follow in arrival order.
+  EXPECT_EQ(order, (std::vector<int>{4, 1, 2, 3, 1, 4, 3, 2}));
+}
+
 TEST(BarrierTest, ZeroPartiesThrows) {
   Scheduler sched;
   EXPECT_THROW(Barrier(sched, 0), std::invalid_argument);
@@ -420,6 +477,41 @@ TEST(GateTest, OpenGatePassesImmediately) {
   EXPECT_EQ(passed_at, 0);
 }
 
+TEST(GateTest, WakesInArrivalOrderAcrossCloseAndReopen) {
+  Scheduler sched;
+  Gate gate(sched);
+  std::vector<std::pair<int, TimePoint>> passed;
+  auto proc = [](Scheduler& s, Gate& g, std::vector<std::pair<int, TimePoint>>& out,
+                 Duration arrive, int id) -> Task<void> {
+    co_await s.delay(arrive);
+    co_await g.wait();
+    out.emplace_back(id, s.now());
+  };
+  for (int id = 1; id <= 3; ++id) sched.spawn(proc(sched, gate, passed, id, id));
+  for (int id = 4; id <= 6; ++id) sched.spawn(proc(sched, gate, passed, id + 3, id));
+  sched.schedule_callback(5, [&] { gate.open(); });
+  sched.schedule_callback(6, [&] { gate.close(); });
+  sched.schedule_callback(12, [&] { gate.open(); });
+  sched.run();
+  EXPECT_EQ(passed, (std::vector<std::pair<int, TimePoint>>{
+                        {1, 5}, {2, 5}, {3, 5}, {4, 12}, {5, 12}, {6, 12}}));
+}
+
+TEST(CountDownLatchTest, WakesInArrivalOrder) {
+  Scheduler sched;
+  CountDownLatch latch(sched, 1);
+  std::vector<int> order;
+  auto waiter = [](Scheduler& s, CountDownLatch& l, std::vector<int>& out, int id) -> Task<void> {
+    co_await s.delay(id);
+    co_await l.wait();
+    out.push_back(id);
+  };
+  for (int id = 1; id <= 4; ++id) sched.spawn(waiter(sched, latch, order, id));
+  sched.schedule_callback(10, [&] { latch.count_down(); });
+  sched.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
 TEST(CountDownLatchTest, WaitsForAllSignals) {
   Scheduler sched;
   CountDownLatch latch(sched, 3);
@@ -437,6 +529,68 @@ TEST(CountDownLatchTest, WaitsForAllSignals) {
   }(sched, latch, joined_at));
   sched.run();
   EXPECT_EQ(joined_at, seconds(4));
+}
+
+// One round per loop: every contender waits at the barrier, at the closed
+// gate, for one of the semaphore's two permits and for the mutex.
+Task<void> contend(Scheduler& s, Mutex& m, Semaphore& sem, Barrier& b, Gate& g,
+                   CountDownLatch& done, int rounds) {
+  for (int round = 0; round < rounds; ++round) {
+    co_await b.arrive_and_wait();
+    co_await g.wait();
+    co_await sem.acquire();
+    co_await s.delay(1);
+    sem.release();
+    co_await m.lock();
+    co_await s.delay(1);
+    m.unlock();
+  }
+  done.count_down();
+}
+
+Task<void> gatekeeper(Scheduler& s, Barrier& b, Gate& g, int rounds) {
+  for (int round = 0; round < rounds; ++round) {
+    g.close();
+    co_await b.arrive_and_wait();
+    co_await s.delay(5);
+    g.open();
+  }
+}
+
+TEST(SyncTest, WaitingAllocatesNothing) {
+  constexpr int kContenders = 8;
+  constexpr int kRounds = 20;
+  Scheduler sched;
+  const std::uint64_t before_construction = operator_new_calls.load();
+  Mutex mutex(sched);
+  Semaphore sem(sched, 2);
+  Barrier barrier(sched, kContenders + 1);
+  Gate gate(sched);
+  CountDownLatch done(sched, kContenders);
+  const std::uint64_t construction = operator_new_calls.load() - before_construction;
+
+  int joined = 0;
+  auto join = [](CountDownLatch& l, int& out) -> Task<void> {
+    co_await l.wait();
+    ++out;
+  };
+  for (int i = 0; i < kContenders; ++i) {
+    sched.spawn(contend(sched, mutex, sem, barrier, gate, done, kRounds));
+  }
+  sched.spawn(gatekeeper(sched, barrier, gate, kRounds));
+  sched.spawn(join(done, joined));
+  sched.spawn(join(done, joined));
+  sched.run_until(50);  // warm-up: the first rounds size the event queue
+  const std::uint64_t before_loop = operator_new_calls.load();
+  const TimePoint warmed_up_at = sched.now();
+  sched.run();
+  const std::uint64_t loop = operator_new_calls.load() - before_loop;
+
+  EXPECT_EQ(construction, 0u);
+  EXPECT_EQ(loop, 0u);
+  EXPECT_GT(warmed_up_at, 0);
+  EXPECT_GT(sched.now(), warmed_up_at + 10 * (5 + kContenders));  // most rounds ran after it
+  EXPECT_EQ(joined, 2);
 }
 
 // Determinism property: identical programs produce identical event traces.
